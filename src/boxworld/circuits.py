@@ -78,6 +78,10 @@ class Constant:
     value: int
 
 
+def _is_gate_id(name: str) -> bool:
+    return name.startswith("g") and name[1:].isdigit()
+
+
 @dataclass(frozen=True, eq=False)
 class NandCircuit:
     """A DAG of NAND gates; `gates[i]` is ("g<i>"'s operands) referring to
@@ -92,6 +96,9 @@ class NandCircuit:
         known = {b.name for b in self.inputs} | {c.name for c in self.constants}
         if len(known) != len(self.inputs) + len(self.constants):
             raise DimensionMismatch("duplicate leaf names in circuit")
+        for name in known:
+            if _is_gate_id(name):
+                raise DimensionMismatch(f"leaf name {name!r} is reserved for gate ids")
         for i, (left, right) in enumerate(self.gates):
             for ref in (left, right):
                 if ref not in known:
@@ -199,7 +206,7 @@ def prune(circuit: NandCircuit) -> NandCircuit:
 
 def gate_count(circuit: NandCircuit) -> int:
     """Number of NAND gates reachable from the output."""
-    return sum(1 for name in live_nodes(circuit) if name.startswith("g") and name[1:].isdigit())
+    return sum(1 for name in live_nodes(circuit) if _is_gate_id(name))
 
 
 def truth_table(circuit: NandCircuit, _cap: int = TRUTH_TABLE_CAP) -> TruthTable:

@@ -31,7 +31,14 @@ from .cluster import (
     inverted_cluster_constraints,
     simulation_search,
 )
-from .compiler import CompiledProtocol, compile_circuit, induced_box_fast, solve_cc, verify_simulation
+from .compiler import (
+    CompiledProtocol,
+    compile_circuit,
+    compiled_distribution,
+    induced_box_fast,
+    solve_cc,
+    verify_simulation,
+)
 from .errors import BoxworldError, TooLarge
 from .locality import is_local
 from .polytope import build_h_rep, classify_vertex, decompose, enumerate_vertices
@@ -290,7 +297,7 @@ def _cmd_simulate(args):
     if args.seed is not None:
         print("warning: --seed is ignored in exact mode", file=sys.stderr)
     if x is not None:
-        dist = execute_exact(protocol, x)
+        dist = compiled_distribution(loaded, x) if isinstance(loaded, CompiledProtocol) else execute_exact(protocol, x)
         return 0, {"mode": "exact", "distribution": dist.to_json_dict()}
     box = induced_box_fast(loaded) if isinstance(loaded, CompiledProtocol) else induced_box(protocol)
     return 0, {"mode": "exact", "box": _box_payload(box)}

@@ -14,10 +14,16 @@ block per live gate turns the parties' input bits (shared trivially: the
 owner holds the bit, everyone else holds 0) into an exact simulation of
 the parity-correlated box of the circuit's function.
 
-Compiled protocols execute two ways: through the generic branch-tree
-executor in `wiring` (the strategies below implement its interface), and
-through a fast exact frontier propagation over live share states that
-scales to exhaustive sweeps.  The two paths are cross-checked in tests.
+Compiled protocols execute through one affine core: every party's output
+share is an affine form over the blocks' uniform branch bits, built once
+per row table (`_output_forms`).  Exact counts (`affine_outcome_counts`,
+`induced_box_fast`, `compiled_distribution`) follow from GF(2) span
+arithmetic on those forms, and a sampled branch (`cc_values`, `solve_cc`)
+is one random bit vector.  The independent references are the generic
+branch-tree executor in `wiring` (the strategies below implement its
+interface) and the honest block enumeration `nand_block_branches` that
+`_ensure_kernel` checks the affine identity against; tests compare the
+core with both.
 """
 
 from __future__ import annotations
@@ -36,8 +42,11 @@ from .errors import ShapeMismatch, UnownedInputBit
 from .wiring import (
     STOP,
     BoxBank,
+    OutcomeDistribution,
     SharedRandomness,
     WiringProtocol,
+    checked_inputs,
+    induced_box,
     pr_instance,
 )
 
@@ -87,49 +96,30 @@ def nand_block(beta: Sequence[int], gamma: Sequence[int]) -> dict[tuple[int, ...
     return {a: Fraction(m, total) for a, m in counts.items()}
 
 
-def _block_dets(n: int, beta, gamma) -> tuple[int, ...]:
-    """Deterministic part of each block output.
-
-    Every block output decomposes as a_i = s_i XOR det_i where the branch
-    vector s is uniform over even-parity n-bit tuples; this is what the
-    fast executor iterates over, and it is asserted against honest branch
-    enumeration once per party count.
-    """
-    beta_sum = _xor(beta)
-    return tuple(
-        ((beta_sum ^ beta[i]) & gamma[i]) ^ (beta[i] & gamma[i]) ^ (1 if i == 0 else 0)
-        for i in range(n)
-    )
-
-
 _kernel_checked: set[int] = set()
 
 
 def _ensure_kernel(n: int):
+    """Check, once per party count, the block identity the affine core uses.
+
+    Honest enumeration of every PR branch of one block must give, for every
+    pair of share vectors, outputs a_i = s_i XOR (sum_j beta_j)*gamma_i XOR
+    r_i with s uniform over even-parity n-bit tuples: the share-product
+    terms cancel and each output is affine in the branch vector.
+    """
     if n in _kernel_checked:
         return
-    mult = 2 ** (n * (n - 1)) // 2 ** (n - 1)
+    weight = Fraction(1, 2 ** (n - 1))
     for beta in itertools.product((0, 1), repeat=n):
         for gamma in itertools.product((0, 1), repeat=n):
-            counts: dict[tuple[int, ...], int] = {}
-            for _, _, a in nand_block_branches(beta, gamma):
-                counts[a] = counts.get(a, 0) + 1
-            dets = _block_dets(n, beta, gamma)
-            expected: dict[tuple[int, ...], int] = {}
+            beta_sum = _xor(beta)
+            dets = tuple((beta_sum & gamma[i]) ^ (1 if i == 0 else 0) for i in range(n))
+            expected = {}
             for s_free in itertools.product((0, 1), repeat=n - 1):
                 s = s_free + (_xor(s_free),)
-                a = tuple(s[i] ^ dets[i] for i in range(n))
-                expected[a] = mult
-            if expected != counts:
+                expected[tuple(s[i] ^ dets[i] for i in range(n))] = weight
+            if nand_block(beta, gamma) != expected:
                 raise AssertionError(f"block kernel mismatch at beta={beta}, gamma={gamma}")
-            # affine reduction: the share-product terms cancel, leaving
-            # det_i = (sum_j beta_j) * gamma_i XOR r_i
-            beta_sum = _xor(beta)
-            reduced = tuple(
-                (beta_sum & gamma[i]) ^ (1 if i == 0 else 0) for i in range(n)
-            )
-            if reduced != dets:
-                raise AssertionError(f"affine reduction mismatch at beta={beta}, gamma={gamma}")
     _kernel_checked.add(n)
 
 
@@ -264,7 +254,7 @@ class _CompiledSession:
 @dataclass(frozen=True, eq=False)
 class CompiledProtocol:
     """A wiring protocol plus the compile-time metadata used for resource
-    accounting and by the fast executor."""
+    accounting and by the affine core."""
 
     protocol: Optional[WiringProtocol]
     circuit: NandCircuit
@@ -290,18 +280,6 @@ class CompiledProtocol:
         for c in self.circuit.constants:
             shares[c.name] = c.value if party == 0 else 0
         return shares
-
-    def wire_value(self, x_tuple: Sequence[int]) -> dict[str, int]:
-        """True value of every wire on joint input x (little-endian bit slots)."""
-        values = {}
-        for party, names in enumerate(self.party_bit_map):
-            for slot, name in enumerate(names):
-                values[name] = (x_tuple[party] >> slot) & 1
-        for c in self.circuit.constants:
-            values[c.name] = c.value
-        for i, (l, r) in enumerate(self.circuit.gates):
-            values[f"g{i}"] = (values[l] & values[r]) ^ 1
-        return values
 
 
 def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequence[Sequence[str]]) -> CompiledProtocol:
@@ -375,52 +353,11 @@ def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequenc
     return compiled
 
 
+
+
 # ---------------------------------------------------------------------------
-# Fast exact execution of compiled protocols
+# Affine core: exact execution of compiled protocols from share forms
 # ---------------------------------------------------------------------------
-
-
-def _liveness_plan(compiled: CompiledProtocol):
-    """Assign every gate wire a reusable state slot, freed after last use."""
-    k = len(compiled.gate_order)
-    last_use: dict[str, int] = {}
-    for g_idx, (l, r) in enumerate(compiled.gate_operands):
-        for ref in (l, r):
-            if ref.startswith("g") and ref[1:].isdigit():
-                last_use[ref] = g_idx
-    if compiled.circuit.output.startswith("g") and compiled.circuit.output[1:].isdigit():
-        last_use[compiled.circuit.output] = k  # keep live to the end
-
-    slot_of: dict[str, int] = {}
-    width = 0
-    steps = []
-    for g_idx in range(k):
-        u, v = compiled.gate_operands[g_idx]
-        u_slot = slot_of.get(u)
-        v_slot = slot_of.get(v)
-        in_width = width
-        dead = sorted(
-            {slot_of[ref] for ref in {u, v} if ref in slot_of and last_use.get(ref) == g_idx}
-        )
-        keep_slots = [s for s in range(width) if s not in dead]
-        renumber = {old: new for new, old in enumerate(keep_slots)}
-        slot_of = {w: renumber[s] for w, s in slot_of.items() if s not in dead}
-        out_slot = len(keep_slots)
-        slot_of[f"g{g_idx}"] = out_slot
-        width = out_slot + 1
-        steps.append(
-            {
-                "u": u,
-                "v": v,
-                "u_slot": u_slot,
-                "v_slot": v_slot,
-                "in_width": in_width,
-                "keep_slots": keep_slots,
-                "out_slot": out_slot,
-                "out_width": width,
-            }
-        )
-    return steps, slot_of.get(compiled.circuit.output)
 
 
 def _x_tuples(sizes) -> list[tuple[int, ...]]:
@@ -439,227 +376,196 @@ def _x_tuples(sizes) -> list[tuple[int, ...]]:
     return out
 
 
-def execute_compiled_counts(compiled: CompiledProtocol):
-    """Exact outcome counts of the compiled protocol for every input tuple.
+def _assignment(bit_map, x) -> dict[str, int]:
+    """Input-bit values on joint input x (little-endian bit slots)."""
+    return {
+        name: (x[party] >> slot) & 1
+        for party, names in enumerate(bit_map)
+        for slot, name in enumerate(names)
+    }
 
-    Returns (counts, denominator): counts[x_index][a_index] is a Python
-    int and the probability is counts/denominator.  x_index enumerates
-    joint inputs with party 0 fastest; a_index packs output bits with
-    party i at bit i.  A numpy float64 path is used while counts provably
-    fit exactly (they stay below 2^53); otherwise a pure-integer dict
-    frontier takes over.
+
+def _sweep_rows(circuit: NandCircuit, n_parties: int, bit_maps):
+    """Row table for a multi-ownership sweep: one row per (map, joint input).
+
+    Returns a list of (map_idx, x, assignment) where assignment[name] is
+    the bit value of each input leaf on that row.
     """
-    n = compiled.n_parties
+    rows = []
+    for map_idx, bit_map in enumerate(bit_maps):
+        sizes = [2 ** len(names) for names in bit_map]
+        for x in _x_tuples(sizes):
+            rows.append((map_idx, x, _assignment(bit_map, x)))
+    return rows
+
+
+def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
+    """Affine form of every party's output share on every row.
+
+    Each gate's block contributes a fresh even-parity branch vector s (the
+    per-party XORs of its PR outputs; variables g*(n-1) .. g*(n-1)+n-2,
+    with s_{n-1} their XOR) and, by the cancellation `_ensure_kernel`
+    checks, party i's share of the gate is s_i XOR u_value*gamma_i XOR r_i,
+    where gamma_i is its share of the second operand.  So a gate's share
+    form depends only on its second operand's form, and the output form is
+    built along that chain alone.  A circuit without gates gets one block
+    of variables for the even-parity shared randomness that re-randomizes
+    its output shares.
+
+    Returns (width, masks, consts): the joint branch vector has `width`
+    uniform bits, masks[i] is an object array of Python-int masks over
+    them and consts[i] an int64 array of 0/1, one entry per row; party i
+    outputs consts[i] XOR parity(masks[i] & branch vector).  `circuit`
+    must be pruned.
+    """
     _ensure_kernel(n)
-    steps, final_slot = _liveness_plan(compiled)
-    k = len(steps)
-    x_tuples = _x_tuples(compiled.protocol.input_sizes)
+    gates = circuit.gates
+    width = (n - 1) * max(len(gates), 1)
+    values: dict[str, np.ndarray] = {}
+    for b in circuit.inputs:
+        values[b.name] = np.array([asg[b.name] for _, _, asg in rows], dtype=np.int64)
+    for c in circuit.constants:
+        values[c.name] = np.full(len(rows), c.value, dtype=np.int64)
+    for g_idx, (l, r) in enumerate(gates):
+        values[f"g{g_idx}"] = (values[l] & values[r]) ^ 1
 
-    if k == 0:
-        return _degenerate_counts(compiled, x_tuples)
+    chain = []
+    leaf = circuit.output
+    gate_index = {f"g{i}": i for i in range(len(gates))}
+    while leaf in gate_index:
+        chain.append(gate_index[leaf])
+        leaf = gates[gate_index[leaf]][1]
 
-    max_width = max(step["out_width"] for step in steps)
-    # per-class raw sums grow by 2^(n-1) per gate; keep under float64 exactness
-    use_numpy = (n - 1) * k <= 50 and (n - 1) * max_width <= 20
-    if use_numpy:
-        counts = _counts_numpy(compiled, steps, final_slot, x_tuples)
+    # leaf shares: the owner of an input bit holds it, everyone else 0;
+    # constants are public parity carried by party 0
+    if leaf in circuit.input_names:
+        owner = [
+            next(p for p, names in enumerate(bit_map) if leaf in names) for bit_map in bit_maps
+        ]
+        holder = np.array([owner[m_idx] for m_idx, _, _ in rows], dtype=np.int64)
+        consts = [np.where(holder == party, values[leaf], 0) for party in range(n)]
     else:
-        counts = _counts_dict(compiled, steps, final_slot, x_tuples)
-    return counts, 2 ** (n * (n - 1) * k)
+        consts = [values[leaf] if party == 0 else np.zeros_like(values[leaf]) for party in range(n)]
+    masks = [np.zeros(len(rows), dtype=object) for _ in range(n)]
+
+    def block_masks(block):
+        low = block * (n - 1)
+        return [1 << (low + i) for i in range(n - 1)] + [((1 << (n - 1)) - 1) << low]
+
+    if not chain:
+        masks = [mask | own for mask, own in zip(masks, block_masks(0))]
+    for g_idx in reversed(chain):
+        vu = values[gates[g_idx][0]]
+        on = vu.astype(bool)
+        for party, own in enumerate(block_masks(g_idx)):
+            masks[party] = np.where(on, masks[party], 0) | own
+            consts[party] = (consts[party] & vu) ^ (1 if party == 0 else 0)
+    return width, masks, consts
 
 
-def _degenerate_counts(compiled: CompiledProtocol, x_tuples):
-    n = compiled.n_parties
-    counts = [[0] * (2 ** n) for _ in x_tuples]
-    out_ref = compiled.circuit.output
-    for xi, x in enumerate(x_tuples):
-        base = [compiled.base_shares(i, x[i])[out_ref] for i in range(n)]
-        for lam in compiled.protocol.randomness.support:
-            a_idx = 0
-            for i in range(n):
-                a_idx |= (base[i] ^ lam[i]) << i
-            counts[xi][a_idx] += 1
-    return counts, 2 ** (n - 1)
+def _span_counts(n: int, width: int, masks, consts) -> list[list[int]]:
+    """Exact outcome counts per row, out of 2^width branches.
+
+    The joint output is c XOR M t for uniform t, so it is uniform over the
+    coset c + span of M's distinct column patterns (the n-bit patterns p
+    for which some branch variable appears in exactly the masks p names).
+    """
+    n_out = 1 << n
+    full = (1 << width) - 1
+    complements = [full ^ mask for mask in masks]
+    outcomes = np.arange(n_out)
+    span = np.zeros((len(consts[0]), n_out), dtype=bool)
+    span[:, 0] = True
+    for p in range(1, n_out):
+        sel = full
+        for i in range(n):
+            sel = sel & (masks[i] if (p >> i) & 1 else complements[i])
+        span |= (sel != 0)[:, None] & span[:, outcomes ^ p]
+    c_vec = sum(consts[i] << i for i in range(n))
+    hit = span[np.arange(len(c_vec))[:, None], outcomes[None, :] ^ c_vec[:, None]]
+    weights = [(1 << width) // int(size) for size in span.sum(axis=1)]
+    return [[w if h else 0 for h in row] for w, row in zip(weights, hit.tolist())]
 
 
-def _counts_numpy(compiled: CompiledProtocol, steps, final_slot, x_tuples):
-    n = compiled.n_parties
-    n_x = len(x_tuples)
-    values = [compiled.wire_value(x) for x in x_tuples]
-    base = [
-        [compiled.base_shares(party, x[party]) for x in x_tuples] for party in range(n - 1)
+def _branch_outputs(masks, consts, branches) -> list[tuple[int, ...]]:
+    """Every party's output on each row, on the branch vector branches[row]."""
+    per_party = [
+        [c ^ ((m & t).bit_count() & 1) for m, c, t in zip(mask.tolist(), const.tolist(), branches)]
+        for mask, const in zip(masks, consts)
     ]
-
-    def leaf_share(ref, party):
-        return np.array([base[party][xi].get(ref, 0) for xi in range(n_x)], dtype=np.int64)[:, None]
-
-    def wire_values(ref):
-        return np.array([v[ref] for v in values], dtype=np.int64)[:, None]
-
-    s_classes = [s + (_xor(s),) for s in itertools.product((0, 1), repeat=n - 1)]
-
-    frontier = np.ones((n_x, 1), dtype=np.float64)
-    for step in steps:
-        w_in = step["in_width"]
-        w_out = step["out_width"]
-        n_states = frontier.shape[1]
-        states = np.arange(n_states, dtype=np.int64)[None, :]
-
-        def share_of(ref, slot, party):
-            if slot is not None:
-                return (states >> (party * w_in + slot)) & 1
-            return leaf_share(ref, party)
-
-        beta = [share_of(step["u"], step["u_slot"], p) for p in range(n - 1)]
-        gamma = [share_of(step["v"], step["v_slot"], p) for p in range(n - 1)]
-        beta_all = beta + [wire_values(step["u"]) ^ _np_xor(beta)]
-        gamma_all = gamma + [wire_values(step["v"]) ^ _np_xor(gamma)]
-        beta_sum = _np_xor(beta_all)
-        dets = []
-        for i in range(n - 1):
-            det = ((beta_sum ^ beta_all[i]) & gamma_all[i]) ^ (beta_all[i] & gamma_all[i])
-            if i == 0:
-                det = det ^ 1
-            dets.append(det)
-
-        remap = np.zeros(n_states, dtype=np.int64)
-        raw = np.arange(n_states, dtype=np.int64)
-        for party in range(n - 1):
-            for new_pos, old_pos in enumerate(step["keep_slots"]):
-                remap |= ((raw >> (party * w_in + old_pos)) & 1) << (party * w_out + new_pos)
-
-        out_width_states = 2 ** ((n - 1) * w_out)
-        new_frontier = np.zeros((n_x, out_width_states), dtype=np.float64)
-        x_offsets = (np.arange(n_x, dtype=np.int64) * out_width_states)[:, None]
-        flat_size = n_x * out_width_states
-        weights = frontier.ravel()
-        for s in s_classes:
-            target = np.broadcast_to(remap[None, :], (n_x, n_states)).copy()
-            for i in range(n - 1):
-                a_i = s[i] ^ dets[i]
-                target |= np.broadcast_to(a_i, (n_x, n_states)) << (i * w_out + step["out_slot"])
-            flat = (target + x_offsets).ravel()
-            new_frontier += np.bincount(flat, weights=weights, minlength=flat_size).reshape(
-                (n_x, out_width_states)
-            )
-        frontier = new_frontier
-
-    cur_width = steps[-1]["out_width"]
-    n_states = frontier.shape[1]
-    states = np.arange(n_states, dtype=np.int64)[None, :]
-    out_ref = compiled.circuit.output
-    out_values = np.array([v[out_ref] for v in values], dtype=np.int64)[:, None]
-    shares = [(states >> (p * cur_width + final_slot)) & 1 for p in range(n - 1)]
-    last = out_values ^ _np_xor(shares)
-    a_index = np.zeros((n_x, n_states), dtype=np.int64)
-    for i, sh in enumerate(shares):
-        a_index |= np.broadcast_to(sh, (n_x, n_states)) << i
-    a_index |= last << (n - 1)
-
-    x_offsets = (np.arange(n_x, dtype=np.int64) * (2 ** n))[:, None]
-    flat = (a_index + x_offsets).ravel()
-    raw_counts = np.bincount(flat, weights=frontier.ravel(), minlength=n_x * 2 ** n).reshape(
-        (n_x, 2 ** n)
-    )
-    # each gate's class transitions carried multiplicity 2^(n(n-1))/2^(n-1)
-    mult = 2 ** (n * (n - 1)) // 2 ** (n - 1)
-    factor = mult ** len(steps)
-    return [[int(raw_counts[xi, ai]) * factor for ai in range(2 ** n)] for xi in range(n_x)]
+    return list(zip(*per_party))
 
 
-def _np_xor(arrays):
-    acc = arrays[0]
-    for arr in arrays[1:]:
-        acc = acc ^ arr
-    return acc
+def _compiled_forms(compiled: CompiledProtocol, xs):
+    """`_output_forms` of a compiled protocol, one row per joint input in xs."""
+    rows = [(0, x, _assignment(compiled.party_bit_map, x)) for x in xs]
+    return _output_forms(compiled.circuit, compiled.n_parties, [compiled.party_bit_map], rows)
 
 
-def _counts_dict(compiled: CompiledProtocol, steps, final_slot, x_tuples):
-    """Pure-integer frontier propagation; exact at any size."""
-    n = compiled.n_parties
-    mult = 2 ** (n * (n - 1)) // 2 ** (n - 1)
-    s_classes = [s + (_xor(s),) for s in itertools.product((0, 1), repeat=n - 1)]
-
-    results = []
-    for x in x_tuples:
-        values = compiled.wire_value(x)
-        base = [compiled.base_shares(party, x[party]) for party in range(n)]
-        frontier: dict[tuple[int, ...], int] = {(0,) * (n - 1): 1}
-        for step in steps:
-            new_frontier: dict[tuple[int, ...], int] = {}
-            for state, count in frontier.items():
-                beta = [
-                    ((state[p] >> step["u_slot"]) & 1) if step["u_slot"] is not None else base[p].get(step["u"], 0)
-                    for p in range(n - 1)
-                ]
-                gamma = [
-                    ((state[p] >> step["v_slot"]) & 1) if step["v_slot"] is not None else base[p].get(step["v"], 0)
-                    for p in range(n - 1)
-                ]
-                beta_all = beta + [values[step["u"]] ^ _xor(beta)]
-                gamma_all = gamma + [values[step["v"]] ^ _xor(gamma)]
-                dets = _block_dets(n, beta_all, gamma_all)
-                packed = []
-                for p in range(n - 1):
-                    m = 0
-                    for new_pos, old_pos in enumerate(step["keep_slots"]):
-                        m |= ((state[p] >> old_pos) & 1) << new_pos
-                    packed.append(m)
-                for s in s_classes:
-                    new_state = tuple(
-                        packed[p] | ((s[p] ^ dets[p]) << step["out_slot"]) for p in range(n - 1)
-                    )
-                    new_frontier[new_state] = new_frontier.get(new_state, 0) + count * mult
-            frontier = new_frontier
-
-        out_value = values[compiled.circuit.output]
-        row = [0] * (2 ** n)
-        for state, count in frontier.items():
-            shares = [(state[p] >> final_slot) & 1 for p in range(n - 1)]
-            last = out_value ^ _xor(shares)
-            a_idx = 0
-            for i, sh in enumerate(shares):
-                a_idx |= sh << i
-            a_idx |= last << (n - 1)
-            row[a_idx] += count
-        results.append(row)
-    return results
+def _probabilities(n: int, width: int, counts) -> dict[tuple[int, ...], Fraction]:
+    """Nonzero outcome probabilities of one row of `_span_counts`."""
+    return {
+        tuple((a_idx >> i) & 1 for i in range(n)): Fraction(count, 1 << width)
+        for a_idx, count in enumerate(counts)
+        if count
+    }
 
 
-def compiled_distribution(compiled: CompiledProtocol, x) -> "OutcomeDistribution":
-    """Exact outcome distribution of a compiled protocol on one input tuple,
-    via the frontier executor (reachable at any gate count)."""
-    from .wiring import OutcomeDistribution
+def affine_outcome_counts(circuit: NandCircuit, n_parties: int, bit_maps):
+    """Exact outcome counts of the compiled protocol for every ownership map
+    and joint input, from the affine share forms of `_output_forms`.
 
-    x = tuple(x)
-    counts, denominator = execute_compiled_counts(compiled)
-    sizes = compiled.protocol.input_sizes
-    x_idx = 0
-    stride = 1
-    for party, size in enumerate(sizes):
-        x_idx += x[party] * stride
-        stride *= size
-    n = compiled.n_parties
-    outcomes = {}
-    for a_idx, count in enumerate(counts[x_idx]):
-        if count:
-            a = tuple((a_idx >> i) & 1 for i in range(n))
-            outcomes[a] = Fraction(count, denominator)
-    return OutcomeDistribution(x=x, outcomes=outcomes)
+    Returns (counts, denominator): counts[map_idx][x_idx][a_idx] integers,
+    denominator = 2^((n-1)*k), or 2^(n-1) when no gate is live.
+    """
+    circuit = prune(circuit)
+    rows = _sweep_rows(circuit, n_parties, bit_maps)
+    width, masks, consts = _output_forms(circuit, n_parties, bit_maps, rows)
+    flat = _span_counts(n_parties, width, masks, consts)
+    counts_by_map = []
+    pos = 0
+    for bit_map in bit_maps:
+        n_x = 2 ** sum(len(names) for names in bit_map)
+        counts_by_map.append(flat[pos:pos + n_x])
+        pos += n_x
+    return counts_by_map, 1 << width
+
+
+def cc_values(circuit: NandCircuit, n_parties: int, bit_maps, seed: int = 0) -> list:
+    """Batched communication-complexity values: one sampled protocol branch
+    per (ownership map, joint input); value = XOR of the parties' outputs.
+
+    Mirrors solve_cc over many cases at once (the parity identity makes the
+    value branch-independent, which the acceptance suite checks against
+    exhaustive circuit evaluation).
+    """
+    circuit = prune(circuit)
+    rows = _sweep_rows(circuit, n_parties, bit_maps)
+    width, masks, consts = _output_forms(circuit, n_parties, bit_maps, rows)
+    rng = random.Random(seed)
+    branches = [rng.getrandbits(width) for _ in rows]
+    return [_xor(outputs) for outputs in _branch_outputs(masks, consts, branches)]
+
+
+def compiled_distribution(compiled: CompiledProtocol, x) -> OutcomeDistribution:
+    """Exact outcome distribution of a compiled protocol on one input tuple."""
+    x = checked_inputs(compiled.input_sizes, x)
+    width, masks, consts = _compiled_forms(compiled, [x])
+    (counts,) = _span_counts(compiled.n_parties, width, masks, consts)
+    return OutcomeDistribution(x=x, outcomes=_probabilities(compiled.n_parties, width, counts))
 
 
 def induced_box_fast(compiled: CompiledProtocol) -> Box:
-    """Exact induced box of a compiled protocol via frontier propagation."""
-    counts, denominator = execute_compiled_counts(compiled)
+    """Exact induced box of a compiled protocol from the affine share forms."""
     n = compiled.n_parties
-    sizes = compiled.protocol.input_sizes
-    table = {}
-    for xi, x in enumerate(_x_tuples(sizes)):
-        for a_idx, count in enumerate(counts[xi]):
-            if count:
-                a = tuple((a_idx >> i) & 1 for i in range(n))
-                table[(x, a)] = Fraction(count, denominator)
-    return make_box(n, sizes, (2,) * n, table, sparse=True)
+    xs = _x_tuples(compiled.input_sizes)
+    width, masks, consts = _compiled_forms(compiled, xs)
+    table = {
+        (x, a): p
+        for x, counts in zip(xs, _span_counts(n, width, masks, consts))
+        for a, p in _probabilities(n, width, counts).items()
+    }
+    return make_box(n, compiled.input_sizes, (2,) * n, table, sparse=True)
 
 
 @dataclass(frozen=True)
@@ -676,8 +582,6 @@ def verify_simulation(compiled, target: Box) -> SimulationVerdict:
     if isinstance(compiled, CompiledProtocol):
         box = induced_box_fast(compiled)
     else:
-        from .wiring import induced_box
-
         box = induced_box(compiled)
     if (box.input_sizes, box.output_sizes) != (target.input_sizes, target.output_sizes):
         raise ShapeMismatch(
@@ -703,260 +607,6 @@ class CCResult:
     bits_communicated: int
 
 
-def sample_compiled_outputs(compiled: CompiledProtocol, x, seed: int) -> tuple[int, ...]:
-    """Sample one branch of the compiled protocol's block chain (seeded)."""
-    rng = random.Random(seed)
-    n = compiled.n_parties
-    shares = [dict(compiled.base_shares(i, x[i])) for i in range(n)]
-    out_ref = compiled.circuit.output
-    if compiled.degenerate:
-        support = compiled.protocol.randomness.support
-        lam = support[rng.randrange(len(support))]
-        return tuple(shares[i][out_ref] ^ lam[i] for i in range(n))
-    for g_idx, (u, v) in enumerate(compiled.gate_operands):
-        beta = [shares[i][u] for i in range(n)]
-        gamma = [shares[i][v] for i in range(n)]
-        b = {}
-        c = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    b[(i, j)] = rng.randrange(2)
-                    c[(i, j)] = b[(i, j)] ^ (beta[i] & gamma[j])
-        for i in range(n):
-            a_i = _xor(b[(i, j)] for j in range(n) if j != i)
-            a_i ^= _xor(c[(j, i)] for j in range(n) if j != i)
-            a_i ^= (beta[i] & gamma[i]) ^ (1 if i == 0 else 0)
-            shares[i][f"g{g_idx}"] = a_i
-    return tuple(shares[i][out_ref] for i in range(n))
-
-
-# ---------------------------------------------------------------------------
-# Affine sweep runner: exact execution over many ownership maps at once
-# ---------------------------------------------------------------------------
-
-
-def _sweep_rows(circuit: NandCircuit, n_parties: int, bit_maps):
-    """Row table for a multi-ownership sweep: one row per (map, joint input).
-
-    Returns (row_count, x_counts, base_bits) where base_bits[row][name] is
-    the bit value of each input leaf on that row.
-    """
-    rows = []
-    for map_idx, bit_map in enumerate(bit_maps):
-        sizes = [2 ** len(names) for names in bit_map]
-        for x in _x_tuples(sizes):
-            assignment = {}
-            for party, names in enumerate(bit_map):
-                for slot, name in enumerate(names):
-                    assignment[name] = (x[party] >> slot) & 1
-            rows.append((map_idx, x, assignment))
-    return rows
-
-
-def affine_outcome_counts(circuit: NandCircuit, n_parties: int, bit_maps):
-    """Exact outcome counts of the compiled protocol for every ownership map
-    and joint input, via affine tracking of the block branch variables.
-
-    Each gate's block contributes a fresh even-parity branch vector s (the
-    per-party XORs of its PR outputs) and, by the cancellation asserted in
-    the kernel check, party i's new share is s_i XOR u_value*gamma_i XOR
-    r_i, which keeps every share an affine form over the branch variables.
-    The joint output distribution is then uniform over an affine coset,
-    computed exactly per row by GF(2) span arithmetic.
-
-    Returns (counts, denominator): counts[map_idx][x_idx][a_idx] integers,
-    denominator = 2^((n-1)*k).  Requires (n-1)*k <= 62; the frontier
-    executor covers anything larger.
-    """
-    _ensure_kernel(n_parties)
-    circuit = prune(circuit)
-    n = n_parties
-    k = len(circuit.gates)
-    if (n - 1) * k > 62:
-        raise ShapeMismatch("affine sweep supports (n-1)*gates <= 62; use execute_compiled_counts")
-    rows = _sweep_rows(circuit, n, bit_maps)
-    n_rows = len(rows)
-    r_bits = [1 if i == 0 else 0 for i in range(n)]
-
-    # wire values per row
-    values: dict[str, np.ndarray] = {}
-    for b in circuit.inputs:
-        values[b.name] = np.array([asg[b.name] for _, _, asg in rows], dtype=np.int64)
-    for c in circuit.constants:
-        values[c.name] = np.full(n_rows, c.value, dtype=np.int64)
-    for g_idx, (l, r) in enumerate(circuit.gates):
-        values[f"g{g_idx}"] = (values[l] & values[r]) ^ 1
-
-    # base shares per party: owner holds the bit, others 0; constants at party 0
-    def base_const(party, name):
-        out = np.zeros(n_rows, dtype=np.int64)
-        for ridx, (map_idx, x, asg) in enumerate(rows):
-            if name in bit_maps[map_idx][party]:
-                out[ridx] = asg[name]
-        return out
-
-    forms: list[dict[str, tuple[np.ndarray, np.ndarray]]] = []
-    zero = np.zeros(n_rows, dtype=np.int64)
-    for party in range(n):
-        f: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for b in circuit.inputs:
-            f[b.name] = (zero, base_const(party, b.name))
-        for c in circuit.constants:
-            f[c.name] = (zero, np.full(n_rows, c.value if party == 0 else 0, dtype=np.int64))
-        forms.append(f)
-
-    for g_idx, (u, v) in enumerate(circuit.gates):
-        vu = values[u]
-        base_var = g_idx * (n - 1)
-        all_bits = 0
-        for i in range(n - 1):
-            all_bits |= 1 << (base_var + i)
-        for party in range(n):
-            g_mask, g_const = forms[party][v]
-            own = (1 << (base_var + party)) if party < n - 1 else all_bits
-            mask = own | (g_mask * vu)
-            const = (g_const & vu) ^ r_bits[party]
-            forms[party][f"g{g_idx}"] = (mask, const)
-
-    x_counts = [1] * len(bit_maps)
-    for m_idx, bit_map in enumerate(bit_maps):
-        for names in bit_map:
-            x_counts[m_idx] *= 2 ** len(names)
-
-    if k == 0:
-        # no gates: output shares are deterministic leaves re-randomized by
-        # even-parity shared randomness -> uniform over the value's parity coset
-        denominator = 2 ** (n - 1)
-        out_val = values[circuit.output]
-        counts_by_map = []
-        ridx = 0
-        for m_idx in range(len(bit_maps)):
-            rows_here = x_counts[m_idx]
-            block = []
-            for _ in range(rows_here):
-                v_val = int(out_val[ridx])
-                row_counts = [0] * (2 ** n)
-                for a_idx in range(2 ** n):
-                    if bin(a_idx).count("1") % 2 == v_val:
-                        row_counts[a_idx] = 1
-                block.append(row_counts)
-                ridx += 1
-            counts_by_map.append(block)
-        return counts_by_map, denominator
-
-    denominator = 2 ** ((n - 1) * k)
-    out = circuit.output
-    masks = [forms[party][out][0] for party in range(n)]
-    consts = [forms[party][out][1] for party in range(n)]
-
-    counts_by_map = [
-        [[0] * (2 ** n) for _ in range(x_counts[m_idx])] for m_idx in range(len(bit_maps))
-    ]
-    row_map = []
-    for m_idx in range(len(bit_maps)):
-        for x_idx in range(x_counts[m_idx]):
-            row_map.append((m_idx, x_idx))
-
-    full = (1 << ((n - 1) * k)) - 1
-    for ridx in range(n_rows):
-        m = [int(masks[i][ridx]) for i in range(n)]
-        c_vec = 0
-        for i in range(n):
-            c_vec |= int(consts[i][ridx]) << i
-        # distinct column patterns present in the affine map
-        patterns = []
-        for p in range(1, 2 ** n):
-            sel = full
-            for i in range(n):
-                sel &= m[i] if (p >> i) & 1 else (full & ~m[i])
-                if not sel:
-                    break
-            if sel:
-                patterns.append(p)
-        span = {0}
-        for p in patterns:
-            span |= {v ^ p for v in span}
-        weight = denominator // len(span)
-        m_idx, x_idx = row_map[ridx]
-        row_counts = counts_by_map[m_idx][x_idx]
-        for v in span:
-            row_counts[v ^ c_vec] += weight
-    return counts_by_map, denominator
-
-
-def cc_values(circuit: NandCircuit, n_parties: int, bit_maps, seed: int = 0) -> list:
-    """Batched communication-complexity values: one sampled protocol branch
-    per (ownership map, joint input); value = XOR of the parties' outputs.
-
-    Mirrors solve_cc over many cases at once (the parity identity makes the
-    value branch-independent, which the acceptance suite checks against
-    exhaustive circuit evaluation).
-    """
-    circuit = prune(circuit)
-    n = n_parties
-    k = len(circuit.gates)
-    rows = _sweep_rows(circuit, n, bit_maps)
-    if k == 0:
-        out_vals = []
-        for _, _, asg in rows:
-            vals = dict(asg)
-            for c in circuit.constants:
-                vals[c.name] = c.value
-            out_vals.append(vals[circuit.output])
-        return out_vals
-    _ensure_kernel(n)
-    if (n - 1) * k > 62:
-        return [
-            solve_cc(
-                compile_circuit(circuit, n, bit_maps[m_idx]), x=x, seed=seed + ridx
-            ).value
-            for ridx, (m_idx, x, _) in enumerate(rows)
-        ]
-    rng = np.random.default_rng(seed)
-    t = rng.integers(0, 1 << ((n - 1) * k), size=len(rows), dtype=np.int64)
-
-    values: dict[str, np.ndarray] = {}
-    for b in circuit.inputs:
-        values[b.name] = np.array([asg[b.name] for _, _, asg in rows], dtype=np.int64)
-    for c in circuit.constants:
-        values[c.name] = np.full(len(rows), c.value, dtype=np.int64)
-    for g_idx, (l, r) in enumerate(circuit.gates):
-        values[f"g{g_idx}"] = (values[l] & values[r]) ^ 1
-
-    total = np.zeros(len(rows), dtype=np.int64)
-    for party in range(n):
-        mask: dict[str, np.ndarray] = {}
-        const: dict[str, np.ndarray] = {}
-        zero = np.zeros(len(rows), dtype=np.int64)
-        for b in circuit.inputs:
-            mask[b.name] = zero
-            held = np.zeros(len(rows), dtype=np.int64)
-            for ridx, (m_idx, x, asg) in enumerate(rows):
-                if b.name in bit_maps[m_idx][party]:
-                    held[ridx] = asg[b.name]
-            const[b.name] = held
-        for c in circuit.constants:
-            mask[c.name] = zero
-            const[c.name] = np.full(len(rows), c.value if party == 0 else 0, dtype=np.int64)
-        for g_idx, (u, v) in enumerate(circuit.gates):
-            vu = values[u]
-            base_var = g_idx * (n - 1)
-            if party < n - 1:
-                own = 1 << (base_var + party)
-            else:
-                own = 0
-                for i in range(n - 1):
-                    own |= 1 << (base_var + i)
-            mask[f"g{g_idx}"] = own | (mask[v] * vu)
-            const[f"g{g_idx}"] = (const[v] & vu) ^ (1 if party == 0 else 0)
-        out_mask = mask[circuit.output]
-        out_const = const[circuit.output]
-        a_party = out_const ^ (np.bitwise_count(out_mask & t).astype(np.int64) & 1)
-        total ^= a_party
-    return [int(v) for v in total]
-
-
 def solve_cc(compiled_or_circuit, party_bit_map=None, x=None, seed: int = 0) -> CCResult:
     """Communication-complexity run: simulate the parity box of the circuit,
     then parties 1..n-1 each send their single output bit to party 0, who
@@ -971,7 +621,9 @@ def solve_cc(compiled_or_circuit, party_bit_map=None, x=None, seed: int = 0) -> 
     else:
         compiled = compile_circuit(compiled_or_circuit, len(party_bit_map), party_bit_map)
     n = compiled.n_parties
-    outputs = sample_compiled_outputs(compiled, tuple(x), seed)
+    x = checked_inputs(compiled.input_sizes, x)
+    width, masks, consts = _compiled_forms(compiled, [x])
+    (outputs,) = _branch_outputs(masks, consts, [random.Random(seed).getrandbits(width)])
     return CCResult(
         value=_xor(outputs),
         transcript=tuple((i, 0, outputs[i]) for i in range(1, n)),

@@ -225,18 +225,6 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP, event_witnesses=None) ->
     )
 
 
-def chsh_local_maximum(boxes) -> Fraction:
-    """Exact max |CHSH| over an iterable of boxes (used with deterministic ones)."""
-    from .boxes import chsh_value
-
-    best = Fraction(0)
-    for box in boxes:
-        v = abs(chsh_value(box))
-        if v > best:
-            best = v
-    return best
-
-
 def all_deterministic_boxes(input_sizes, output_sizes):
     """Every deterministic box of the given shape."""
     dummy = make_box(

@@ -345,11 +345,20 @@ def _require_valid(protocol: WiringProtocol):
         raise Unvalidated(f"protocol failed validation: {verdict.violation}")
 
 
+def checked_inputs(input_sizes: Sequence[int], x) -> tuple[int, ...]:
+    """x as a tuple, after checking it holds one in-range input per party."""
+    x = tuple(x)
+    if len(x) != len(input_sizes):
+        raise DimensionMismatch(f"expected {len(input_sizes)} inputs, got {len(x)}")
+    for party, (value, size) in enumerate(zip(x, input_sizes)):
+        if not 0 <= value < size:
+            raise DimensionMismatch(f"input {value} of party {party} is outside 0..{size - 1}")
+    return x
+
+
 def execute_exact(protocol: WiringProtocol, x) -> OutcomeDistribution:
     """Exact outcome distribution on input tuple x, by full branch enumeration."""
-    x = tuple(x)
-    if len(x) != protocol.n_parties:
-        raise DimensionMismatch(f"expected {protocol.n_parties} inputs, got {len(x)}")
+    x = checked_inputs(protocol.input_sizes, x)
     _require_valid(protocol)
     outcomes: dict[tuple[int, ...], Fraction] = {}
 
@@ -476,7 +485,7 @@ def execute_sample(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[
     branch with its exact rational weight, so outcomes of exact probability
     zero can never appear, and identical seeds give identical counts.
     """
-    x = tuple(x)
+    x = checked_inputs(protocol.input_sizes, x)
     _require_valid(protocol)
     rng = random.Random(seed)
     lam_dist = dict(zip(protocol.randomness.support, protocol.randomness.weights))

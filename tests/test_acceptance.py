@@ -56,6 +56,8 @@ from boxworld.wiring import (
     pr_instance,
 )
 
+pytestmark = pytest.mark.slow  # minutes in all; `pytest -m "not slow"` skips the module
+
 RNG_SEED = 20240601
 PROTOCOL_REGISTRY = []  # (label, protocol) pairs checked again in criterion 9
 SWEEP_STATS = {}
@@ -443,9 +445,9 @@ def _corpus():
 
 
 def _exact_distribution(entry, x):
-    """Exact side for criterion 8: the generic branch-tree executor where"
-    its branch count is tractable, the (equality-tested) frontier executor
-    for larger compiled protocols."""
+    """Exact side for criterion 8: the generic branch-tree executor where
+    its branch count is tractable, the (equality-tested) affine core for
+    larger compiled protocols."""
     if isinstance(entry, CompiledProtocol):
         sides = 2 * len(entry.protocol.bank.instances)
         if sides <= 14:

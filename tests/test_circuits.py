@@ -166,6 +166,15 @@ def test_netlist_requires_ordered_gates():
         parse_netlist("input x\ng1 = NAND(x, x)\noutput g1\n")
 
 
+def test_gate_id_leaf_names_rejected():
+    # a leaf named like a gate id would alias that gate in gate_count and
+    # in the compiler's share forms
+    with pytest.raises(bw.BoxworldError):
+        parse_netlist("input g3\ninput y\ng0 = NAND(g3, y)\noutput g0\n")
+    with pytest.raises(bw.BoxworldError):
+        NandCircuit(inputs=(InputBit("x"),), gates=(("x", "g7"),), output="g0", constants=(Constant("g7", 1),))
+
+
 def test_json_round_trip_with_constants():
     c = NandCircuit(
         inputs=(InputBit("x", party=0),),

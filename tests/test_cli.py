@@ -159,6 +159,37 @@ def test_simulate_exact_and_sample():
     assert missing_seed.returncode == 2
 
 
+def test_out_of_range_inputs_exit_two():
+    synth = run_cli(["circuit", "synth"], stdin=json.dumps({"n_vars": 2, "bits": [0, 0, 0, 1]}))
+    compiled = run_cli(["compile", "--parties", "2", "--map", "x0;x1"], stdin=synth.stdout)
+    for args in (
+        ["simulate", "--exact", "--x", "3,1"],
+        ["simulate", "--exact", "--x", "-1,0"],
+        ["simulate", "--sample", "--x", "2,5", "--seed", "1", "--runs", "10"],
+        ["cc", "--x", "3,1"],
+    ):
+        proc = run_cli(args, stdin=compiled.stdout)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+
+
+def test_compiled_exact_x_matches_generic_executor():
+    # the compiled envelope's exact --x output comes from the affine core;
+    # it must be byte-identical to the generic branch-tree executor's
+    from boxworld.cli import _load_protocol
+    from boxworld.wiring import execute_exact
+
+    synth = run_cli(["circuit", "synth"], stdin=json.dumps({"n_vars": 2, "bits": [0, 1, 1, 0]}))
+    compiled = run_cli(["compile", "--parties", "2", "--map", "x0;x1"], stdin=synth.stdout)
+    protocol = _load_protocol(json.loads(compiled.stdout)).protocol
+    assert len(protocol.bank.instances) <= 12  # keeps the generic walk quick
+    for x in ((0, 1), (1, 1)):
+        proc = run_cli(["simulate", "--exact", "--x", ",".join(map(str, x))], stdin=compiled.stdout)
+        assert proc.returncode == 0
+        expected = {"mode": "exact", "distribution": execute_exact(protocol, x).to_json_dict()}
+        assert proc.stdout == json.dumps(expected, indent=2) + "\n"
+
+
 def test_cc_command():
     synth = run_cli(["circuit", "synth"], stdin=json.dumps({"n_vars": 2, "bits": [0, 0, 0, 1]}))
     compiled = run_cli(["compile", "--parties", "2", "--map", "x0;x1"], stdin=synth.stdout)

@@ -7,18 +7,18 @@ import pytest
 import boxworld as bw
 from boxworld.circuits import TruthTable, gate_count, synthesize_nand
 from boxworld.compiler import (
+    _x_tuples,
     affine_outcome_counts,
     cc_values,
     compile_circuit,
-    execute_compiled_counts,
+    compiled_distribution,
     induced_box_fast,
     nand_block,
     nand_block_branches,
-    sample_compiled_outputs,
     solve_cc,
     verify_simulation,
 )
-from boxworld.errors import UnownedInputBit
+from boxworld.errors import DimensionMismatch, UnownedInputBit
 from boxworld.wiring import STOP, WiringProtocol, induced_box
 
 
@@ -149,21 +149,32 @@ class TestExecutorAgreement:
                 cases += 1
         assert cases >= 6
 
-    def test_affine_equals_frontier(self):
+    def test_affine_equals_generic_walk(self):
+        # the affine core's counts against the generic branch-tree executor,
+        # on every circuit small enough for the walk
         rng = random.Random(9)
-        shapes = [(2, 1), (3, 1), (2, 2)]
-        for n, m in shapes:
+        shapes = [(2, 1, 4), (3, 1, 1), (2, 2, 3)]
+        cases = 0
+        for n, m, max_gates in shapes:
             nm = n * m
-            for _ in range(15):
+            for _ in range(40):
                 tt = TruthTable.from_int(nm, rng.randrange(2 ** (2 ** nm)))
                 circuit = synthesize_nand(tt, [f"b{i}" for i in range(nm)])
+                if gate_count(circuit) > max_gates:
+                    continue
                 bit_map = [[f"b{party * m + slot}" for slot in range(m)] for party in range(n)]
                 compiled = compile_circuit(circuit, n, bit_map)
-                fr_counts, fr_den = execute_compiled_counts(compiled)
-                af_counts, af_den = affine_outcome_counts(circuit, n, [bit_map])
-                for xi in range(len(fr_counts)):
-                    for ai in range(2 ** n):
-                        assert af_counts[0][xi][ai] * fr_den == fr_counts[xi][ai] * af_den
+                walked = induced_box(compiled.protocol)
+                (counts,), denominator = affine_outcome_counts(circuit, n, [bit_map])
+                for x_idx, x in enumerate(_x_tuples(compiled.input_sizes)):
+                    for a_idx in range(2 ** n):
+                        a = tuple((a_idx >> i) & 1 for i in range(n))
+                        assert Fraction(counts[x_idx][a_idx], denominator) == walked.prob(x, a)
+                    assert compiled_distribution(compiled, x).outcomes == {
+                        a: p for (xx, a), p in walked.table.items() if xx == x and p != 0
+                    }
+                cases += 1
+        assert cases >= 15
 
     def test_compiled_strategies_validate(self):
         import dataclasses
@@ -272,10 +283,50 @@ class TestSolveCC:
                     idx += 1
 
     def test_sampled_outputs_always_satisfy_parity(self):
+        # every sampled branch has outputs of parity f(x); the output sent
+        # by party 1 is a fresh uniform bit, so the seeds reach both values
         tt = TruthTable.from_function(2, lambda b: b[0] ^ b[1])
         circuit = synthesize_nand(tt, ["u", "v"])
         compiled = compile_circuit(circuit, 2, [["u"], ["v"]])
-        for seed in range(20):
-            for x in itertools.product((0, 1), repeat=2):
-                outputs = sample_compiled_outputs(compiled, x, seed)
-                assert xor_all(outputs) == (x[0] ^ x[1])
+        for x in itertools.product((0, 1), repeat=2):
+            sent = set()
+            for seed in range(20):
+                result = solve_cc(compiled, x=x, seed=seed)
+                assert result.value == (x[0] ^ x[1])
+                sent.add(result.transcript[0][2])
+            assert sent == {0, 1}
+
+    def test_more_than_62_branch_variables(self):
+        # 3 parties, 2 bits each: (n-1)*k is far above one machine word
+        rng = random.Random(17)
+        tt = TruthTable.from_int(6, rng.getrandbits(64))
+        names = [f"b{i}" for i in range(6)]
+        circuit = synthesize_nand(tt, names)
+        k = gate_count(circuit)
+        assert 2 * k > 62
+        bit_map = [names[0:2], names[2:4], names[4:6]]
+        compiled = compile_circuit(circuit, 3, bit_map)
+        target = bw.full_correlation_box(3, 2, tt)
+        (counts,), denominator = affine_outcome_counts(circuit, 3, [bit_map])
+        assert denominator == 2 ** (2 * k)
+        assert induced_box_fast(compiled) == target
+        for x_idx, x in enumerate(_x_tuples(compiled.input_sizes)):
+            for a_idx in range(8):
+                a = tuple((a_idx >> i) & 1 for i in range(3))
+                assert Fraction(counts[x_idx][a_idx], denominator) == target.prob(x, a)
+            bits = tuple((x[party] >> slot) & 1 for party in range(3) for slot in range(2))
+            assert solve_cc(compiled, x=x, seed=x_idx).value == tt.value(bits)
+
+    def test_out_of_range_inputs_rejected(self):
+        tt = TruthTable.from_function(2, lambda b: b[0] & b[1])
+        circuit = synthesize_nand(tt, ["u", "v"])
+        compiled = compile_circuit(circuit, 2, [["u"], ["v"]])
+        for x in [(2, 0), (0, -1), (0,), (0, 0, 0)]:
+            with pytest.raises(DimensionMismatch):
+                solve_cc(compiled, x=x)
+            with pytest.raises(DimensionMismatch):
+                compiled_distribution(compiled, x)
+            with pytest.raises(DimensionMismatch):
+                bw.execute_exact(compiled.protocol, x)
+            with pytest.raises(DimensionMismatch):
+                bw.execute_sample(compiled.protocol, x, seed=0, n_runs=1)
