@@ -418,7 +418,6 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
     outputs consts[i] XOR parity(masks[i] & branch vector).  `circuit`
     must be pruned.
     """
-    _ensure_kernel(n)
     gates = circuit.gates
     width = (n - 1) * max(len(gates), 1)
     values: dict[str, np.ndarray] = {}
@@ -470,6 +469,9 @@ def _span_counts(n: int, width: int, masks, consts) -> list[list[int]]:
     coset c + span of M's distinct column patterns (the n-bit patterns p
     for which some branch variable appears in exactly the masks p names).
     """
+    # exact counts rest on the block identity; sampling skips the check,
+    # whose cost grows as 4^n * 2^(n(n-1))
+    _ensure_kernel(n)
     n_out = 1 << n
     full = (1 << width) - 1
     complements = [full ^ mask for mask in masks]

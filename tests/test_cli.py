@@ -201,6 +201,20 @@ def test_cc_command():
     assert payload["bits_communicated"] == 1
 
 
+def test_cc_command_five_parties():
+    # a sampled run needs no exact counts, so five parties stay quick
+    bits = [1 if bin(idx).count("1") >= 3 else 0 for idx in range(32)]
+    synth = run_cli(["circuit", "synth"], stdin=json.dumps({"n_vars": 5, "bits": bits}))
+    compiled = run_cli(["compile", "--parties", "5", "--map", "x0;x1;x2;x3;x4"], stdin=synth.stdout)
+    for x in ((1, 1, 0, 1, 0), (0, 1, 0, 0, 1)):
+        proc = run_cli(["cc", "--x", ",".join(map(str, x))], stdin=compiled.stdout)
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        validate(payload, "cc")
+        assert payload["value"] == (1 if sum(x) >= 3 else 0)
+        assert payload["bits_communicated"] == 4
+
+
 def test_polytope_commands():
     verts = run_cli(["polytope", "vertices", "--inputs", "2,2", "--outputs", "2,2"])
     assert verts.returncode == 0

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 import boxworld as bw
-from boxworld.circuits import TruthTable, gate_count, synthesize_nand
+from boxworld.circuits import (
+    Constant,
+    InputBit,
+    NandCircuit,
+    TruthTable,
+    gate_count,
+    synthesize_nand,
+)
 from boxworld.compiler import (
     _x_tuples,
     affine_outcome_counts,
@@ -151,18 +158,28 @@ class TestExecutorAgreement:
 
     def test_affine_equals_generic_walk(self):
         # the affine core's counts against the generic branch-tree executor,
-        # on every circuit small enough for the walk
+        # on random circuits of 0..max_gates gates, small enough for the walk;
+        # a gate's second operand is mostly the previous gate, so blocks chain
         rng = random.Random(9)
-        shapes = [(2, 1, 4), (3, 1, 1), (2, 2, 3)]
-        cases = 0
+        shapes = [(2, 1, 4), (3, 1, 2), (2, 2, 3)]
         for n, m, max_gates in shapes:
-            nm = n * m
-            for _ in range(40):
-                tt = TruthTable.from_int(nm, rng.randrange(2 ** (2 ** nm)))
-                circuit = synthesize_nand(tt, [f"b{i}" for i in range(nm)])
-                if gate_count(circuit) > max_gates:
-                    continue
-                bit_map = [[f"b{party * m + slot}" for slot in range(m)] for party in range(n)]
+            names = [f"b{i}" for i in range(n * m)]
+            leaves = names + ["one"]
+            live_gates = []
+            for draw in range(2 * (max_gates + 1)):
+                k = draw % (max_gates + 1)
+                gates = []
+                for g in range(k):
+                    pool = leaves + [f"g{j}" for j in range(g)]
+                    right = f"g{g - 1}" if g and rng.random() < 0.7 else rng.choice(pool)
+                    gates.append((rng.choice(pool), right))
+                circuit = NandCircuit(
+                    inputs=tuple(InputBit(name) for name in names),
+                    gates=tuple(gates),
+                    output=f"g{k - 1}" if k else rng.choice(leaves),
+                    constants=(Constant("one", 1),),
+                )
+                bit_map = [names[party * m:(party + 1) * m] for party in range(n)]
                 compiled = compile_circuit(circuit, n, bit_map)
                 walked = induced_box(compiled.protocol)
                 (counts,), denominator = affine_outcome_counts(circuit, n, [bit_map])
@@ -173,8 +190,8 @@ class TestExecutorAgreement:
                     assert compiled_distribution(compiled, x).outcomes == {
                         a: p for (xx, a), p in walked.table.items() if xx == x and p != 0
                     }
-                cases += 1
-        assert cases >= 15
+                live_gates.append(gate_count(circuit))
+            assert max(live_gates) >= 2, (n, m, live_gates)
 
     def test_compiled_strategies_validate(self):
         import dataclasses
@@ -316,6 +333,24 @@ class TestSolveCC:
                 assert Fraction(counts[x_idx][a_idx], denominator) == target.prob(x, a)
             bits = tuple((x[party] >> slot) & 1 for party in range(3) for slot in range(2))
             assert solve_cc(compiled, x=x, seed=x_idx).value == tt.value(bits)
+
+    def test_five_parties_skip_the_block_enumeration(self):
+        # sampling needs no exact counts, so it must not pay the exhaustive
+        # block check (4^n share pairs x 2^(n(n-1)) branches each)
+        from boxworld import compiler
+
+        maj = lambda b: 1 if sum(b) >= 3 else 0
+        names = [f"b{i}" for i in range(5)]
+        circuit = synthesize_nand(TruthTable.from_function(5, maj), names)
+        bit_map = [[name] for name in names]
+        compiled = compile_circuit(circuit, 5, bit_map)
+        xs = list(itertools.product((0, 1), repeat=5))
+        for seed, x in enumerate(xs):
+            result = solve_cc(compiled, x=x, seed=seed)
+            assert result.value == maj(x)
+            assert result.bits_communicated == 4
+        assert cc_values(circuit, 5, [bit_map], seed=2) == [maj(x) for x in _x_tuples((2,) * 5)]
+        assert 5 not in compiler._kernel_checked
 
     def test_out_of_range_inputs_rejected(self):
         tt = TruthTable.from_function(2, lambda b: b[0] & b[1])
