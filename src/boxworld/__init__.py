@@ -72,6 +72,7 @@ from .errors import (
     TooLarge,
     UnownedInputBit,
     Unvalidated,
+    VerificationFailed,
     WrongShape,
 )
 from .locality import LocalityVerdict, is_local

@@ -18,12 +18,13 @@ Compiled protocols execute through one affine core: every party's output
 share is an affine form over the blocks' uniform branch bits, built once
 per row table (`_output_forms`).  Exact counts (`affine_outcome_counts`,
 `induced_box_fast`, `compiled_distribution`) follow from GF(2) span
-arithmetic on those forms, and a sampled branch (`cc_values`, `solve_cc`)
-is one random bit vector.  The independent references are the generic
-branch-tree executor in `wiring` (the strategies below implement its
-interface) and the honest block enumeration `nand_block_branches` that
-`_ensure_kernel` checks the affine identity against; tests compare the
-core with both.
+arithmetic on those forms, and a sampled branch (`cc_values`, `solve_cc`,
+and `sample_compiled`, which backs `wiring.execute_sample` on compiled
+protocols) is one random bit vector.  The independent references are the
+generic branch-tree executor in `wiring` (the strategies below implement
+its interface) and the honest block enumeration `nand_block_branches`
+that `_ensure_kernel` checks the affine identity against; tests compare
+the core with both.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .boxes import Box, make_box
 from .circuits import NandCircuit, gate_count, prune
-from .errors import ShapeMismatch, UnownedInputBit
+from .errors import ShapeMismatch, UnownedInputBit, VerificationFailed
 from .wiring import (
     STOP,
     BoxBank,
@@ -182,9 +183,6 @@ class CompiledPartyStrategy:
         self._share_cache[key] = shares
         return shares
 
-    def session(self, lam, x):
-        return _CompiledSession(self, lam, x)
-
     def next_move(self, lam, x, history):
         if len(history) >= len(self._moves):
             return STOP
@@ -199,55 +197,6 @@ class CompiledPartyStrategy:
         out = shares[self.compiled.circuit.output]
         if self.compiled.degenerate:
             out ^= lam[self.party]
-        return out
-
-
-class _CompiledSession:
-    """Incremental per-run view of a compiled strategy: O(1) per move."""
-
-    __slots__ = ("strategy", "lam", "x", "shares", "pos", "chunk")
-
-    def __init__(self, strategy: CompiledPartyStrategy, lam, x):
-        self.strategy = strategy
-        self.lam = lam
-        self.x = x
-        self.shares = dict(strategy.compiled.base_shares(strategy.party, x))
-        self.pos = 0
-        self.chunk: list[int] = []
-
-    def next_move(self):
-        strategy = self.strategy
-        if self.pos >= len(strategy._moves):
-            return STOP
-        phase, g_idx, inst_idx = strategy._moves[self.pos]
-        u_ref, v_ref = strategy.compiled.gate_operands[g_idx]
-        value = self.shares[u_ref] if phase == "beta" else self.shares[v_ref]
-        return ("use", inst_idx, value)
-
-    def observe(self, alpha):
-        strategy = self.strategy
-        compiled = strategy.compiled
-        n = compiled.n_parties
-        per_gate = 2 * (n - 1)
-        self.chunk.append(alpha)
-        self.pos += 1
-        if len(self.chunk) == per_gate:
-            g_idx = self.pos // per_gate - 1
-            u_ref, v_ref = compiled.gate_operands[g_idx]
-            bs, cs = self.chunk[: n - 1], self.chunk[n - 1:]
-            value = (
-                _xor(bs)
-                ^ _xor(cs)
-                ^ (self.shares[u_ref] & self.shares[v_ref])
-                ^ (1 if strategy.party == 0 else 0)
-            )
-            self.shares[f"g{g_idx}"] = value
-            self.chunk = []
-
-    def final_output(self):
-        out = self.shares[self.strategy.compiled.circuit.output]
-        if self.strategy.compiled.degenerate:
-            out ^= self.lam[self.strategy.party]
         return out
 
 
@@ -349,7 +298,9 @@ def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequenc
         prevalidated=True,
     )
     object.__setattr__(compiled, "protocol", protocol)
-    assert compiled.pr_box_count == gate_count(circuit) * n_parties * (n_parties - 1)
+    expected_boxes = gate_count(circuit) * n_parties * (n_parties - 1)
+    if compiled.pr_box_count != expected_boxes:
+        raise VerificationFailed(f"{compiled.pr_box_count} PR boxes compiled, expected {expected_boxes}")
     return compiled
 
 
@@ -549,6 +500,51 @@ def cc_values(circuit: NandCircuit, n_parties: int, bit_maps, seed: int = 0) -> 
     return [_xor(outputs) for outputs in _branch_outputs(masks, consts, branches)]
 
 
+def compiled_owner(protocol: WiringProtocol) -> Optional[CompiledProtocol]:
+    """The compiled protocol whose own wiring protocol this is, else None.
+
+    A `dataclasses.replace` copy qualifies, as long as it keeps the bank,
+    the randomness and the strategy tuple objects and the sizes: the affine
+    forms describe the compiled bank under the compiled strategies only, so
+    a protocol with any of them swapped is not one of ours.
+    """
+    strategies = protocol.strategies
+    if not strategies or not isinstance(strategies[0], CompiledPartyStrategy):
+        return None
+    compiled = strategies[0].compiled
+    own = compiled.protocol
+    same_parts = (
+        strategies is own.strategies
+        and protocol.bank is own.bank
+        and protocol.randomness is own.randomness
+    )
+    same_sizes = (protocol.n_parties, protocol.input_sizes, protocol.output_sizes) == (
+        own.n_parties,
+        own.input_sizes,
+        own.output_sizes,
+    )
+    return compiled if same_parts and same_sizes else None
+
+
+def sample_compiled(compiled: CompiledProtocol, x, seed: int, n_runs: int) -> dict[tuple[int, ...], int]:
+    """Empirical outcome counts of n_runs seeded runs on one input tuple.
+
+    Each run draws the joint branch vector t uniformly and party i outputs
+    const_i XOR parity(mask_i & t), from forms built once for x: O(n) bit
+    operations per run, whatever the gate count.
+    """
+    x = checked_inputs(compiled.input_sizes, x)
+    width, masks, consts = _compiled_forms(compiled, [x])
+    forms = [(int(mask[0]), int(const[0])) for mask, const in zip(masks, consts)]
+    draw = random.Random(seed).getrandbits
+    counts: dict[tuple[int, ...], int] = {}
+    for _ in range(n_runs):
+        t = draw(width)
+        outputs = tuple([c ^ ((m & t).bit_count() & 1) for m, c in forms])
+        counts[outputs] = counts.get(outputs, 0) + 1
+    return counts
+
+
 def compiled_distribution(compiled: CompiledProtocol, x) -> OutcomeDistribution:
     """Exact outcome distribution of a compiled protocol on one input tuple."""
     x = checked_inputs(compiled.input_sizes, x)
@@ -623,9 +619,7 @@ def solve_cc(compiled_or_circuit, party_bit_map=None, x=None, seed: int = 0) -> 
     else:
         compiled = compile_circuit(compiled_or_circuit, len(party_bit_map), party_bit_map)
     n = compiled.n_parties
-    x = checked_inputs(compiled.input_sizes, x)
-    width, masks, consts = _compiled_forms(compiled, [x])
-    (outputs,) = _branch_outputs(masks, consts, [random.Random(seed).getrandbits(width)])
+    (outputs,) = sample_compiled(compiled, x, seed, 1)  # the one run's joint output
     return CCResult(
         value=_xor(outputs),
         transcript=tuple((i, 0, outputs[i]) for i in range(1, n)),

@@ -65,6 +65,11 @@ class Unvalidated(BoxworldError):
     """A protocol failed validation and cannot be executed."""
 
 
+class VerificationFailed(BoxworldError):
+    """An internal result failed its exact re-verification: an engine bug,
+    raised explicitly so that `python -O` cannot strip the check."""
+
+
 class Infeasible(BoxworldError):
     """An exact feasibility problem has no solution."""
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .boxes import Box, check_no_signaling, make_box
-from .errors import DimensionMismatch, ShapeMismatch, TooLarge, Unvalidated
+from .errors import DimensionMismatch, ShapeMismatch, TooLarge, Unvalidated, VerificationFailed
 
 STOP = ("stop",)
 
@@ -245,10 +245,19 @@ def _alpha_weights(inst: BoxInstance, slot: int, y: int, record) -> dict[int, Fr
 
 
 def _check_bank(bank: BoxBank) -> Optional[dict]:
+    """First instance whose template signals, or None.
+
+    Each distinct template object is checked once: boxes are frozen, so
+    one object has one verdict, and banks often share a template (every
+    compiled bank uses one PR box object)."""
+    checked: set[int] = set()
     for k, inst in enumerate(bank.instances):
+        if id(inst.template) in checked:
+            continue
         verdict = check_no_signaling(inst.template)
         if not verdict:
             return {"instance": k, "reason": "signaling template", "party": verdict.party}
+        checked.add(id(inst.template))
     return None
 
 
@@ -371,7 +380,8 @@ def execute_exact(protocol: WiringProtocol, x) -> OutcomeDistribution:
             _walk(protocol, lam, x, on_leaf, weight=w_lam)
 
     dist = OutcomeDistribution(x=x, outcomes=outcomes)
-    assert dist.total() == 1, f"branch weights sum to {dist.total()}, not 1"
+    if dist.total() != 1:
+        raise VerificationFailed(f"branch weights sum to {dist.total()}, not 1")
     return dist
 
 
@@ -395,22 +405,21 @@ def induced_box(protocol: WiringProtocol) -> Box:
         sparse=True,
     )
     verdict = check_no_signaling(box)
-    assert verdict.ok, f"induced box signals: {verdict}"
+    if not verdict.ok:
+        raise VerificationFailed(f"induced box signals: {verdict}")
     return box
 
 
-_sampler_by_id: dict = {}
-
-
-def _prepared_sampler(dist: Mapping):
+def _prepared_sampler(dist: Mapping, prepared: dict):
     """(denominator, cumulative integer thresholds, values) for exact draws.
 
-    Keyed by object identity: the executors hand in cached singleton dicts,
-    so the identity hit rate is what makes sampling cheap.  The dict itself
-    is kept in the cache entry so a recycled id cannot alias."""
-    key = id(dist)
-    hit = _sampler_by_id.get(key)
-    if hit is not None and hit[0] is dist:
+    `prepared` is the calling execution's own table, keyed by object
+    identity: the executors hand in cached singleton dicts, so the identity
+    hit rate is what makes sampling cheap.  Each entry holds its dict, so
+    no id can be recycled while the table lives, and the table dies with
+    the call."""
+    hit = prepared.get(id(dist))
+    if hit is not None:
         return hit[1]
     items = sorted(dist.items())
     denom = 1
@@ -425,15 +434,16 @@ def _prepared_sampler(dist: Mapping):
         acc += p.numerator * (denom // p.denominator)
         thresholds.append(acc)
         values.append(value)
-    assert acc == denom, "distribution does not sum to 1"
-    prepared = (denom, thresholds, values)
-    _sampler_by_id[key] = (dist, prepared)
-    return prepared
+    if acc != denom:
+        raise VerificationFailed(f"distribution sums to {Fraction(acc, denom)}, not 1")
+    entry = (denom, thresholds, values)
+    prepared[id(dist)] = (dist, entry)
+    return entry
 
 
-def _sample_exact(rng: random.Random, dist: Mapping) -> object:
+def _sample_exact(rng: random.Random, dist: Mapping, prepared: dict) -> object:
     """Draw from a finite rational distribution without float roundoff."""
-    denom, thresholds, values = _prepared_sampler(dist)
+    denom, thresholds, values = _prepared_sampler(dist, prepared)
     if denom == 1:
         return values[0]
     r = rng.randrange(denom)
@@ -449,67 +459,54 @@ def _gcd(a, b):
     return a
 
 
-class _ReplaySession:
-    """Per-run strategy view; strategies may provide their own `session`
-    attribute for O(1)-per-move sampling, this fallback replays history."""
-
-    __slots__ = ("strategy", "lam", "x", "history")
-
-    def __init__(self, strategy, lam, x):
-        self.strategy = strategy
-        self.lam = lam
-        self.x = x
-        self.history: tuple[int, ...] = ()
-
-    def next_move(self):
-        return self.strategy.next_move(self.lam, self.x, self.history)
-
-    def observe(self, alpha):
-        self.history = self.history + (alpha,)
-
-    def final_output(self):
-        return self.strategy.final_output(self.lam, self.x, self.history)
-
-
-def _session_for(strategy, lam, x):
-    maker = getattr(strategy, "session", None)
-    if maker is not None:
-        return maker(lam, x)
-    return _ReplaySession(strategy, lam, x)
-
-
 def execute_sample(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[tuple[int, ...], int]:
     """Empirical counts from n_runs seeded executions.
 
     Sampling walks the same branch tree as execute_exact and draws each
     branch with its exact rational weight, so outcomes of exact probability
-    zero can never appear, and identical seeds give identical counts.
+    zero can never appear, and identical seeds give identical counts.  A
+    compiled protocol's own protocol (or a `dataclasses.replace` copy of
+    it) is sampled from the compiler's affine share forms instead: one
+    uniform branch vector per run, the same distribution.
     """
     x = checked_inputs(protocol.input_sizes, x)
     _require_valid(protocol)
+    from . import compiler  # compiler imports this module
+
+    compiled = compiler.compiled_owner(protocol)
+    if compiled is not None:
+        return compiler.sample_compiled(compiled, x, seed, n_runs)
+    return _sample_walk(protocol, x, seed, n_runs)
+
+
+def _sample_walk(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[tuple[int, ...], int]:
+    """execute_sample by the generic branch walk: one draw per box side,
+    each strategy asked for its move on the history it has observed."""
     rng = random.Random(seed)
+    prepared: dict = {}
     lam_dist = dict(zip(protocol.randomness.support, protocol.randomness.weights))
     counts: dict[tuple[int, ...], int] = {}
     bank = protocol.bank.instances
     for _ in range(n_runs):
-        lam = _sample_exact(rng, lam_dist)
+        lam = _sample_exact(rng, lam_dist, prepared)
         records = [[None, None] for _ in bank]
         outputs = []
         for i in range(protocol.n_parties):
-            session = _session_for(protocol.strategies[i], lam, x[i])
+            strategy = protocol.strategies[i]
+            history: tuple[int, ...] = ()
             while True:
-                move = session.next_move()
+                move = strategy.next_move(lam, x[i], history)
                 if move == STOP or move[0] == "stop":
-                    outputs.append(session.final_output())
+                    outputs.append(strategy.final_output(lam, x[i], history))
                     break
                 _, inst_idx, y = move
                 inst = bank[inst_idx]
                 record = records[inst_idx]
                 slot = 0 if (inst.owners[0] == i and record[0] is None) else 1
                 weights = _alpha_weights(inst, slot, y, tuple(record))
-                alpha = _sample_exact(rng, weights)
+                alpha = _sample_exact(rng, weights, prepared)
                 record[slot] = (y, alpha)
-                session.observe(alpha)
+                history += (alpha,)
         key = tuple(outputs)
         counts[key] = counts.get(key, 0) + 1
     return counts

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +150,10 @@ def test_simulate_exact_and_sample():
     validate(payload, "simulate")
     assert sum(c["n"] for c in payload["counts"]) == 2000
     assert all(tuple(c["a"]) in {(0, 1), (1, 0)} for c in payload["counts"])
+    counts = {tuple(c["a"]): c["n"] for c in payload["counts"]}
+    for a, p in outcomes.items():
+        p = float(Fraction(p))
+        assert abs(counts.get(a, 0) - p * 2000) <= 5 * math.sqrt(p * (1 - p) * 2000), a
 
     sample2 = run_cli(
         ["simulate", "--sample", "--x", "1,1", "--seed", "9", "--runs", "2000"],

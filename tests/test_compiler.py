@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,12 +15,14 @@ from boxworld.circuits import (
     gate_count,
     synthesize_nand,
 )
+from boxworld import compiler, wiring
 from boxworld.compiler import (
     _x_tuples,
     affine_outcome_counts,
     cc_values,
     compile_circuit,
     compiled_distribution,
+    compiled_owner,
     induced_box_fast,
     nand_block,
     nand_block_branches,
@@ -34,6 +38,38 @@ def xor_all(bits):
     for b in bits:
         acc ^= b
     return acc
+
+
+def random_circuits(rng, n, m, max_gates, draws):
+    """Seeded random circuits of 0..max_gates gates on n parties with m bits
+    each, as (circuit, bit_map); a gate's second operand is mostly the
+    previous gate, so blocks chain."""
+    names = [f"b{i}" for i in range(n * m)]
+    leaves = names + ["one"]
+    bit_map = [names[party * m:(party + 1) * m] for party in range(n)]
+    for draw in range(draws):
+        k = draw % (max_gates + 1)
+        gates = []
+        for g in range(k):
+            pool = leaves + [f"g{j}" for j in range(g)]
+            right = f"g{g - 1}" if g and rng.random() < 0.7 else rng.choice(pool)
+            gates.append((rng.choice(pool), right))
+        circuit = NandCircuit(
+            inputs=tuple(InputBit(name) for name in names),
+            gates=tuple(gates),
+            output=f"g{k - 1}" if k else rng.choice(leaves),
+            constants=(Constant("one", 1),),
+        )
+        yield circuit, bit_map
+
+
+def assert_within_five_sigma(counts, outcomes, n_runs, label):
+    """Sampled counts against exact probabilities: no outcome outside the
+    support, every count within five binomial standard errors."""
+    assert set(counts) <= {a for a, p in outcomes.items() if p}, label
+    for a, p in outcomes.items():
+        sigma = math.sqrt(float(p) * (1 - float(p)) * n_runs)
+        assert abs(counts.get(a, 0) - float(p) * n_runs) <= 5 * sigma, (label, a)
 
 
 class TestNandBlock:
@@ -163,23 +199,8 @@ class TestExecutorAgreement:
         rng = random.Random(9)
         shapes = [(2, 1, 4), (3, 1, 2), (2, 2, 3)]
         for n, m, max_gates in shapes:
-            names = [f"b{i}" for i in range(n * m)]
-            leaves = names + ["one"]
             live_gates = []
-            for draw in range(2 * (max_gates + 1)):
-                k = draw % (max_gates + 1)
-                gates = []
-                for g in range(k):
-                    pool = leaves + [f"g{j}" for j in range(g)]
-                    right = f"g{g - 1}" if g and rng.random() < 0.7 else rng.choice(pool)
-                    gates.append((rng.choice(pool), right))
-                circuit = NandCircuit(
-                    inputs=tuple(InputBit(name) for name in names),
-                    gates=tuple(gates),
-                    output=f"g{k - 1}" if k else rng.choice(leaves),
-                    constants=(Constant("one", 1),),
-                )
-                bit_map = [names[party * m:(party + 1) * m] for party in range(n)]
+            for circuit, bit_map in random_circuits(rng, n, m, max_gates, 2 * (max_gates + 1)):
                 compiled = compile_circuit(circuit, n, bit_map)
                 walked = induced_box(compiled.protocol)
                 (counts,), denominator = affine_outcome_counts(circuit, n, [bit_map])
@@ -193,9 +214,56 @@ class TestExecutorAgreement:
                 live_gates.append(gate_count(circuit))
             assert max(live_gates) >= 2, (n, m, live_gates)
 
-    def test_compiled_strategies_validate(self):
-        import dataclasses
+    def test_affine_sampler_equals_replay_walk(self):
+        # execute_sample on a compiled protocol draws from the affine forms;
+        # the reference is the generic walk over the strategies' own
+        # next_move / final_output, one draw per box side
+        rng = random.Random(13)
+        n_runs = 2000
+        gate_counts = []
+        for n, m, max_gates in [(2, 1, 3), (3, 1, 2), (2, 2, 2)]:
+            for circuit, bit_map in random_circuits(rng, n, m, max_gates, max_gates + 1):
+                compiled = compile_circuit(circuit, n, bit_map)
+                x = tuple(rng.randrange(size) for size in compiled.input_sizes)
+                seed = rng.randrange(2**31)
+                label = (n, m, circuit.gates, x)
+                exact = compiled_distribution(compiled, x).outcomes
+                sampled = bw.execute_sample(compiled.protocol, x, seed=seed, n_runs=n_runs)
+                assert_within_five_sigma(sampled, exact, n_runs, label)
+                copy = dataclasses.replace(compiled.protocol)
+                assert bw.execute_sample(copy, x, seed=seed, n_runs=n_runs) == sampled
+                replayed = wiring._sample_walk(compiled.protocol, x, seed, n_runs)
+                assert_within_five_sigma(replayed, exact, n_runs, label)
+                for a, p in exact.items():
+                    sigma = math.sqrt(2 * float(p) * (1 - float(p)) * n_runs)
+                    assert abs(sampled.get(a, 0) - replayed.get(a, 0)) <= 5 * sigma, (label, a)
+                gate_counts.append(gate_count(circuit))
+        assert 0 in gate_counts and max(gate_counts) >= 2
 
+    def test_swapped_parts_take_the_generic_sampler(self):
+        # only a compiled protocol's own parts may be sampled from its forms
+        tt = TruthTable.from_function(2, lambda b: b[0] & b[1])
+        compiled = compile_circuit(synthesize_nand(tt, ["u", "v"]), 2, [["u"], ["v"]])
+        own = compiled.protocol
+        noise = bw.uniform_box((2, 2), (2, 2))
+        noisy_bank = bw.BoxBank(tuple(bw.BoxInstance(noise, inst.owners) for inst in own.bank.instances))
+        projection = synthesize_nand(TruthTable.from_function(2, lambda b: b[0]), ["u", "v"])
+        gateless = compile_circuit(projection, 2, [["u"], ["v"]])
+        assert gateless.degenerate
+        fixed_lam = dataclasses.replace(gateless.protocol, randomness=bw.SharedRandomness.singleton((0, 0)))
+        assert compiled_owner(dataclasses.replace(own)) is compiled
+        assert compiled_owner(dataclasses.replace(own, strategies=tuple(list(own.strategies)))) is None
+        assert compiled_owner(dataclasses.replace(own, input_sizes=(2, 1))) is None
+        n_runs = 2000
+        for source, proto in ((compiled, dataclasses.replace(own, bank=noisy_bank)), (gateless, fixed_lam)):
+            assert compiled_owner(proto) is None
+            for x in _x_tuples(proto.input_sizes):
+                exact = bw.execute_exact(proto, x).outcomes
+                assert exact != compiled_distribution(source, x).outcomes
+                counts = bw.execute_sample(proto, x, seed=sum(x), n_runs=n_runs)
+                assert_within_five_sigma(counts, exact, n_runs, x)
+
+    def test_compiled_strategies_validate(self):
         tt = TruthTable.from_function(2, lambda b: b[0] & b[1])
         circuit = synthesize_nand(tt, ["u", "v"])
         compiled = compile_circuit(circuit, 2, [["u"], ["v"]])
@@ -336,20 +404,26 @@ class TestSolveCC:
 
     def test_five_parties_skip_the_block_enumeration(self):
         # sampling needs no exact counts, so it must not pay the exhaustive
-        # block check (4^n share pairs x 2^(n(n-1)) branches each)
-        from boxworld import compiler
-
-        maj = lambda b: 1 if sum(b) >= 3 else 0
-        names = [f"b{i}" for i in range(5)]
-        circuit = synthesize_nand(TruthTable.from_function(5, maj), names)
-        bit_map = [[name] for name in names]
-        compiled = compile_circuit(circuit, 5, bit_map)
-        xs = list(itertools.product((0, 1), repeat=5))
-        for seed, x in enumerate(xs):
-            result = solve_cc(compiled, x=x, seed=seed)
-            assert result.value == maj(x)
-            assert result.bits_communicated == 4
-        assert cc_values(circuit, 5, [bit_map], seed=2) == [maj(x) for x in _x_tuples((2,) * 5)]
+        # block check (4^n share pairs x 2^(n(n-1)) branches each); four
+        # parties too, whose check alone takes about 20 s
+        checked_before = set(compiler._kernel_checked)
+        for n in (4, 5):
+            maj = lambda b: 1 if 2 * sum(b) > n else 0
+            names = [f"b{i}" for i in range(n)]
+            circuit = synthesize_nand(TruthTable.from_function(n, maj), names)
+            bit_map = [[name] for name in names]
+            compiled = compile_circuit(circuit, n, bit_map)
+            xs = list(itertools.product((0, 1), repeat=n))
+            for seed, x in enumerate(xs):
+                result = solve_cc(compiled, x=x, seed=seed)
+                assert result.value == maj(x)
+                assert result.bits_communicated == n - 1
+            assert cc_values(circuit, n, [bit_map], seed=2) == [maj(x) for x in _x_tuples((2,) * n)]
+            for x in xs[::5]:
+                counts = bw.execute_sample(compiled.protocol, x, seed=sum(x), n_runs=200)
+                assert sum(counts.values()) == 200
+                assert all(xor_all(a) == maj(x) for a in counts)
+        assert compiler._kernel_checked == checked_before
         assert 5 not in compiler._kernel_checked
 
     def test_out_of_range_inputs_rejected(self):

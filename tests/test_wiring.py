@@ -1,10 +1,16 @@
+import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import boxworld as bw
+from boxworld import wiring
 from boxworld.errors import TooLarge, Unvalidated
 from boxworld.wiring import (
     STOP,
@@ -203,6 +209,68 @@ class TestSampling:
         for outcome, p in exact.outcomes.items():
             sigma = math.sqrt(float(p) * (1 - float(p)) * n)
             assert abs(counts.get(outcome, 0) - float(p) * n) <= 5 * sigma
+
+    def test_repeated_calls_leave_no_module_level_growth(self):
+        # per-call precomputation only: nothing module-level may grow with
+        # the number of calls
+        proto = identity_wiring(bw.pr_box())
+        execute_sample(proto, (1, 1), seed=0, n_runs=10)
+
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(wiring).items()
+                if not name.startswith("__") and isinstance(value, (dict, set, list, weakref.WeakSet))
+            }
+
+        before = sizes()
+        for seed in range(200):
+            execute_sample(proto, (1, 1), seed=seed, n_runs=10)
+        assert sizes() == before
+
+
+def test_bank_checks_each_template_object_once(monkeypatch):
+    calls = []
+
+    def counting_check(box):
+        calls.append(box)
+        return bw.check_no_signaling(box)
+
+    monkeypatch.setattr(wiring, "check_no_signaling", counting_check)
+    pr = bw.pr_box()
+    # party 0's output copies party 1's input
+    signaling = bw.make_box(
+        2, (2, 2), (2, 2), {((x0, x1), (x1, 0)): 1 for x0 in (0, 1) for x1 in (0, 1)}, sparse=True
+    )
+    bank = BoxBank(tuple(bw.BoxInstance(t, (0, 1)) for t in (pr, pr, pr, signaling, pr)))
+    proto = dataclasses.replace(identity_wiring(pr), bank=bank)
+    verdict = validate_protocol(proto)
+    assert not verdict.ok
+    assert verdict.violation["instance"] == 3
+    assert calls == [pr, signaling]
+
+
+def test_checks_survive_python_O():
+    # the exact checks raise VerificationFailed, which -O cannot strip
+    script = """
+import dataclasses, sys
+from fractions import Fraction
+import boxworld as bw
+half = bw.SharedRandomness.singleton()
+object.__setattr__(half, "weights", (Fraction(1, 2),))  # skips the constructor's check
+proto = dataclasses.replace(bw.identity_wiring(bw.pr_box()), randomness=half)
+try:
+    bw.execute_exact(proto, (0, 0))
+except bw.VerificationFailed as err:
+    print(sys.flags.optimize, err)
+"""
+    src = os.path.dirname(os.path.dirname(bw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 branch weights sum to 1/2, not 1\n"
 
 
 class TestEnumeration:
