@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import DimensionMismatch, MissingAssignment, ShapeMismatch, TooLarge
+from .errors import DimensionMismatch, MissingAssignment, ShapeMismatch, TooLarge, VerificationFailed
 
 TRUTH_TABLE_CAP = 2 ** 20
 VERIFY_CAP_VARS = 20
@@ -339,7 +339,7 @@ def synthesize_nand(table: TruthTable, input_names: Optional[Sequence[str]] = No
     if n <= VERIFY_CAP_VARS:
         check = truth_table(circuit)
         if check != table:
-            raise AssertionError("synthesized circuit does not match its truth table")
+            raise VerificationFailed("synthesized circuit does not match its truth table")
     return circuit
 
 

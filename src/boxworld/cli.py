@@ -3,14 +3,15 @@
 Every subcommand reads JSON (file or stdin), writes one JSON document to
 stdout, and uses the exit-code convention: 0 = computed and positive,
 1 = computed and negative (a verification mismatch, a signaling/nonlocal
-verdict, a search counterexample), 2 = usage or cap errors.  Exact modes
-are deterministic: identical inputs give byte-identical output; rationals
-are always "num/den" strings.
+verdict, a search counterexample), 2 = usage or cap errors, malformed or
+wrongly shaped input included.  Exact modes are deterministic: identical
+inputs give byte-identical output; rationals are always "num/den" strings.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -58,11 +59,49 @@ STRATEGY_CAP_ENV = "BOXWORLD_STRATEGY_CAP"
 DIMENSION_CAP_ENV = "BOXWORLD_DIMENSION_CAP"
 
 
+# What a malformed or wrongly shaped input document raises while it is
+# decoded and turned into objects: invalid JSON, a missing key, a list where
+# an object belongs, a string where a number belongs.
+_SHAPE_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError, ArithmeticError)
+
+
+@contextlib.contextmanager
+def _loading(what):
+    """Report a shape error raised while loading `what` as a usage error
+    (exit 2, no traceback).  Only loading is wrapped, so a fault in a
+    computation on well-formed input still surfaces."""
+    try:
+        yield
+    except _SHAPE_ERRORS as err:
+        raise BoxworldError(f"malformed {what}: {type(err).__name__}: {err}") from err
+
+
+def _int_list(text) -> tuple[int, ...]:
+    """argparse type: comma-separated integers such as 1,0,1; empty items are skipped."""
+    try:
+        return tuple(int(v) for v in text.split(",") if v != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _bit_string(text) -> tuple[int, ...]:
+    """argparse type: a string of binary digits such as 0110."""
+    if set(text) - {"0", "1"}:
+        raise argparse.ArgumentTypeError(f"expected a string of 0s and 1s, got {text!r}")
+    return tuple(int(c) for c in text)
+
+
+@_loading("JSON input")
 def _read_json(path):
     if path in (None, "-"):
         return json.loads(sys.stdin.read())
     with open(path) as fh:
         return json.loads(fh.read())
+
+
+@_loading("box")
+def _read_box(path) -> Box:
+    return Box.from_json_dict(_read_json(path))
 
 
 def _read_text(path):
@@ -77,6 +116,7 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
+@_loading("circuit")
 def _load_circuit(path) -> NandCircuit:
     text = _read_text(path)
     stripped = text.lstrip()
@@ -85,6 +125,7 @@ def _load_circuit(path) -> NandCircuit:
     return parse_netlist(text)
 
 
+@_loading("truth table")
 def _load_truth_table(data) -> TruthTable:
     if isinstance(data, dict) and "truth_table" in data:
         data = data["truth_table"]
@@ -93,9 +134,16 @@ def _load_truth_table(data) -> TruthTable:
 
 def _load_protocol(data):
     """Accept either a table protocol or a compiled-circuit envelope."""
-    if data.get("type") == "compiled":
+    with _loading("protocol"):
+        if data.get("type") != "compiled":
+            return _load_table_protocol(data)
         circuit = NandCircuit.from_json_dict(data["circuit"])
-        return compile_circuit(circuit, int(data["parties"]), data["party_bit_map"])
+        parties = int(data["parties"])
+        bit_map = [[str(name) for name in group] for group in data["party_bit_map"]]
+    return compile_circuit(circuit, parties, bit_map)
+
+
+def _load_table_protocol(data) -> WiringProtocol:
     instances = []
     for inst in data["bank"]:
         if inst.get("template", "PR") != "PR":
@@ -106,7 +154,7 @@ def _load_protocol(data):
         randomness = SharedRandomness.singleton(0)
     else:
         randomness = SharedRandomness(
-            tuple(randomness_data["support"]),
+            tuple(int(lam) for lam in randomness_data["support"]),
             tuple(parse_rational(w) for w in randomness_data["weights"]),
         )
     strategies = tuple(TableStrategy.from_json_dict(s) for s in data["strategies"])
@@ -115,8 +163,8 @@ def _load_protocol(data):
         randomness=randomness,
         bank=BoxBank(tuple(instances)),
         strategies=strategies,
-        input_sizes=tuple(data["input_sizes"]),
-        output_sizes=tuple(data["output_sizes"]),
+        input_sizes=tuple(int(size) for size in data["input_sizes"]),
+        output_sizes=tuple(int(size) for size in data["output_sizes"]),
     )
 
 
@@ -138,13 +186,12 @@ def _cmd_box_make(args):
         return 0, _box_payload(pr_box())
     data = _read_json(args.infile) if (args.function is None) else None
     if args.function is not None:
-        bits = [int(c) for c in args.function]
         n_vars = args.parties * args.bits
-        if len(bits) != 2 ** n_vars:
+        if len(args.function) != 2 ** n_vars:
             raise BoxworldError(
                 f"--function needs {2 ** n_vars} bits for {args.parties} parties x {args.bits} bits"
             )
-        table = TruthTable(n_vars, tuple(bits))
+        table = TruthTable(n_vars, args.function)
     else:
         table = _load_truth_table(data)
     box = full_correlation_box(args.parties, args.bits, table)
@@ -152,7 +199,7 @@ def _cmd_box_make(args):
 
 
 def _cmd_box_check(args):
-    box = Box.from_json_dict(_read_json(args.infile))
+    box = _read_box(args.infile)
     verdict = check_no_signaling(box)
     if verdict.ok:
         return 0, {"no_signaling": True}
@@ -169,7 +216,7 @@ def _cmd_box_check(args):
 
 
 def _cmd_box_local(args):
-    box = Box.from_json_dict(_read_json(args.infile))
+    box = _read_box(args.infile)
     cap = int(os.environ.get(STRATEGY_CAP_ENV, args.cap))
     verdict = is_local(box, cap=cap)
     if verdict.local:
@@ -189,12 +236,8 @@ def _cmd_box_local(args):
 
 
 def _cmd_box_marginal(args):
-    box = Box.from_json_dict(_read_json(args.infile))
-    subset = [int(p) for p in args.parties.split(",") if p != ""]
-    complement = None
-    if args.complement_inputs:
-        complement = [int(v) for v in args.complement_inputs.split(",")]
-    m = marginal(box, subset, complement)
+    box = _read_box(args.infile)
+    m = marginal(box, args.parties, args.complement_inputs or None)
     entries = [
         {"x": list(x), "a": list(a), "p": format_rational(p)}
         for (x, a), p in sorted(m.table.items())
@@ -209,7 +252,7 @@ def _cmd_box_marginal(args):
 
 
 def _cmd_box_chsh(args):
-    box = Box.from_json_dict(_read_json(args.infile))
+    box = _read_box(args.infile)
     return 0, {"chsh": format_rational(chsh_value(box))}
 
 
@@ -224,8 +267,7 @@ def _cmd_circuit_synth(args):
 
 def _cmd_circuit_eval(args):
     circuit = _load_circuit(args.infile)
-    bits = [int(c) for c in args.assignment]
-    return 0, {"value": eval_circuit(circuit, bits)}
+    return 0, {"value": eval_circuit(circuit, args.assignment)}
 
 
 def _cmd_circuit_table(args):
@@ -277,10 +319,7 @@ def _owned_order_function(compiled: CompiledProtocol, table: TruthTable):
 def _cmd_simulate(args):
     loaded = _load_protocol(_read_json(args.infile))
     protocol = _protocol_of(loaded)
-    if args.x is not None:
-        x = tuple(int(v) for v in args.x.split(","))
-    else:
-        x = None
+    x = args.x
     if args.sample:
         if args.seed is None:
             raise BoxworldError("--sample requires --seed")
@@ -305,7 +344,7 @@ def _cmd_simulate(args):
 
 def _cmd_verify(args):
     loaded = _load_protocol(_read_json(args.infile))
-    target = Box.from_json_dict(_read_json(args.target))
+    target = _read_box(args.target)
     verdict = verify_simulation(loaded, target)
     if verdict.exact_match:
         return 0, {"verified": True}
@@ -325,8 +364,7 @@ def _cmd_cc(args):
     loaded = _load_protocol(_read_json(args.infile))
     if not isinstance(loaded, CompiledProtocol):
         raise BoxworldError("cc expects a compiled-circuit protocol envelope")
-    x = tuple(int(v) for v in args.x.split(","))
-    result = solve_cc(loaded, x=x, seed=args.seed or 0)
+    result = solve_cc(loaded, x=args.x, seed=args.seed or 0)
     return 0, {
         "value": result.value,
         "bits_communicated": result.bits_communicated,
@@ -338,10 +376,8 @@ def _cmd_cc(args):
 
 
 def _cmd_polytope_vertices(args):
-    inputs = tuple(int(v) for v in args.inputs.split(","))
-    outputs = tuple(int(v) for v in args.outputs.split(","))
     cap = int(os.environ.get(DIMENSION_CAP_ENV, args.cap))
-    h = build_h_rep(inputs, outputs, dimension_cap=cap)
+    h = build_h_rep(args.inputs, args.outputs, dimension_cap=cap)
     vertices = enumerate_vertices(h)
     reports = []
     for v in vertices:
@@ -358,7 +394,7 @@ def _cmd_polytope_vertices(args):
 
 
 def _cmd_polytope_classify(args):
-    box = Box.from_json_dict(_read_json(args.infile))
+    box = _read_box(args.infile)
     rep = classify_vertex(box)
     payload = {"class": rep.classification}
     if rep.f_table is not None:
@@ -381,7 +417,7 @@ def _cmd_polytope_classify(args):
 
 
 def _cmd_polytope_decompose(args):
-    box = Box.from_json_dict(_read_json(args.infile))
+    box = _read_box(args.infile)
     h = build_h_rep(box.input_sizes, box.output_sizes)
     vertices = enumerate_vertices(h)
     weights = decompose(box, vertices)
@@ -423,7 +459,6 @@ def _cmd_cluster_search(args):
         "assignments_tested": report.assignments_tested,
         "strategies_tested": report.strategies_tested,
         "success": report.success,
-        "runtime_s": round(report.runtime_s, 3),
     }
     if report.counterexample is not None:
         payload["counterexample"] = report.counterexample
@@ -436,12 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact simulator and verifier for nonsignaling box correlations.",
     )
     parser.add_argument("--version", action="version", version=f"boxworld {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="accepted for interface stability; the driver is single-threaded and output does not depend on it",
-    )
     parser.add_argument("--schema", metavar="NAME", help="print the JSON schema NAME and exit (use 'list' to list)")
     sub = parser.add_subparsers(dest="group")
 
@@ -453,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     mk_fc = make_sub.add_parser("fullcorr")
     mk_fc.add_argument("--parties", type=int, required=True)
     mk_fc.add_argument("--bits", type=int, required=True)
-    mk_fc.add_argument("--function", help="truth-table bits, e.g. 0001 for AND (row order little-endian)")
+    mk_fc.add_argument("--function", type=_bit_string, help="truth-table bits, e.g. 0001 for AND (row order little-endian)")
     mk_fc.add_argument("--in", dest="infile", help="truth-table JSON file (default stdin)")
     mk_fc.set_defaults(func=_cmd_box_make, kind="fullcorr")
     for name, func, extra in (
@@ -468,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
     p = box.add_parser("marginal")
     p.add_argument("--in", dest="infile")
-    p.add_argument("--parties", required=True, help="comma-separated party indices")
-    p.add_argument("--complement-inputs", help="comma-separated inputs for the other parties")
+    p.add_argument("--parties", type=_int_list, required=True, help="comma-separated party indices")
+    p.add_argument("--complement-inputs", type=_int_list, help="comma-separated inputs for the other parties")
     p.set_defaults(func=_cmd_box_marginal)
 
     circuit = sub.add_parser("circuit", help="truth tables and NAND circuits").add_subparsers(dest="cmd")
@@ -479,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_circuit_synth)
     p = circuit.add_parser("eval")
     p.add_argument("--in", dest="infile", help="circuit JSON or netlist (default stdin)")
-    p.add_argument("--assignment", required=True, help="bit string in input order")
+    p.add_argument("--assignment", type=_bit_string, required=True, help="bit string in input order")
     p.set_defaults(func=_cmd_circuit_eval)
     p = circuit.add_parser("table")
     p.add_argument("--in", dest="infile")
@@ -497,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--sample", action="store_true")
-    p.add_argument("--x", help="comma-separated inputs; omit in exact mode for the full box")
+    p.add_argument("--x", type=_int_list, help="comma-separated inputs; omit in exact mode for the full box")
     p.add_argument("--seed", type=int)
     p.add_argument("--runs", type=int, default=100000)
     p.set_defaults(func=_cmd_simulate)
@@ -509,14 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cc", help="communication-complexity run over a compiled protocol")
     p.add_argument("--in", dest="infile", help="compiled protocol JSON (default stdin)")
-    p.add_argument("--x", required=True)
+    p.add_argument("--x", type=_int_list, required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_cc)
 
     polytope = sub.add_parser("polytope", help="no-signaling polytope operations").add_subparsers(dest="cmd")
     p = polytope.add_parser("vertices")
-    p.add_argument("--inputs", required=True, help="e.g. 2,2")
-    p.add_argument("--outputs", required=True, help="e.g. 2,2")
+    p.add_argument("--inputs", type=_int_list, required=True, help="e.g. 2,2")
+    p.add_argument("--outputs", type=_int_list, required=True, help="e.g. 2,2")
     p.add_argument("--cap", type=int, default=15)
     p.set_defaults(func=_cmd_polytope_vertices)
     p = polytope.add_parser("classify")
@@ -558,9 +587,6 @@ def main(argv=None) -> int:
         with open(os.path.join(_schema_dir(), args.schema + ".json")) as fh:
             sys.stdout.write(fh.read())
         return 0
-    if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return 2
     func = getattr(args, "func", None)
     if func is None:
         parser.print_help(sys.stderr)

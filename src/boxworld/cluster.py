@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .boxes import Box, make_box
-from .errors import ShapeMismatch, TooLarge
+from .errors import ShapeMismatch, TooLarge, VerificationFailed
 from .wiring import (
     STOP,
     BoxBank,
@@ -238,7 +238,8 @@ def _closed_constraint_family() -> tuple[ParityConstraint, ...]:
             continue
         key = tuple(sorted(terms))
         target = sign
-        assert family.get(key, target) == target, "inconsistent constraint product"
+        if family.get(key, target) != target:
+            raise VerificationFailed("inconsistent constraint product")
         family[key] = target
     constraints = tuple(
         ParityConstraint(terms, target) for terms, target in sorted(family.items())
@@ -247,7 +248,8 @@ def _closed_constraint_family() -> tuple[ParityConstraint, ...]:
         (tuple(sorted(c.terms)), c.target) for c in cluster_constraints().constraints
     }
     derived_keys = {(tuple(sorted(c.terms)), c.target) for c in constraints}
-    assert base_keys <= derived_keys, "closure lost a base constraint"
+    if not base_keys <= derived_keys:
+        raise VerificationFailed("closure lost a base constraint")
     return constraints
 
 
@@ -428,7 +430,8 @@ def _zero_box_counterexample(code: int, cs: ConstraintSet) -> dict:
         p: ((code >> (2 * p)) & 1, (code >> (2 * p + 1)) & 1) for p in range(cs.n_parties)
     }
     protocol = _build_protocol(None, None, None, outputs, cs.n_parties)
-    assert all(satisfies(protocol_source(protocol), c, cs.n_parties) for c in cs.constraints)
+    if not all(satisfies(protocol_source(protocol), c, cs.n_parties) for c in cs.constraints):
+        raise VerificationFailed("zero-box counterexample violates a constraint")
     return {"assignment": None, "outputs": outputs, "protocol": _protocol_json(protocol)}
 
 

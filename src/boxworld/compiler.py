@@ -120,7 +120,7 @@ def _ensure_kernel(n: int):
                 s = s_free + (_xor(s_free),)
                 expected[tuple(s[i] ^ dets[i] for i in range(n))] = weight
             if nand_block(beta, gamma) != expected:
-                raise AssertionError(f"block kernel mismatch at beta={beta}, gamma={gamma}")
+                raise VerificationFailed(f"block kernel mismatch at beta={beta}, gamma={gamma}")
     _kernel_checked.add(n)
 
 
@@ -295,7 +295,6 @@ def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequenc
         strategies=strategies,
         input_sizes=tuple(2 ** len(names) for names in party_bit_map),
         output_sizes=(2,) * n_parties,
-        prevalidated=True,
     )
     object.__setattr__(compiled, "protocol", protocol)
     expected_boxes = gate_count(circuit) * n_parties * (n_parties - 1)

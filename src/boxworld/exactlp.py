@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from .errors import VerificationFailed
+
 
 @dataclass
 class FeasibilityResult:
@@ -135,8 +137,10 @@ def solve_equality_feasibility(A: Sequence[Sequence], b: Sequence) -> Feasibilit
                 solution[col] = Fraction(M[i][width - 1], d)
         for i in range(m):
             total = sum(Fraction(A[i][j]) * solution[j] for j in range(n) if solution[j])
-            assert total == Fraction(b[i]), "feasibility solution failed verification"
-        assert all(v >= 0 for v in solution)
+            if total != Fraction(b[i]):
+                raise VerificationFailed("feasibility solution failed verification")
+        if any(v < 0 for v in solution):
+            raise VerificationFailed("feasibility solution has a negative entry")
         return FeasibilityResult(True, solution=solution)
 
     # Farkas: y_i = 1 - reduced cost of artificial i, mapped back to the
@@ -148,9 +152,11 @@ def solve_equality_feasibility(A: Sequence[Sequence], b: Sequence) -> Feasibilit
         y.append(-yi if flipped[i] else yi)
     for j in range(n):
         total = sum(y[i] * Fraction(A[i][j]) for i in range(m) if y[i])
-        assert total <= 0, "Farkas certificate failed y.A <= 0"
+        if total > 0:
+            raise VerificationFailed("Farkas certificate failed y.A <= 0")
     ydotb = sum(y[i] * Fraction(b[i]) for i in range(m) if y[i])
-    assert ydotb > 0, "Farkas certificate failed y.b > 0"
+    if not ydotb > 0:
+        raise VerificationFailed("Farkas certificate failed y.b > 0")
     return FeasibilityResult(False, farkas=y)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .boxes import Box, check_no_signaling, deterministic_box, make_box, marginal
-from .errors import TooLarge
+from .errors import TooLarge, VerificationFailed
 from .exactlp import solve_equality_feasibility
 
 DEFAULT_STRATEGY_CAP = 10 ** 6
@@ -200,7 +200,8 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP, event_witnesses=None) ->
             strategies[s]: w for s, w in enumerate(result.solution) if w != 0
         }
         rebuilt = expand_weights(box, weights)
-        assert rebuilt == box, "local decomposition failed exact re-expansion"
+        if rebuilt != box:
+            raise VerificationFailed("local decomposition failed exact re-expansion")
         return LocalityVerdict(local=True, weights=weights)
 
     y = result.farkas
@@ -211,7 +212,8 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP, event_witnesses=None) ->
         val = sum(y[r] * columns[s][r] for r in range(len(coords))) + y[-1]
         if best is None or val > best:
             best = val
-    assert box_value > 0 >= best, "separating witness failed exact verification"
+    if not box_value > 0 >= best:
+        raise VerificationFailed("separating witness failed exact verification")
     return LocalityVerdict(
         local=False,
         witness={

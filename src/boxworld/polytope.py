@@ -28,7 +28,7 @@ from .boxes import (
     pr_box,
     relabel,
 )
-from .errors import DimensionMismatch, Infeasible, NotAVertex, TooLarge
+from .errors import DimensionMismatch, Infeasible, NotAVertex, TooLarge, VerificationFailed
 from .exactlp import exact_rank, solve_equality_feasibility, solve_linear_system
 
 DEFAULT_DIMENSION_CAP = 15  # covers 3 inputs x 2 outputs per party
@@ -140,7 +140,8 @@ def build_h_rep(
 
     dimension = len(cells) - exact_rank(eq_rows)
     closed_form = (mA * (dA - 1) + 1) * (mB * (dB - 1) + 1) - 1
-    assert dimension == closed_form, (dimension, closed_form)
+    if dimension != closed_form:
+        raise VerificationFailed(f"dimension {dimension} differs from the closed form {closed_form}")
     if dimension > dimension_cap:
         raise TooLarge(dimension, dimension_cap)
 
@@ -155,7 +156,8 @@ def build_h_rep(
         for b in range(dB - 1)
     )
     coord_index = {c: i for i, c in enumerate(coords)}
-    assert len(coords) == dimension
+    if len(coords) != dimension:
+        raise VerificationFailed(f"{len(coords)} coordinates for dimension {dimension}")
 
     def expr(cell):
         x, y, a, b = cell
@@ -240,14 +242,15 @@ def _initial_basis(rows: list[tuple[int, ...]], dim: int):
             if len(chosen) == dim:
                 break
     if len(chosen) < dim:
-        raise AssertionError("inequality system is rank-deficient")
+        raise VerificationFailed("inequality system is rank-deficient")
     # invert the basis matrix exactly: solve B X = I column by column
     rays = []
     B = [rows[i] for i in chosen]
     for col in range(dim):
         e = [Fraction(1) if r == col else Fraction(0) for r in range(dim)]
         sol = solve_linear_system(B, e)
-        assert sol is not None
+        if sol is None:
+            raise VerificationFailed("chosen basis matrix is singular")
         den = 1
         for v in sol:
             den = den * v.denominator // gcd(den, v.denominator)
@@ -344,7 +347,8 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
     seen_points = set()
     for ray, _ in rays:
         s = ray[0]
-        assert s > 0, "unbounded direction found in a bounded polytope"
+        if not s > 0:
+            raise VerificationFailed("unbounded direction found in a bounded polytope")
         t = [Fraction(v, s) for v in ray[1:]]
         key = tuple(t)
         if key in seen_points:
@@ -352,8 +356,10 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
         seen_points.add(key)
         box = h_rep.box_from_point(t)
         verdict = check_no_signaling(box)
-        assert verdict.ok, "enumerated vertex signals"
-        assert is_vertex(box, h_rep), "enumerated point is not extremal"
+        if not verdict.ok:
+            raise VerificationFailed("enumerated vertex signals")
+        if not is_vertex(box, h_rep):
+            raise VerificationFailed("enumerated point is not extremal")
         boxes.append(box)
     return boxes
 
@@ -543,5 +549,6 @@ def decompose(box: Box, vertex_list: Sequence[Box]) -> list[Fraction]:
         total = sum(
             (w * v.prob(*cell) for w, v in zip(weights, vertex_list)), Fraction(0)
         )
-        assert total == box.prob(*cell), "decomposition failed re-expansion"
+        if total != box.prob(*cell):
+            raise VerificationFailed("decomposition failed re-expansion")
     return weights

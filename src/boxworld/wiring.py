@@ -12,12 +12,15 @@ outputs, weighted by the template's exact marginal (first side to act)
 or conditional (second side).  Because the templates are nonsignaling
 and every side is used at most once, any scheduling of the parties
 yields the same distribution; the engine canonically runs parties in
-index order.
+index order.  Branch weights are computed per call, in a table that
+lives as long as one walk or one sampling call; nothing is cached at
+module level.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import weakref
 from dataclasses import dataclass, field
@@ -126,13 +129,7 @@ class TableStrategy:
 
 @dataclass(frozen=True, eq=False)
 class WiringProtocol:
-    """Everything needed to run one round: randomness, bank, one strategy per party.
-
-    `prevalidated` marks protocols whose move plans are correct by
-    construction (the compiler's output); validation then skips the
-    exhaustive branch walk, which is exponential in the bank size.  The
-    executors still raise Unvalidated on any actual violation they hit.
-    """
+    """Everything needed to run one round: randomness, bank, one strategy per party."""
 
     n_parties: int
     randomness: SharedRandomness
@@ -140,7 +137,6 @@ class WiringProtocol:
     strategies: tuple
     input_sizes: tuple[int, ...]
     output_sizes: tuple[int, ...]
-    prevalidated: bool = False
 
     def inputs(self):
         return itertools.product(*(range(s) for s in self.input_sizes))
@@ -181,66 +177,35 @@ class OutcomeDistribution:
         }
 
 
-_marginal_cache: dict = {}
+def _side_weights(template: Box, slot: int, y: int, other) -> dict[int, Fraction]:
+    """Branch weights for the output of template slot `slot` fed input y.
 
-
-def _slot_marginal(template: Box, slot: int, y: int) -> dict[int, Fraction]:
-    """Output distribution of one template slot given its own input.
-
-    Well-defined because bank templates are required to be nonsignaling;
-    the other slot's input is pinned to 0 for the summation.  Cache
-    entries hold the template itself so a recycled id cannot alias.
+    `other` is the other slot's (input, output) record, or None if that
+    side has not acted yet.  The first side to act gets its marginal,
+    well-defined because bank templates are required to be nonsignaling
+    (the other slot's input is pinned to 0 for the summation); the second
+    side gets the joint conditioned on the first side's record.  The
+    product of the two reproduces the template's joint distribution.
     """
-    key = (id(template), slot, y)
-    hit = _marginal_cache.get(key)
-    if hit is not None and hit[0] is template:
-        return hit[1]
-    dist: dict[int, Fraction] = {}
-    for a_pair in template.outputs():
-        x_pair = [0, 0]
-        x_pair[slot] = y
-        p = template.prob(tuple(x_pair), a_pair)
-        if p != 0:
-            dist[a_pair[slot]] = dist.get(a_pair[slot], Fraction(0)) + p
-    if len(_marginal_cache) > 1 << 15:
-        _marginal_cache.clear()
-    _marginal_cache[key] = (template, dist)
-    return dist
-
-
-_alpha_cache: dict = {}
-
-
-def _alpha_weights(inst: BoxInstance, slot: int, y: int, record) -> dict[int, Fraction]:
-    """Branch weights for the output observed at `slot` given the instance state.
-
-    First side to commit sees its marginal; the second side sees the joint
-    conditioned on what the first side already observed.  The product of
-    the two reproduces the template's joint distribution exactly.
-    """
-    other = record[1 - slot]
-    if other is None:
-        return _slot_marginal(inst.template, slot, y)
-    key = (id(inst.template), slot, y, other)
-    hit = _alpha_cache.get(key)
-    if hit is not None and hit[0] is inst.template:
-        return hit[1]
-    y_other, a_other = other
-    denom = _slot_marginal(inst.template, 1 - slot, y_other)[a_other]
     x_pair = [0, 0]
     x_pair[slot] = y
-    x_pair[1 - slot] = y_other
     weights: dict[int, Fraction] = {}
-    for alpha in range(inst.template.output_sizes[slot]):
-        a_pair = [0, 0]
+    if other is None:
+        for a_pair in template.outputs():
+            p = template.prob(tuple(x_pair), a_pair)
+            if p != 0:
+                weights[a_pair[slot]] = weights.get(a_pair[slot], Fraction(0)) + p
+        return weights
+    y_other, a_other = other
+    denom = _side_weights(template, 1 - slot, y_other, None)[a_other]
+    x_pair[1 - slot] = y_other
+    a_pair = [0, 0]
+    a_pair[1 - slot] = a_other
+    for alpha in range(template.output_sizes[slot]):
         a_pair[slot] = alpha
-        a_pair[1 - slot] = a_other
-        p = inst.template.prob(tuple(x_pair), tuple(a_pair))
+        p = template.prob(tuple(x_pair), tuple(a_pair))
         if p != 0:
             weights[alpha] = p / denom
-    if len(_alpha_cache) > 1 << 15:
-        _alpha_cache.clear()
-    _alpha_cache[key] = (inst.template, weights)
     return weights
 
 
@@ -270,6 +235,7 @@ def _walk(protocol: WiringProtocol, lam, x, on_leaf, weight=Fraction(1)):
     n = protocol.n_parties
     bank = protocol.bank.instances
     empty_records = tuple((None, None) for _ in bank)
+    table: dict = {}  # (instance index, slot, y, other side's record) -> weights
 
     def run_party(i, records, w, outputs):
         if i == n:
@@ -310,7 +276,10 @@ def _walk(protocol: WiringProtocol, lam, x, on_leaf, weight=Fraction(1)):
                 raise Unvalidated(f"instance {inst_idx} slot {slot} already used")
             if not (0 <= y < inst.template.input_sizes[slot]):
                 raise Unvalidated(f"party {i} input {y} out of range for instance {inst_idx}")
-            for alpha, aw in _alpha_weights(inst, slot, y, record).items():
+            side = (inst_idx, slot, y, record[1 - slot])
+            if side not in table:
+                table[side] = _side_weights(inst.template, slot, y, record[1 - slot])
+            for alpha, aw in table[side].items():
                 new_record = list(record)
                 new_record[slot] = (y, alpha)
                 new_records = records[:inst_idx] + (tuple(new_record),) + records[inst_idx + 1:]
@@ -325,23 +294,31 @@ _validated_protocols: "weakref.WeakSet" = weakref.WeakSet()
 
 
 def validate_protocol(protocol: WiringProtocol) -> ProtocolVerdict:
-    """Symbolically walk every (lam, x) branch; report the first violation."""
+    """Symbolically walk every (lam, x) branch; report the first violation.
+
+    A compiled protocol's own protocol (`compiler.compiled_owner`) is
+    correct by construction, so the walk, exponential in the bank size,
+    is skipped for it alone; a copy with a swapped bank, randomness or
+    strategy tuple is walked like any other protocol.
+    """
     bad = _check_bank(protocol.bank)
     if bad is not None:
         return ProtocolVerdict(False, bad)
     if len(protocol.strategies) != protocol.n_parties:
         return ProtocolVerdict(False, {"reason": "one strategy per party required"})
-    if protocol.prevalidated:
-        _validated_protocols.add(protocol)
-        return ProtocolVerdict(True)
-    for lam in protocol.randomness.support:
-        for x in protocol.inputs():
-            try:
-                _walk(protocol, lam, x, lambda outputs, w: None)
-            except Unvalidated as err:
-                return ProtocolVerdict(
-                    False, {"lam": lam, "x": x, "reason": str(err)}
-                )
+    if not len(protocol.input_sizes) == len(protocol.output_sizes) == protocol.n_parties:
+        return ProtocolVerdict(False, {"reason": "one input size and one output size per party required"})
+    from . import compiler  # compiler imports this module
+
+    if compiler.compiled_owner(protocol) is None:
+        for lam in protocol.randomness.support:
+            for x in protocol.inputs():
+                try:
+                    _walk(protocol, lam, x, lambda outputs, w: None)
+                except Unvalidated as err:
+                    return ProtocolVerdict(
+                        False, {"lam": lam, "x": x, "reason": str(err)}
+                    )
     _validated_protocols.add(protocol)
     return ProtocolVerdict(True)
 
@@ -410,40 +387,27 @@ def induced_box(protocol: WiringProtocol) -> Box:
     return box
 
 
-def _prepared_sampler(dist: Mapping, prepared: dict):
+def _sampler(dist: Mapping) -> tuple[int, list[int], list]:
     """(denominator, cumulative integer thresholds, values) for exact draws.
 
-    `prepared` is the calling execution's own table, keyed by object
-    identity: the executors hand in cached singleton dicts, so the identity
-    hit rate is what makes sampling cheap.  Each entry holds its dict, so
-    no id can be recycled while the table lives, and the table dies with
-    the call."""
-    hit = prepared.get(id(dist))
-    if hit is not None:
-        return hit[1]
-    items = sorted(dist.items())
+    Values of weight zero are left out, so they can never be drawn."""
+    items = sorted((value, Fraction(p)) for value, p in dist.items() if p != 0)
     denom = 1
     for _, p in items:
-        d = Fraction(p).denominator
-        denom = denom * d // _gcd(denom, d)
+        denom = math.lcm(denom, p.denominator)
     thresholds = []
-    values = []
     acc = 0
-    for value, p in items:
-        p = Fraction(p)
+    for _, p in items:
         acc += p.numerator * (denom // p.denominator)
         thresholds.append(acc)
-        values.append(value)
     if acc != denom:
         raise VerificationFailed(f"distribution sums to {Fraction(acc, denom)}, not 1")
-    entry = (denom, thresholds, values)
-    prepared[id(dist)] = (dist, entry)
-    return entry
+    return denom, thresholds, [value for value, _ in items]
 
 
-def _sample_exact(rng: random.Random, dist: Mapping, prepared: dict) -> object:
-    """Draw from a finite rational distribution without float roundoff."""
-    denom, thresholds, values = _prepared_sampler(dist, prepared)
+def _draw(rng: random.Random, sampler: tuple[int, list[int], list]) -> object:
+    """One exact draw from a `_sampler` triple, without float roundoff."""
+    denom, thresholds, values = sampler
     if denom == 1:
         return values[0]
     r = rng.randrange(denom)
@@ -451,12 +415,6 @@ def _sample_exact(rng: random.Random, dist: Mapping, prepared: dict) -> object:
         if r < threshold:
             return value
     raise AssertionError("unreachable")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def execute_sample(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[tuple[int, ...], int]:
@@ -483,12 +441,12 @@ def _sample_walk(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[tu
     """execute_sample by the generic branch walk: one draw per box side,
     each strategy asked for its move on the history it has observed."""
     rng = random.Random(seed)
-    prepared: dict = {}
-    lam_dist = dict(zip(protocol.randomness.support, protocol.randomness.weights))
+    lam_sampler = _sampler(dict(zip(protocol.randomness.support, protocol.randomness.weights)))
+    samplers: dict = {}  # (instance index, slot, y, other side's record) -> _sampler triple
     counts: dict[tuple[int, ...], int] = {}
     bank = protocol.bank.instances
     for _ in range(n_runs):
-        lam = _sample_exact(rng, lam_dist, prepared)
+        lam = _draw(rng, lam_sampler)
         records = [[None, None] for _ in bank]
         outputs = []
         for i in range(protocol.n_parties):
@@ -503,8 +461,10 @@ def _sample_walk(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[tu
                 inst = bank[inst_idx]
                 record = records[inst_idx]
                 slot = 0 if (inst.owners[0] == i and record[0] is None) else 1
-                weights = _alpha_weights(inst, slot, y, tuple(record))
-                alpha = _sample_exact(rng, weights, prepared)
+                side = (inst_idx, slot, y, record[1 - slot])
+                if side not in samplers:
+                    samplers[side] = _sampler(_side_weights(inst.template, slot, y, record[1 - slot]))
+                alpha = _draw(rng, samplers[side])
                 record[slot] = (y, alpha)
                 history += (alpha,)
         key = tuple(outputs)
@@ -623,8 +583,8 @@ _pr_template: Optional[Box] = None
 
 
 def pr_instance(owners: tuple[int, int]) -> BoxInstance:
-    """PR-box instance; all instances share one immutable template object
-    (keeps the executor's per-template caches small)."""
+    """PR-box instance; all instances share one immutable template object,
+    so a bank of them is checked for no-signaling once (`_check_bank`)."""
     global _pr_template
     if _pr_template is None:
         from .boxes import pr_box

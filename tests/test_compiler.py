@@ -267,8 +267,8 @@ class TestExecutorAgreement:
         tt = TruthTable.from_function(2, lambda b: b[0] & b[1])
         circuit = synthesize_nand(tt, ["u", "v"])
         compiled = compile_circuit(circuit, 2, [["u"], ["v"]])
-        assert bw.validate_protocol(compiled.protocol).ok  # prevalidated fast path
-        walked = dataclasses.replace(compiled.protocol, prevalidated=False)
+        assert bw.validate_protocol(compiled.protocol).ok  # the compiler's own protocol: no walk
+        walked = dataclasses.replace(compiled.protocol, strategies=tuple(list(compiled.protocol.strategies)))
         assert bw.validate_protocol(walked).ok  # full branch walk agrees
 
 

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+import gc
 import itertools
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import weakref
@@ -212,11 +215,12 @@ class TestSampling:
 
     def test_repeated_calls_leave_no_module_level_growth(self):
         # per-call precomputation only: nothing module-level may grow with
-        # the number of calls
+        # the number of calls, nor with the number of template objects seen
         proto = identity_wiring(bw.pr_box())
         execute_sample(proto, (1, 1), seed=0, n_runs=10)
 
         def sizes():
+            gc.collect()  # the walk's closures form cycles that hold their protocol
             return {
                 name: len(value)
                 for name, value in vars(wiring).items()
@@ -226,7 +230,52 @@ class TestSampling:
         before = sizes()
         for seed in range(200):
             execute_sample(proto, (1, 1), seed=seed, n_runs=10)
+            execute_exact(identity_wiring(bw.pr_box()), (1, 1))
+            execute_sample(identity_wiring(bw.pr_box()), (1, 1), seed=seed, n_runs=10)
         assert sizes() == before
+
+    def test_seeded_counts_are_golden(self):
+        # recorded before the branch-weight tables became per call; the
+        # sampler must keep drawing the same branches for a seed
+        counts = execute_sample(identity_wiring(bw.pr_box()), (1, 1), seed=7, n_runs=1000)
+        assert counts == {(0, 1): 511, (1, 0): 489}
+        bank = BoxBank((pr_instance((0, 1)),))
+        proto = next(itertools.islice(enumerate_strategies(2, bank, (2, 2), (2, 2)), 304, None))
+        for party in (0, 1):  # both sides of the box are drawn at x = (1, 1)
+            assert proto.strategies[party].moves[(0, 1, ())] == ("use", 0, 0)
+        counts = execute_sample(proto, (1, 1), seed=7, n_runs=1000)
+        assert counts == {(0, 1): 511, (1, 0): 489}
+
+    def test_zero_weight_randomness_never_sampled(self):
+        strategies = tuple(
+            TableStrategy(party, {(lam, 0, ()): STOP for lam in (0, 1)}, {(lam, 0, ()): lam for lam in (0, 1)})
+            for party in (0, 1)
+        )
+        proto = WiringProtocol(
+            n_parties=2,
+            randomness=SharedRandomness((0, 1), (Fraction(0), Fraction(1))),
+            bank=BoxBank(()),
+            strategies=strategies,
+            input_sizes=(1, 1),
+            output_sizes=(2, 2),
+        )
+        assert execute_exact(proto, (0, 0)).outcomes == {(1, 1): 1}
+        assert execute_sample(proto, (0, 0), seed=1, n_runs=50) == {(1, 1): 50}
+
+
+def test_swapped_bank_of_compiled_protocol_is_walked():
+    # a copy of the compiler's own protocol with another bank is not the
+    # compiler's protocol: validation walks it and reports the violation
+    tt = bw.TruthTable.from_function(2, lambda b: b[0] & b[1])
+    compiled = bw.compile_circuit(bw.synthesize_nand(tt, ["u", "v"]), 2, [["u"], ["v"]])
+    one_input = bw.uniform_box((1, 1), (2, 2))
+    bank = BoxBank(tuple(bw.BoxInstance(one_input, inst.owners) for inst in compiled.protocol.bank.instances))
+    swapped = dataclasses.replace(compiled.protocol, bank=bank)
+    verdict = validate_protocol(swapped)
+    assert not verdict.ok
+    assert "input 1 out of range" in verdict.violation["reason"]
+    with pytest.raises(Unvalidated, match="out of range"):
+        execute_sample(swapped, (1, 1), seed=0, n_runs=10)
 
 
 def test_bank_checks_each_template_object_once(monkeypatch):
@@ -251,16 +300,25 @@ def test_bank_checks_each_template_object_once(monkeypatch):
 
 
 def test_checks_survive_python_O():
-    # the exact checks raise VerificationFailed, which -O cannot strip
+    # the exact checks raise VerificationFailed, which -O cannot strip: one
+    # in the executor, one in the locality LP's re-expansion
     script = """
 import dataclasses, sys
 from fractions import Fraction
 import boxworld as bw
+from boxworld import locality
+from boxworld.exactlp import FeasibilityResult
 half = bw.SharedRandomness.singleton()
 object.__setattr__(half, "weights", (Fraction(1, 2),))  # skips the constructor's check
 proto = dataclasses.replace(bw.identity_wiring(bw.pr_box()), randomness=half)
 try:
     bw.execute_exact(proto, (0, 0))
+except bw.VerificationFailed as err:
+    print(sys.flags.optimize, err)
+# all weight on the first deterministic strategy: not a decomposition of the uniform box
+locality.solve_equality_feasibility = lambda A, b: FeasibilityResult(True, [1] + [0] * (len(A[0]) - 1))
+try:
+    bw.is_local(bw.uniform_box((2, 2), (2, 2)))
 except bw.VerificationFailed as err:
     print(sys.flags.optimize, err)
 """
@@ -270,7 +328,22 @@ except bw.VerificationFailed as err:
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 branch weights sum to 1/2, not 1\n"
+    assert proc.stdout == (
+        "1 branch weights sum to 1/2, not 1\n"
+        "1 local decomposition failed exact re-expansion\n"
+    )
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no check may live in one
+    package = pathlib.Path(bw.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 class TestEnumeration:
