@@ -14,6 +14,7 @@ no-signaling test, exact marginals, local relabelings, and the CHSH value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -24,12 +25,17 @@ from .errors import (
     NotNormalized,
     ShapeMismatch,
     SignalingAmbiguity,
+    TooLarge,
     WrongShape,
 )
 from .rational import format_rational, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# (x, a) pairs a box may have: each one costs a row entry during
+# validation.  The package's own boxes stay far below it (the cluster box
+# has 1024, a census vertex 36).
+BOX_CELL_CAP = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +180,8 @@ def make_box(n, input_sizes, output_sizes, table, sparse=False) -> Box:
 
     Unless `sparse` is set, the table must carry an entry for every
     (x, a) pair.  Entries must be rationals in [0, 1] and each conditional
-    distribution must sum to exactly 1.
+    distribution must sum to exactly 1.  A shape with more than
+    BOX_CELL_CAP (x, a) pairs raises TooLarge before any row is built.
     """
     input_sizes = tuple(int(s) for s in input_sizes)
     output_sizes = tuple(int(s) for s in output_sizes)
@@ -186,6 +193,9 @@ def make_box(n, input_sizes, output_sizes, table, sparse=False) -> Box:
         )
     if any(s <= 0 for s in input_sizes + output_sizes):
         raise DimensionMismatch("alphabet sizes must be positive")
+    cells = math.prod(input_sizes) * math.prod(output_sizes)
+    if cells > BOX_CELL_CAP:
+        raise TooLarge(cells, BOX_CELL_CAP)
 
     clean = {}
     for key, value in table.items():

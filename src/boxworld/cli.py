@@ -46,13 +46,13 @@ from .polytope import build_h_rep, classify_vertex, decompose, enumerate_vertice
 from .rational import format_rational, parse_rational
 from .wiring import (
     BoxBank,
-    BoxInstance,
     SharedRandomness,
     TableStrategy,
     WiringProtocol,
     execute_exact,
     execute_sample,
     induced_box,
+    pr_instance,
 )
 
 STRATEGY_CAP_ENV = "BOXWORLD_STRATEGY_CAP"
@@ -148,7 +148,7 @@ def _load_table_protocol(data) -> WiringProtocol:
     for inst in data["bank"]:
         if inst.get("template", "PR") != "PR":
             raise BoxworldError(f"unknown bank template {inst.get('template')!r}")
-        instances.append(BoxInstance(pr_box(), tuple(inst["owners"])))
+        instances.append(pr_instance(inst["owners"]))
     randomness_data = data.get("randomness")
     if randomness_data is None:
         randomness = SharedRandomness.singleton(0)

@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .boxes import Box, make_box
 from .circuits import NandCircuit, gate_count, prune
 from .errors import ShapeMismatch, UnownedInputBit, VerificationFailed
@@ -326,27 +324,27 @@ def _x_tuples(sizes) -> list[tuple[int, ...]]:
     return out
 
 
-def _assignment(bit_map, x) -> dict[str, int]:
-    """Input-bit values on joint input x (little-endian bit slots)."""
-    return {
-        name: (x[party] >> slot) & 1
-        for party, names in enumerate(bit_map)
-        for slot, name in enumerate(names)
-    }
+def _bitset(bits) -> int:
+    """Row bitset of a list of 0/1 row values: bit r is the value on row r."""
+    return int("".join(map(str, reversed(bits))) or "0", 2)
+
+
+def _row_bits(bitset: int, n_rows: int) -> list[int]:
+    """The 0/1 values of a row bitset, row 0 first."""
+    return list(map(int, reversed(bin(bitset | 1 << n_rows)[3:])))
 
 
 def _sweep_rows(circuit: NandCircuit, n_parties: int, bit_maps):
     """Row table for a multi-ownership sweep: one row per (map, joint input).
 
-    Returns a list of (map_idx, x, assignment) where assignment[name] is
-    the bit value of each input leaf on that row.
+    Returns a list of (map_idx, x), the joint inputs of each map in
+    `_x_tuples` order.
     """
-    rows = []
-    for map_idx, bit_map in enumerate(bit_maps):
-        sizes = [2 ** len(names) for names in bit_map]
-        for x in _x_tuples(sizes):
-            rows.append((map_idx, x, _assignment(bit_map, x)))
-    return rows
+    return [
+        (map_idx, x)
+        for map_idx, bit_map in enumerate(bit_maps)
+        for x in _x_tuples([2 ** len(names) for names in bit_map])
+    ]
 
 
 def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
@@ -358,25 +356,36 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
     checks, party i's share of the gate is s_i XOR u_value*gamma_i XOR r_i,
     where gamma_i is its share of the second operand.  So a gate's share
     form depends only on its second operand's form, and the output form is
-    built along that chain alone.  A circuit without gates gets one block
-    of variables for the even-parity shared randomness that re-randomizes
-    its output shares.
+    built along that chain alone: a row's mask holds the blocks of the
+    chain's gates from the output down to the first gate whose first
+    operand is 0 on that row.  A circuit without gates gets one block of
+    variables for the even-parity shared randomness that re-randomizes its
+    output shares.
+
+    Wire values and constants are row bitsets (bit r is the value on row
+    r), so a gate costs one big-int operation for all rows.
 
     Returns (width, masks, consts): the joint branch vector has `width`
-    uniform bits, masks[i] is an object array of Python-int masks over
-    them and consts[i] an int64 array of 0/1, one entry per row; party i
-    outputs consts[i] XOR parity(masks[i] & branch vector).  `circuit`
-    must be pruned.
+    uniform bits, masks[i] is a list of Python-int masks over them, one
+    per row, and consts[i] a row bitset; party i outputs bit r of
+    consts[i] XOR parity(masks[i][r] & branch vector) on row r.
+    `circuit` must be pruned.
     """
     gates = circuit.gates
     width = (n - 1) * max(len(gates), 1)
-    values: dict[str, np.ndarray] = {}
+    full = (1 << len(rows)) - 1
+    places = [
+        {name: (party, slot) for party, names in enumerate(bit_map) for slot, name in enumerate(names)}
+        for bit_map in bit_maps
+    ]
+    values: dict[str, int] = {}
     for b in circuit.inputs:
-        values[b.name] = np.array([asg[b.name] for _, _, asg in rows], dtype=np.int64)
+        located = [places[m_idx][b.name] for m_idx, _ in rows]
+        values[b.name] = _bitset([(x[party] >> slot) & 1 for (party, slot), (_, x) in zip(located, rows)])
     for c in circuit.constants:
-        values[c.name] = np.full(len(rows), c.value, dtype=np.int64)
+        values[c.name] = full if c.value else 0
     for g_idx, (l, r) in enumerate(gates):
-        values[f"g{g_idx}"] = (values[l] & values[r]) ^ 1
+        values[f"g{g_idx}"] = full ^ (values[l] & values[r])
 
     chain = []
     leaf = circuit.output
@@ -388,27 +397,36 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
     # leaf shares: the owner of an input bit holds it, everyone else 0;
     # constants are public parity carried by party 0
     if leaf in circuit.input_names:
-        owner = [
-            next(p for p, names in enumerate(bit_map) if leaf in names) for bit_map in bit_maps
-        ]
-        holder = np.array([owner[m_idx] for m_idx, _, _ in rows], dtype=np.int64)
-        consts = [np.where(holder == party, values[leaf], 0) for party in range(n)]
+        holder = [places[m_idx][leaf][0] for m_idx, _ in rows]
+        consts = [values[leaf] & _bitset([int(h == party) for h in holder]) for party in range(n)]
     else:
-        consts = [values[leaf] if party == 0 else np.zeros_like(values[leaf]) for party in range(n)]
-    masks = [np.zeros(len(rows), dtype=object) for _ in range(n)]
+        consts = [values[leaf] if party == 0 else 0 for party in range(n)]
+    for g_idx in reversed(chain):
+        vu = values[gates[g_idx][0]]
+        consts = [(const & vu) ^ (full if party == 0 else 0) for party, const in enumerate(consts)]
 
     def block_masks(block):
         low = block * (n - 1)
         return [1 << (low + i) for i in range(n - 1)] + [((1 << (n - 1)) - 1) << low]
 
-    if not chain:
-        masks = [mask | own for mask, own in zip(masks, block_masks(0))]
-    for g_idx in reversed(chain):
+    # levels[d]: the masks holding the blocks of chain[0..d]; row r gets
+    # levels[level[r]]
+    levels = []
+    acc = [0] * n
+    for g_idx in chain or [0]:
+        acc = [mask | own for mask, own in zip(acc, block_masks(g_idx))]
+        levels.append(acc)
+    level = [len(levels) - 1] * len(rows)
+    remaining = full
+    for depth, g_idx in enumerate(chain[:-1]):
         vu = values[gates[g_idx][0]]
-        on = vu.astype(bool)
-        for party, own in enumerate(block_masks(g_idx)):
-            masks[party] = np.where(on, masks[party], 0) | own
-            consts[party] = (consts[party] & vu) ^ (1 if party == 0 else 0)
+        stop = remaining & ~vu
+        remaining &= vu
+        while stop:
+            low = stop & -stop
+            level[low.bit_length() - 1] = depth
+            stop ^= low
+    masks = [[levels[lv][party] for lv in level] for party in range(n)]
     return width, masks, consts
 
 
@@ -418,31 +436,36 @@ def _span_counts(n: int, width: int, masks, consts) -> list[list[int]]:
     The joint output is c XOR M t for uniform t, so it is uniform over the
     coset c + span of M's distinct column patterns (the n-bit patterns p
     for which some branch variable appears in exactly the masks p names).
+    Rows with the same masks share one span, computed once per call.
     """
     # exact counts rest on the block identity; sampling skips the check,
     # whose cost grows as 4^n * 2^(n(n-1))
     _ensure_kernel(n)
     n_out = 1 << n
     full = (1 << width) - 1
-    complements = [full ^ mask for mask in masks]
-    outcomes = np.arange(n_out)
-    span = np.zeros((len(consts[0]), n_out), dtype=bool)
-    span[:, 0] = True
-    for p in range(1, n_out):
-        sel = full
-        for i in range(n):
-            sel = sel & (masks[i] if (p >> i) & 1 else complements[i])
-        span |= (sel != 0)[:, None] & span[:, outcomes ^ p]
-    c_vec = sum(consts[i] << i for i in range(n))
-    hit = span[np.arange(len(c_vec))[:, None], outcomes[None, :] ^ c_vec[:, None]]
-    weights = [(1 << width) // int(size) for size in span.sum(axis=1)]
-    return [[w if h else 0 for h in row] for w, row in zip(weights, hit.tolist())]
+    const_bits = [_row_bits(const, len(masks[0])) for const in consts]
+    spans: dict[tuple[int, ...], tuple[list[bool], int]] = {}
+    out = []
+    for row_masks, row_consts in zip(zip(*masks), zip(*const_bits)):
+        if row_masks not in spans:
+            span = [True] + [False] * (n_out - 1)
+            for p in range(1, n_out):
+                sel = full
+                for i, mask in enumerate(row_masks):
+                    sel &= mask if (p >> i) & 1 else full ^ mask
+                if sel:
+                    span = [s or span[a ^ p] for a, s in enumerate(span)]
+            spans[row_masks] = (span, (1 << width) // sum(span))
+        span, weight = spans[row_masks]
+        c = sum(bit << i for i, bit in enumerate(row_consts))
+        out.append([weight if span[a ^ c] else 0 for a in range(n_out)])
+    return out
 
 
 def _branch_outputs(masks, consts, branches) -> list[tuple[int, ...]]:
     """Every party's output on each row, on the branch vector branches[row]."""
     per_party = [
-        [c ^ ((m & t).bit_count() & 1) for m, c, t in zip(mask.tolist(), const.tolist(), branches)]
+        [c ^ ((m & t).bit_count() & 1) for m, c, t in zip(mask, _row_bits(const, len(mask)), branches)]
         for mask, const in zip(masks, consts)
     ]
     return list(zip(*per_party))
@@ -450,7 +473,7 @@ def _branch_outputs(masks, consts, branches) -> list[tuple[int, ...]]:
 
 def _compiled_forms(compiled: CompiledProtocol, xs):
     """`_output_forms` of a compiled protocol, one row per joint input in xs."""
-    rows = [(0, x, _assignment(compiled.party_bit_map, x)) for x in xs]
+    rows = [(0, x) for x in xs]
     return _output_forms(compiled.circuit, compiled.n_parties, [compiled.party_bit_map], rows)
 
 
@@ -534,7 +557,7 @@ def sample_compiled(compiled: CompiledProtocol, x, seed: int, n_runs: int) -> di
     """
     x = checked_inputs(compiled.input_sizes, x)
     width, masks, consts = _compiled_forms(compiled, [x])
-    forms = [(int(mask[0]), int(const[0])) for mask, const in zip(masks, consts)]
+    forms = [(mask[0], const & 1) for mask, const in zip(masks, consts)]
     draw = random.Random(seed).getrandbits
     counts: dict[tuple[int, ...], int] = {}
     for _ in range(n_runs):

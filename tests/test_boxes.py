@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 import boxworld as bw
+from boxworld import boxes
+from boxworld.boxes import BOX_CELL_CAP
 from boxworld.errors import (
     DimensionMismatch,
     NegativeProbability,
     NotNormalized,
     ShapeMismatch,
     SignalingAmbiguity,
+    TooLarge,
     WrongShape,
 )
 
@@ -42,6 +45,21 @@ def test_make_box_requires_dense_unless_sparse():
 def test_make_box_rejects_bad_arity():
     with pytest.raises(DimensionMismatch):
         bw.make_box(2, (2, 2), (2, 2), {((0,), (0, 0)): Fraction(1)}, sparse=True)
+
+
+def test_make_box_caps_the_table_size(monkeypatch):
+    # the shape is refused before any row over the outputs is built
+    with pytest.raises(TooLarge) as err:
+        bw.make_box(2, (1, 1), (10 ** 9, 1), {}, sparse=True)
+    assert (err.value.count, err.value.cap) == (10 ** 9, BOX_CELL_CAP)
+    with pytest.raises(TooLarge):
+        bw.Box.from_json_dict({"parties": 2, "inputs": [1, 1], "outputs": [10 ** 9, 1], "table": []})
+    # the cap counts (x, a) pairs and admits a shape of exactly that many
+    monkeypatch.setattr(boxes, "BOX_CELL_CAP", 8)
+    table = {((x0, x1), (0, 0)): 1 for x0 in (0, 1) for x1 in (0, 1)}
+    assert bw.make_box(2, (2, 2), (2, 1), table, sparse=True).n_parties == 2
+    with pytest.raises(TooLarge):
+        bw.make_box(2, (1, 1), (3, 3), {((0, 0), (0, 0)): 1}, sparse=True)
 
 
 class TestPRBox:

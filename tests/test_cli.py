@@ -285,6 +285,31 @@ def test_usage_errors_exit_two():
     assert "Traceback" not in malformed.stderr
 
 
+def test_oversized_box_exits_two_at_once():
+    doc = json.dumps({"parties": 2, "inputs": [1, 1], "outputs": [10 ** 9, 1], "table": []})
+    proc = run_cli(["box", "check"], stdin=doc)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("limit exceeded: ")
+
+
+def test_table_protocol_checks_its_pr_template_once(monkeypatch):
+    import boxworld.wiring as wiring
+
+    calls = []
+
+    def counting_check(box):
+        calls.append(box)
+        return bw.check_no_signaling(box)
+
+    monkeypatch.setattr(wiring, "check_no_signaling", counting_check)
+    bank = [{"template": "PR", "owners": [0, 1]} for _ in range(3)]
+    code, out, _ = _main_in_process(["simulate", "--exact", "--x", "1,1"], _table_protocol(bank=bank))
+    assert code == 0
+    assert len(json.loads(out)["distribution"]["outcomes"]) == 2
+    assert len(calls) == 1  # one per instance when each had its own PR box
+
+
 def _pr_box_dict():
     return bw.pr_box().to_json_dict()
 

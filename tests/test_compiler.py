@@ -13,6 +13,7 @@ from boxworld.circuits import (
     NandCircuit,
     TruthTable,
     gate_count,
+    prune,
     synthesize_nand,
 )
 from boxworld import compiler, wiring
@@ -272,6 +273,87 @@ class TestExecutorAgreement:
         assert bw.validate_protocol(walked).ok  # full branch walk agrees
 
 
+def ownership_splits(n, m):
+    """Every way to hand each party m of the n*m input bits (ascending slots)."""
+    names = [f"b{i}" for i in range(n * m)]
+    splits = []
+    for perm in itertools.permutations(range(n * m)):
+        split = [[names[i] for i in sorted(perm[p * m:(p + 1) * m])] for p in range(n)]
+        if split not in splits:
+            splits.append(split)
+    return splits
+
+
+def owned_values(table, n, m, split):
+    """f on every joint input, read from the truth table through the split."""
+    places = [(p, slot, int(name[1:])) for p, group in enumerate(split) for slot, name in enumerate(group)]
+    return [
+        table.bits[sum(((x[p] >> slot) & 1) << row_bit for p, slot, row_bit in places)]
+        for x in _x_tuples((2 ** m,) * n)
+    ]
+
+
+class TestAffineCoreAgainstParity:
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (2, 2)])
+    def test_counts_and_cc_values_equal_parity_tables(self, n, m):
+        # every 1-bit function of 2 and 3 parties and seeded 2-party 2-bit
+        # tables, over every ownership split
+        names = [f"b{i}" for i in range(n * m)]
+        splits = ownership_splits(n, m)
+        n_tables = 2 ** (2 ** (n * m))
+        tables = range(n_tables) if n * m <= 3 else random.Random(21).sample(range(n_tables), 8)
+        for mask in tables:
+            table = TruthTable.from_int(n * m, mask)
+            circuit = synthesize_nand(table, names)
+            counts, denominator = affine_outcome_counts(circuit, n, splits)
+            assert denominator == 2 ** ((n - 1) * max(gate_count(circuit), 1)), mask
+            weight = denominator >> (n - 1)
+            f_rows = [owned_values(table, n, m, split) for split in splits]
+            # the parity box: weight on every output tuple of parity f(x)
+            parities = [xor_all((a >> i) & 1 for i in range(n)) for a in range(2 ** n)]
+            want = [[[weight if parity == f else 0 for parity in parities] for f in row] for row in f_rows]
+            assert counts == want, (n, m, mask)
+            assert cc_values(circuit, n, splits, seed=mask) == [f for row in f_rows for f in row], (n, m, mask)
+
+    def test_repeated_calls_leave_no_module_level_growth(self):
+        # the affine core keeps its tables per call; only the kernel-check
+        # set, one entry per party count, lives in the module
+        circuit = synthesize_nand(TruthTable.from_int(3, 0b11101000), ["b0", "b1", "b2"])
+        splits = ownership_splits(3, 1)
+        affine_outcome_counts(circuit, 3, splits)
+
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(compiler).items()
+                if not name.startswith("__") and isinstance(value, (dict, set, list))
+            }
+
+        before = sizes()
+        for seed in range(50):
+            table = TruthTable.from_int(3, random.Random(seed).randrange(256))
+            other = synthesize_nand(table, ["b0", "b1", "b2"])
+            affine_outcome_counts(other, 3, splits)
+            cc_values(other, 3, splits, seed=seed)
+        assert sizes() == before
+
+    def test_rows_with_equal_masks_share_a_span(self):
+        # 3-party majority over every split: some rows share their mask
+        # tuple, others do not; counts per row must not depend on which
+        # rows were computed together
+        majority = TruthTable.from_function(3, lambda b: int(sum(b) >= 2))
+        circuit = prune(synthesize_nand(majority, ["b0", "b1", "b2"]))
+        splits = ownership_splits(3, 1)
+        rows = compiler._sweep_rows(circuit, 3, splits)
+        width, masks, consts = compiler._output_forms(circuit, 3, splits, rows)
+        assert 1 < len(set(zip(*masks))) < len(rows)
+        one_at_a_time = [
+            compiler._span_counts(3, width, [[mask[r]] for mask in masks], [(c >> r) & 1 for c in consts])[0]
+            for r in range(len(rows))
+        ]
+        assert compiler._span_counts(3, width, masks, consts) == one_at_a_time
+
+
 def test_verify_simulation_reports_first_difference():
     tt = TruthTable.from_function(2, lambda b: b[0] & b[1])
     circuit = synthesize_nand(tt, ["u", "v"])
@@ -339,6 +421,24 @@ class TestSolveCC:
             result = solve_cc(compiled, x=x, seed=seed)
             assert result.value == maj(x)
             assert result.bits_communicated == 2
+
+    def test_seeded_branches_are_golden(self):
+        # recorded with the numpy affine core: which branch a seed draws,
+        # and which outputs a branch gives, must not change.  The counts and
+        # cc values do not see the mask gating (an extra block only adds
+        # patterns already in the span); these outputs do.
+        maj = TruthTable.from_function(3, lambda b: int(sum(b) >= 2))
+        compiled = compile_circuit(synthesize_nand(maj, ["b0", "b1", "b2"]), 3, [["b0"], ["b1"], ["b2"]])
+        sent = [
+            tuple(bit for _, _, bit in solve_cc(compiled, x=x, seed=seed).transcript)
+            for seed, x in enumerate(_x_tuples((2, 2, 2)))
+        ]
+        assert sent == [(1, 1), (1, 1), (0, 0), (0, 0), (1, 0), (1, 1), (1, 0), (0, 1)]
+        counts = [compiler.sample_compiled(compiled, x, 5, 40) for x in [(1, 1, 0), (0, 1, 1)]]
+        assert counts == [
+            {(0, 0, 1): 10, (0, 1, 0): 11, (1, 0, 0): 12, (1, 1, 1): 7},
+            {(0, 0, 1): 8, (0, 1, 0): 11, (1, 0, 0): 11, (1, 1, 1): 10},
+        ]
 
     def test_constant_zero(self):
         tt = TruthTable.from_function(2, lambda b: 0)
