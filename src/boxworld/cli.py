@@ -55,9 +55,6 @@ from .wiring import (
     pr_instance,
 )
 
-STRATEGY_CAP_ENV = "BOXWORLD_STRATEGY_CAP"
-DIMENSION_CAP_ENV = "BOXWORLD_DIMENSION_CAP"
-
 
 # What a malformed or wrongly shaped input document raises while it is
 # decoded and turned into objects: invalid JSON, a missing key, a list where
@@ -82,6 +79,21 @@ def _int_list(text) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(",") if v != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _at_least(minimum):
+    """argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _bit_string(text) -> tuple[int, ...]:
@@ -172,10 +184,6 @@ def _protocol_of(loaded):
     return loaded.protocol if isinstance(loaded, CompiledProtocol) else loaded
 
 
-def _box_payload(box: Box) -> dict:
-    return box.to_json_dict()
-
-
 # ---------------------------------------------------------------------------
 # handlers: each returns (exit_code, payload)
 # ---------------------------------------------------------------------------
@@ -183,7 +191,7 @@ def _box_payload(box: Box) -> dict:
 
 def _cmd_box_make(args):
     if args.kind == "pr":
-        return 0, _box_payload(pr_box())
+        return 0, pr_box().to_json_dict()
     data = _read_json(args.infile) if (args.function is None) else None
     if args.function is not None:
         n_vars = args.parties * args.bits
@@ -195,7 +203,7 @@ def _cmd_box_make(args):
     else:
         table = _load_truth_table(data)
     box = full_correlation_box(args.parties, args.bits, table)
-    return 0, _box_payload(box)
+    return 0, box.to_json_dict()
 
 
 def _cmd_box_check(args):
@@ -217,8 +225,7 @@ def _cmd_box_check(args):
 
 def _cmd_box_local(args):
     box = _read_box(args.infile)
-    cap = int(os.environ.get(STRATEGY_CAP_ENV, args.cap))
-    verdict = is_local(box, cap=cap)
+    verdict = is_local(box, cap=args.cap)
     if verdict.local:
         weights = [
             {"responses": [list(r) for r in resp], "w": format_rational(w)}
@@ -339,7 +346,7 @@ def _cmd_simulate(args):
         dist = compiled_distribution(loaded, x) if isinstance(loaded, CompiledProtocol) else execute_exact(protocol, x)
         return 0, {"mode": "exact", "distribution": dist.to_json_dict()}
     box = induced_box_fast(loaded) if isinstance(loaded, CompiledProtocol) else induced_box(protocol)
-    return 0, {"mode": "exact", "box": _box_payload(box)}
+    return 0, {"mode": "exact", "box": box.to_json_dict()}
 
 
 def _cmd_verify(args):
@@ -376,13 +383,12 @@ def _cmd_cc(args):
 
 
 def _cmd_polytope_vertices(args):
-    cap = int(os.environ.get(DIMENSION_CAP_ENV, args.cap))
-    h = build_h_rep(args.inputs, args.outputs, dimension_cap=cap)
+    h = build_h_rep(args.inputs, args.outputs, dimension_cap=args.cap)
     vertices = enumerate_vertices(h)
     reports = []
     for v in vertices:
         rep = classify_vertex(v, h, check=False)
-        entry = {"box": _box_payload(v), "class": rep.classification}
+        entry = {"box": v.to_json_dict(), "class": rep.classification}
         if rep.f_table is not None:
             entry["f"] = [list(t) for t in rep.f_table]
         reports.append(entry)
@@ -422,7 +428,7 @@ def _cmd_polytope_decompose(args):
     vertices = enumerate_vertices(h)
     weights = decompose(box, vertices)
     entries = [
-        {"vertex": _box_payload(v), "w": format_rational(w)}
+        {"vertex": v.to_json_dict(), "w": format_rational(w)}
         for v, w in zip(vertices, weights)
         if w != 0
     ]
@@ -452,8 +458,7 @@ def _cmd_cluster_ghz(args):
 
 def _cmd_cluster_search(args):
     constraints = inverted_cluster_constraints() if args.inverted else None
-    cap = int(os.environ.get(STRATEGY_CAP_ENV, args.cap))
-    report = simulation_search(args.boxes, constraints=constraints, cap=cap)
+    report = simulation_search(args.boxes, constraints=constraints, cap=args.cap)
     payload = {
         "boxes": report.boxes,
         "assignments_tested": report.assignments_tested,
@@ -480,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     mk_pr = make_sub.add_parser("pr")
     mk_pr.set_defaults(func=_cmd_box_make, kind="pr")
     mk_fc = make_sub.add_parser("fullcorr")
-    mk_fc.add_argument("--parties", type=int, required=True)
-    mk_fc.add_argument("--bits", type=int, required=True)
+    mk_fc.add_argument("--parties", type=_at_least(1), required=True)
+    mk_fc.add_argument("--bits", type=_at_least(0), required=True)
     mk_fc.add_argument("--function", type=_bit_string, help="truth-table bits, e.g. 0001 for AND (row order little-endian)")
     mk_fc.add_argument("--in", dest="infile", help="truth-table JSON file (default stdin)")
     mk_fc.set_defaults(func=_cmd_box_make, kind="fullcorr")
@@ -516,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a circuit into a PR-box protocol")
     p.add_argument("--in", dest="infile", help="circuit JSON or netlist (default stdin)")
-    p.add_argument("--parties", type=int, required=True)
+    p.add_argument("--parties", type=_at_least(1), required=True)
     p.add_argument("--map", required=True, help="ownership, ';' between parties, ',' between bits: a,b;c,d")
     p.add_argument("--verify-target", action="store_true", help="also verify against the parity box")
     p.set_defaults(func=_cmd_compile)
@@ -528,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sample", action="store_true")
     p.add_argument("--x", type=_int_list, help="comma-separated inputs; omit in exact mode for the full box")
     p.add_argument("--seed", type=int)
-    p.add_argument("--runs", type=int, default=100000)
+    p.add_argument("--runs", type=_at_least(1), default=100000)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="compare a protocol's induced box to a target box")
@@ -561,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cluster.add_parser("ghz")
     p.set_defaults(func=_cmd_cluster_ghz)
     p = cluster.add_parser("search")
-    p.add_argument("--boxes", type=int, default=1)
+    p.add_argument("--boxes", type=_at_least(0), default=1)
     p.add_argument("--inverted", action="store_true", help="flip the five-party target (sanity check)")
     p.add_argument("--cap", type=int, default=10 ** 7)
     p.set_defaults(func=_cmd_cluster_search)

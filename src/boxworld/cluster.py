@@ -11,11 +11,16 @@ at setting 1:
 No fixed assignment of the ten bits can win: XOR all six equations and
 each variable cancels against its second appearance, leaving 0 = 1.  The
 module verifies that exhaustively (ghz_local_search) and then exhausts
-the far larger space of deterministic adaptive wiring protocols over a
-shared PR box (simulation_search), which fails too.  Restricting the
-search to deterministic shared randomness loses nothing: a randomized
-protocol satisfies a probability-1 event only if every point in its
-support does.
+the deterministic adaptive wiring protocols over k shared PR boxes
+(simulation_search), one search for every k: each assignment of the boxes
+to party pairs is one bank, whose box owners range over all their decision
+trees and whose other parties over all their output tables.  With k = 0
+the bank is empty and the space is the 1024 local assignments; with k = 1
+it is 640,000 profiles for each of the 10 pairs, and none succeeds.  With
+k = 2 the 55 assignments hold about 1.75e13 profiles, past the default cap.
+Restricting the search to deterministic shared randomness loses nothing:
+a randomized protocol satisfies a probability-1 event only if every point
+in its support does.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .boxes import Box, make_box
-from .errors import ShapeMismatch, TooLarge, VerificationFailed
+from .errors import DimensionMismatch, ShapeMismatch, TooLarge, VerificationFailed
 from .wiring import (
     STOP,
     BoxBank,
@@ -35,8 +40,9 @@ from .wiring import (
     SharedRandomness,
     TableStrategy,
     WiringProtocol,
+    _party_trees,
+    _walk,
     count_strategies,
-    enumerate_strategies,
     execute_exact,
     pr_instance,
 )
@@ -297,259 +303,208 @@ class SearchReport:
     note: str = ""
 
 
-# Owner behaviour per setting: (uses_box, input, (output at alpha=0, output at alpha=1));
-# non-use encodes its constant output in both slots.
-_OWNER_OPTIONS = tuple(
-    [(False, 0, (o, o)) for o in (0, 1)]
-    + [(True, y, (h0, h1)) for y in (0, 1) for h0 in (0, 1) for h1 in (0, 1)]
-)
-
-
-def _branches(opt_p, opt_q):
-    """Joint (out_p, out_q) branch list for one shared PR box."""
-    use_p, y_p, h_p = opt_p
-    use_q, y_q, h_q = opt_q
-    if use_p and use_q:
-        prod = y_p & y_q
-        return [(h_p[b], h_q[b ^ prod]) for b in (0, 1)]
-    if use_p:
-        return [(h_p[b], h_q[0]) for b in (0, 1)]
-    if use_q:
-        return [(h_p[0], h_q[b]) for b in (0, 1)]
-    return [(h_p[0], h_q[0])]
-
-
 def simulation_search(
     n_pr_boxes: int,
     pair_assignments: Optional[Sequence] = None,
     constraints: Optional[ConstraintSet] = None,
     cap: int = 10 ** 7,
 ) -> SearchReport:
-    """Exhaustive search for a deterministic wiring protocol reproducing
-    every parity constraint exactly.
+    """Exhaustive search for a deterministic wiring protocol with
+    `n_pr_boxes` shared PR boxes that reproduces every parity constraint
+    exactly.
 
     Deterministic shared randomness is exhaustive for probability-1 events
     (a mixture succeeds iff every support point does), so this refutes all
-    randomized protocols too.  For 0 boxes the search space is the local
-    deterministic assignments; for 1 PR box it covers, for every pair
-    assignment, each owner's full adaptive space (use or not per setting,
-    any input, any output map) against all non-owner output tables.  Any
-    counterexample found is re-verified through the generic executor before
-    being reported.
+    randomized protocols too.  The assignments of boxes to party pairs are
+    `pair_assignments` (default: every multiset of `n_pr_boxes` pairs; bare
+    pairs are accepted for one box); zero boxes give one empty bank, whose
+    space is the local deterministic assignments.  Each assignment's bank
+    is searched by `_search_bank`, and `strategies_tested` adds up
+    `count_strategies` of the banks searched.  TooLarge is raised before
+    any search when the total over all assignments exceeds `cap`.  The
+    first counterexample found is re-verified through the generic executor
+    before it is reported.
     """
+    if n_pr_boxes < 0:
+        raise DimensionMismatch(f"the number of PR boxes must be at least 0, got {n_pr_boxes}")
     cs = constraints or cluster_constraints()
     n = cs.n_parties
     start = time.monotonic()
-
-    if n_pr_boxes == 0:
-        report = ghz_local_search(cs)
-        counterexample = None
-        success = report.satisfying_assignments > 0
-        if success:
-            for code in range(report.space):
-                if _assignment_satisfies_all(code, cs):
-                    counterexample = _zero_box_counterexample(code, cs)
-                    break
-        return SearchReport(
-            boxes=0,
-            assignments_tested=1,
-            strategies_tested=report.space,
-            success=success,
-            counterexample=counterexample,
-            runtime_s=time.monotonic() - start,
-            note="no shared boxes: search space is the local deterministic assignments",
-        )
-
-    if n_pr_boxes == 1:
-        if pair_assignments is None:
-            pair_assignments = list(itertools.combinations(range(n), 2))
-        strategies_tested = 0
-        for pair in pair_assignments:
-            found = _search_one_box(pair, cs)
-            strategies_tested += 100 * 100 * 4 ** (n - 2)
-            if found is not None:
-                return SearchReport(
-                    boxes=1,
-                    assignments_tested=len(pair_assignments),
-                    strategies_tested=strategies_tested,
-                    success=True,
-                    counterexample=found,
-                    runtime_s=time.monotonic() - start,
-                )
-        return SearchReport(
-            boxes=1,
-            assignments_tested=len(pair_assignments),
-            strategies_tested=strategies_tested,
-            success=False,
-            runtime_s=time.monotonic() - start,
-        )
-
-    # general fallback: enumerate full adaptive strategy space (cap-guarded)
     if pair_assignments is None:
-        pair_assignments = list(
-            itertools.combinations_with_replacement(itertools.combinations(range(n), 2), n_pr_boxes)
+        pair_assignments = itertools.combinations_with_replacement(
+            itertools.combinations(range(n), 2), n_pr_boxes
         )
+    assignments = [
+        (tuple(a),) if n_pr_boxes == 1 and isinstance(a[0], int) else tuple(a)
+        for a in pair_assignments
+    ]
+    for a in assignments:
+        if len(a) != n_pr_boxes or not all(len(pair) == 2 and set(pair) <= set(range(n)) for pair in a):
+            raise DimensionMismatch(f"assignment {a} does not name {n_pr_boxes} pairs of parties 0..{n - 1}")
+    banks = [BoxBank(tuple(pr_instance(pair) for pair in a)) for a in assignments]
+    sizes = [count_strategies(n, bank, (2,) * n, (2,) * n) for bank in banks]
+    if sum(sizes) > cap:
+        raise TooLarge(sum(sizes), cap)
     strategies_tested = 0
-    for assignment in pair_assignments:
-        bank = BoxBank(tuple(pr_instance(pair) for pair in assignment))
-        total = count_strategies(n, bank, (2,) * n, (2,) * n)
-        if strategies_tested + total > cap:
-            raise TooLarge(strategies_tested + total, cap)
-        for protocol in enumerate_strategies(n, bank, (2,) * n, (2,) * n, cap=cap):
-            strategies_tested += 1
-            if all(satisfies(protocol_source(protocol), c, n) for c in cs.constraints):
-                return SearchReport(
-                    boxes=n_pr_boxes,
-                    assignments_tested=len(pair_assignments),
-                    strategies_tested=strategies_tested,
-                    success=True,
-                    counterexample={"assignment": assignment, "protocol": _protocol_json(protocol)},
-                    runtime_s=time.monotonic() - start,
-                )
+    for assignment, bank, size in zip(assignments, banks, sizes):
+        found = _search_bank(bank, cs)
+        strategies_tested += size
+        if found is not None:
+            # one box is reported as its pair, no box as null
+            shown = assignment[0] if len(assignment) == 1 else (assignment or None)
+            return SearchReport(
+                boxes=n_pr_boxes,
+                assignments_tested=len(assignments),
+                strategies_tested=strategies_tested,
+                success=True,
+                counterexample={"assignment": shown, **found},
+                runtime_s=time.monotonic() - start,
+            )
     return SearchReport(
         boxes=n_pr_boxes,
-        assignments_tested=len(pair_assignments),
+        assignments_tested=len(assignments),
         strategies_tested=strategies_tested,
         success=False,
         runtime_s=time.monotonic() - start,
     )
 
 
-def _assignment_satisfies_all(code: int, cs: ConstraintSet) -> bool:
-    for c in cs.constraints:
-        parity = 0
-        for p, s in c.terms:
-            parity ^= (code >> (2 * p + s)) & 1
-        if parity != c.target:
-            return False
-    return True
+def _search_bank(bank: BoxBank, cs: ConstraintSet) -> Optional[dict]:
+    """Owner-factorized exhaustive search over every strategy profile of
+    one bank; the first counterexample found, or None.
 
-
-def _zero_box_counterexample(code: int, cs: ConstraintSet) -> dict:
-    outputs = {
-        p: ((code >> (2 * p)) & 1, (code >> (2 * p + 1)) & 1) for p in range(cs.n_parties)
-    }
-    protocol = _build_protocol(None, None, None, outputs, cs.n_parties)
-    if not all(satisfies(protocol_source(protocol), c, cs.n_parties) for c in cs.constraints):
-        raise VerificationFailed("zero-box counterexample violates a constraint")
-    return {"assignment": None, "outputs": outputs, "protocol": _protocol_json(protocol)}
-
-
-def _search_one_box(pair: tuple[int, int], cs: ConstraintSet) -> Optional[dict]:
-    """Owner-factorized exhaustive search for one shared PR box.
-
-    For fixed owner strategies, each constraint (under each completion of
-    the owners' settings when unconstrained) either fails on some branch
-    outright or pins an XOR of non-owner output bits; the remaining loop
-    over non-owner output tables checks those pins.  Unconstrained
-    non-owners neither use boxes nor appear in the parity, so their
-    settings cannot influence the event - constrained parties' marginals
-    are setting-independent by no-signaling, which the test suite verifies
-    against the generic executor on samples.
+    The owners are the parties holding a side of some box.  An owner's
+    strategy is one decision tree per setting (`_party_trees`), tried in
+    the generator's order.  For fixed owner trees, each constraint under
+    each completion of the owners' free settings either fails on some
+    branch outright or pins an XOR of non-owner output bits; the loop over
+    non-owner output tables then checks those pins.  Only the support of
+    the owners' joint outputs matters for a probability-1 event, and the
+    generic walk yields it as its leaves of nonzero weight.  Non-owners use
+    no box, so each one's output is a fixed bit per setting, and their
+    settings cannot change the owners' outputs (no-signaling).  With no
+    boxes every party is a non-owner.
     """
     n = cs.n_parties
-    p_owner, q_owner = pair
-    non_owners = [k for k in range(n) if k not in pair]
-    var_index = {(k, s): i for i, (k, s) in enumerate((k, s) for k in non_owners for s in (0, 1))}
-    n_vars = len(var_index)
+    owners = sorted({p for inst in bank.instances for p in inst.owners})
+    others = [k for k in range(n) if k not in owners]
+    var_index = {(k, s): i for i, (k, s) in enumerate((k, s) for k in others for s in (0, 1))}
+    # cell 2j + s: owner j's candidate trees at setting s
+    cells = [
+        list(_party_trees(bank, p, frozenset(bank.owned_by(p)), 2, 0, s, ()))
+        for p in owners
+        for s in (0, 1)
+    ]
+    # output tables of the non-owners as bit positions: table v gives
+    # non-owner k at setting s the output bit var_index[k, s] of v
+    n_tables = 1 << len(var_index)
+    every_table = (1 << n_tables) - 1
+    checks = []  # (cell of each owner, owners in the parity, tables by needed parity, target)
+    for c in cs.constraints:
+        pinned = dict(c.terms)
+        free = [p for p in owners if p not in pinned]
+        mask = 0
+        for k, s in c.terms:
+            if k not in owners:
+                mask |= 1 << var_index[(k, s)]
+        even = sum(1 << v for v in range(n_tables) if not (v & mask).bit_count() & 1)
+        by_parity = (even, every_table ^ even)
+        in_parity = [j for j, p in enumerate(owners) if p in pinned]
+        for completion in itertools.product((0, 1), repeat=len(free)):
+            settings = {**pinned, **dict(zip(free, completion))}
+            used = tuple(2 * j + settings[p] for j, p in enumerate(owners))
+            checks.append((used, in_parity, by_parity, c.target))
 
-    for opt_p0, opt_p1 in itertools.product(_OWNER_OPTIONS, repeat=2):
-        s_p = (opt_p0, opt_p1)
-        for opt_q0, opt_q1 in itertools.product(_OWNER_OPTIONS, repeat=2):
-            s_q = (opt_q0, opt_q1)
-            requirements = []
-            dead = False
-            for c in cs.constraints:
-                pinned = dict(c.terms)
-                owner_in = [p for p in pair if p in pinned]
-                free_owners = [p for p in pair if p not in pinned]
-                for completion in itertools.product((0, 1), repeat=len(free_owners)):
-                    settings = dict(pinned)
-                    settings.update(dict(zip(free_owners, completion)))
-                    branches = _branches(s_p[settings[p_owner]], s_q[settings[q_owner]])
-                    owner_parities = set()
-                    for out_p, out_q in branches:
-                        parity = 0
-                        if p_owner in pinned:
-                            parity ^= out_p
-                        if q_owner in pinned:
-                            parity ^= out_q
-                        owner_parities.add(parity)
-                    if len(owner_parities) > 1:
-                        dead = True
-                        break
-                    owner_parity = owner_parities.pop()
-                    mask = 0
-                    for k, s in c.terms:
-                        if k in non_owners:
-                            mask |= 1 << var_index[(k, s)]
-                    requirements.append((mask, c.target ^ owner_parity))
-                if dead:
-                    break
-            if dead:
-                continue
-            for v in range(2 ** n_vars):
-                ok = True
-                for mask, bit in requirements:
-                    if (v & mask).bit_count() & 1 != bit:
-                        ok = False
-                        break
-                if ok:
-                    outputs = {
-                        k: (
-                            (v >> var_index[(k, 0)]) & 1,
-                            (v >> var_index[(k, 1)]) & 1,
-                        )
-                        for k in non_owners
-                    }
-                    protocol = _build_protocol(pair, s_p, s_q, outputs, n)
-                    if all(satisfies(protocol_source(protocol), c, n) for c in cs.constraints):
-                        return {
-                            "assignment": pair,
-                            "owner_strategies": {p_owner: s_p, q_owner: s_q},
-                            "outputs": outputs,
-                            "protocol": _protocol_json(protocol),
-                        }
+    supports: dict = {}  # (cells, tree indices) -> owners' joint outputs of nonzero weight
+    parities: dict = {}  # (check index, tree indices) -> owners' parity, None if it varies
+    for profile in itertools.product(*(range(len(trees)) for trees in cells)):
+        tables = every_table  # the non-owner tables that pass every check so far
+        for i, (used, in_parity, by_parity, target) in enumerate(checks):
+            in_use = tuple(profile[cell] for cell in used)
+            key = (i, in_use)
+            if key not in parities:
+                if (used, in_use) not in supports:
+                    trees = [cells[cell][t] for cell, t in zip(used, in_use)]
+                    supports[used, in_use] = _owner_support(bank, n, owners, used, trees)
+                values = {
+                    sum(outputs[j] for j in in_parity) & 1 for outputs in supports[used, in_use]
+                }
+                parities[key] = values.pop() if len(values) == 1 else None
+            if parities[key] is None:
+                break
+            tables &= by_parity[target ^ parities[key]]
+            if not tables:
+                break
+        else:
+            v = (tables & -tables).bit_length() - 1  # the first passing table
+            outputs = {k: (v >> var_index[k, 0] & 1, v >> var_index[k, 1] & 1) for k in others}
+            trees = [cells[cell][t] for cell, t in enumerate(profile)]
+            return _counterexample(bank, cs, owners, trees, outputs)
     return None
 
 
-def _build_protocol(pair, s_p, s_q, non_owner_outputs, n: int) -> WiringProtocol:
-    """Materialize a searched strategy profile as a generic wiring protocol."""
-    instances = ()
-    strategies = []
-    if pair is not None:
-        instances = (pr_instance(pair),)
-    bank = BoxBank(instances)
-    owner_strats = {}
-    if pair is not None:
-        owner_strats = {pair[0]: s_p, pair[1]: s_q}
-    for party in range(n):
-        moves = {}
-        outputs = {}
-        if party in owner_strats:
-            for x in (0, 1):
-                use, y, h = owner_strats[party][x]
-                if use:
-                    moves[(0, x, ())] = ("use", 0, y)
-                    for alpha in (0, 1):
-                        moves[(0, x, (alpha,))] = STOP
-                        outputs[(0, x, (alpha,))] = h[alpha]
-                else:
-                    moves[(0, x, ())] = STOP
-                    outputs[(0, x, ())] = h[0]
-        else:
-            for x in (0, 1):
-                moves[(0, x, ())] = STOP
-                outputs[(0, x, ())] = non_owner_outputs[party][x]
-        strategies.append(TableStrategy(party, moves, outputs))
-    return WiringProtocol(
-        n_parties=n,
-        randomness=SharedRandomness.singleton(0),
-        bank=bank,
-        strategies=tuple(strategies),
-        input_sizes=(2,) * n,
-        output_sizes=(2,) * n,
+def _owner_support(bank: BoxBank, n: int, owners, used, trees) -> set:
+    """Owners' joint outputs of nonzero weight when owner j plays trees[j]
+    at setting used[j] % 2; the other parties stop at once."""
+    strategies = [TableStrategy(k, {(0, 0, ()): STOP}, {(0, 0, ()): 0}) for k in range(n)]
+    x = [0] * n
+    for p, cell, (moves, outputs) in zip(owners, used, trees):
+        strategies[p] = TableStrategy(p, moves, outputs)
+        x[p] = cell % 2
+    protocol = WiringProtocol(
+        n, SharedRandomness.singleton(0), bank, tuple(strategies), (2,) * n, (2,) * n
     )
+    support = set()
+
+    def on_leaf(outputs, w):
+        if w != 0:
+            support.add(tuple(outputs[p] for p in owners))
+
+    _walk(protocol, 0, tuple(x), on_leaf)
+    return support
+
+
+def _counterexample(bank: BoxBank, cs: ConstraintSet, owners, trees, outputs) -> dict:
+    """Materialize a found profile as a table protocol, re-verify it with
+    the generic executor, and describe it.  trees[2j + s] is owner j's tree
+    at setting s; `outputs` holds each non-owner's output per setting."""
+    n = cs.n_parties
+    strategies = []
+    for p in range(n):
+        if p in outputs:
+            moves = {(0, s, ()): STOP for s in (0, 1)}
+            table = {(0, s, ()): outputs[p][s] for s in (0, 1)}
+        else:
+            j = owners.index(p)
+            moves, table = {}, {}
+            for m, o in trees[2 * j: 2 * j + 2]:
+                moves.update(m)
+                table.update(o)
+        strategies.append(TableStrategy(p, moves, table))
+    protocol = WiringProtocol(
+        n, SharedRandomness.singleton(0), bank, tuple(strategies), (2,) * n, (2,) * n
+    )
+    if not all(satisfies(protocol_source(protocol), c, n) for c in cs.constraints):
+        raise VerificationFailed("a counterexample of the factorized search violates a constraint")
+    found = {}
+    if len(bank.instances) == 1:
+        found["owner_strategies"] = {
+            p: tuple(_one_box_option(trees[2 * j + s], s) for s in (0, 1))
+            for j, p in enumerate(owners)
+        }
+    found["outputs"] = outputs
+    found["protocol"] = _protocol_json(protocol)
+    return found
+
+
+def _one_box_option(tree, s: int) -> tuple:
+    """A one-box owner tree at setting s as (uses the box, its input,
+    (output on box output 0, on 1)); without the box both are its constant."""
+    moves, outputs = tree
+    move = moves[(0, s, ())]
+    if move == STOP:
+        return (False, 0, (outputs[(0, s, ())],) * 2)
+    return (True, move[2], (outputs[(0, s, (0,))], outputs[(0, s, (1,))]))
 
 
 def _protocol_json(protocol: WiringProtocol) -> dict:

@@ -456,14 +456,6 @@ def parity_form_of(box: Box):
     return g
 
 
-def _parity_form(box: Box):
-    """Bipartite view of parity_form_of, keyed (x, y)."""
-    g = parity_form_of(box)
-    if g is None:
-        return None
-    return {(x, y): v for (x, y), v in g.items()}
-
-
 def classify_vertex(box: Box, h_rep: Optional[HRepresentation] = None, check: bool = True) -> VertexReport:
     """Classify a verified vertex of the bipartite no-signaling polytope.
 
@@ -502,7 +494,7 @@ def classify_vertex(box: Box, h_rep: Optional[HRepresentation] = None, check: bo
                 break
         return VertexReport(box=box, classification="reducible", reduction=reduction)
 
-    g = _parity_form(box)
+    g = parity_form_of(box)
     if g is not None:
         f_table = tuple(sorted((x, y, v) for (x, y), v in g.items()))
         if box.input_sizes == (2, 2) and box.output_sizes == (2, 2):

@@ -22,8 +22,6 @@ import pytest
 import boxworld as bw
 from boxworld.circuits import TruthTable, gate_count, synthesize_nand
 from boxworld.cluster import (
-    _build_protocol,
-    _OWNER_OPTIONS,
     cluster_constraints,
     ghz_local_search,
     inverted_cluster_constraints,
@@ -346,7 +344,6 @@ def test_c7_one_box_search_and_sanity_inversion():
 
 def _corpus():
     """20 varied protocols for the executor-consistency criterion."""
-    rng = random.Random(RNG_SEED + 8)
     protocols = []
 
     protocols.append(("identity PR", identity_wiring(bw.pr_box()), (1, 1)))
@@ -430,18 +427,11 @@ def _corpus():
     for idx, proto in enumerate(itertools.islice(stream, 0, 10000, 2081)):
         protocols.append((f"enumerated #{idx}", proto, (idx % 2, (idx // 2) % 2)))
 
-    # cluster-search profiles (all-stop and a random owner profile)
-    protocols.append(
-        ("cluster all-zeros", _build_protocol(None, None, None, {p: (0, 0) for p in range(5)}, 5), (0,) * 5)
-    )
-    s_p = (rng.choice(_OWNER_OPTIONS), rng.choice(_OWNER_OPTIONS))
-    s_q = (rng.choice(_OWNER_OPTIONS), rng.choice(_OWNER_OPTIONS))
-    outputs = {k: (rng.randint(0, 1), rng.randint(0, 1)) for k in (1, 2, 4)}
-    protocols.append(
-        ("cluster owner profile", _build_protocol((0, 3), s_p, s_q, outputs, 5), (0, 1, 0, 1, 0))
-    )
+    # the cluster search's first local profile: five parties that stop and output 0
+    all_zeros = next(enumerate_strategies(5, BoxBank(()), (2,) * 5, (2,) * 5))
+    protocols.append(("cluster all-zeros", all_zeros, (0,) * 5))
 
-    return protocols[:20]
+    return protocols
 
 
 def _exact_distribution(entry, x):

@@ -274,6 +274,21 @@ def test_cluster_search_cli():
     validate(payload, "cluster_search")
     assert payload["success"] is True
     assert "runtime_s" not in payload
+    assert set(payload["counterexample"]) == {"assignment", "owner_strategies", "outputs", "protocol"}
+
+
+def test_cluster_search_at_zero_and_two_boxes():
+    code, out, _ = _main_in_process(["cluster", "search", "--boxes", "0", "--inverted"], "")
+    assert code == 1
+    payload = json.loads(out)
+    validate(payload, "cluster_search")
+    assert payload["strategies_tested"] == 1024
+    assert payload["counterexample"]["assignment"] is None
+    assert set(payload["counterexample"]["outputs"]) == {"0", "1", "2", "3", "4"}
+
+    code, out, err = _main_in_process(["cluster", "search", "--boxes", "2"], "")
+    assert (code, out) == (2, "")
+    assert err == "limit exceeded: enumeration size 17495845002240 exceeds cap 10000000\n"
 
 
 def test_usage_errors_exit_two():
@@ -387,6 +402,12 @@ def test_wrongly_shaped_protocol_exits_two(stdin):
         ["polytope", "vertices", "--inputs", "2,x", "--outputs", "2,2"],
         ["box", "marginal", "--parties", "a"],
         ["box", "make", "fullcorr", "--parties", "2", "--bits", "1", "--function", "00a1"],
+        ["box", "make", "fullcorr", "--parties", "0", "--bits", "1", "--function", "1"],
+        ["box", "make", "fullcorr", "--parties", "1", "--bits", "-1", "--function", "1"],
+        ["compile", "--parties", "0", "--map", "a"],
+        ["simulate", "--sample", "--runs", "-3", "--seed", "1", "--x", "0,0"],
+        ["cluster", "search", "--boxes", "-1"],
+        ["cluster", "search", "--boxes", "two"],
     ],
     ids=" ".join,
 )
@@ -394,6 +415,22 @@ def test_malformed_arguments_exit_two(args):
     with pytest.raises(SystemExit) as exit_info:
         _main_in_process(args, "")
     assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args, variable, code",
+    [
+        (["cluster", "search", "--boxes", "0", "--cap", "1024"], "BOXWORLD_STRATEGY_CAP", 0),
+        (["cluster", "search", "--boxes", "0", "--cap", "1023"], "BOXWORLD_STRATEGY_CAP", 2),
+        (["polytope", "vertices", "--inputs", "2,2", "--outputs", "2,2", "--cap", "8"], "BOXWORLD_DIMENSION_CAP", 0),
+        (["polytope", "vertices", "--inputs", "2,2", "--outputs", "2,2", "--cap", "7"], "BOXWORLD_DIMENSION_CAP", 2),
+    ],
+)
+@pytest.mark.parametrize("value", ["1", str(10 ** 12)])
+def test_cap_option_is_the_only_cap(monkeypatch, args, variable, code, value):
+    # the environment variables that once overrode --cap are ignored
+    monkeypatch.setenv(variable, value)
+    assert _main_in_process(args, "")[0] == code
 
 
 try:

@@ -8,8 +8,7 @@ import boxworld as bw
 from boxworld.cluster import (
     ConstraintSet,
     ParityConstraint,
-    _build_protocol,
-    _OWNER_OPTIONS,
+    _one_box_option,
     box_source,
     cluster_box,
     cluster_constraints,
@@ -19,8 +18,82 @@ from boxworld.cluster import (
     satisfies,
     simulation_search,
 )
-from boxworld.errors import TooLarge
-from boxworld.wiring import BoxBank, count_strategies, pr_instance
+from boxworld.errors import BoxworldError, TooLarge
+from boxworld.wiring import (
+    STOP,
+    BoxBank,
+    SharedRandomness,
+    TableStrategy,
+    WiringProtocol,
+    _party_trees,
+    count_strategies,
+    enumerate_strategies,
+    pr_instance,
+)
+
+# An owner's behaviour at one setting over one PR box: (uses the box, its
+# input, (output on box output 0, on box output 1)); an owner that does not
+# use the box repeats its constant output.
+OWNER_OPTIONS = [(False, 0, (o, o)) for o in (0, 1)] + [
+    (True, y, (h0, h1)) for y in (0, 1) for h0 in (0, 1) for h1 in (0, 1)
+]
+
+
+def _one_box_protocol(pair, owner_options, outputs, n=5):
+    """A protocol over one PR box on `pair`: owner p plays owner_options[p][x]
+    at setting x, every other party k outputs outputs[k][x]."""
+    strategies = []
+    for party in range(n):
+        moves = {}
+        table = {}
+        for x in (0, 1):
+            if party in pair:
+                use, y, h = owner_options[party][x]
+            else:
+                use, y, h = False, 0, (outputs[party][x],) * 2
+            if use:
+                moves[(0, x, ())] = ("use", 0, y)
+                for alpha in (0, 1):
+                    moves[(0, x, (alpha,))] = STOP
+                    table[(0, x, (alpha,))] = h[alpha]
+            else:
+                moves[(0, x, ())] = STOP
+                table[(0, x, ())] = h[0]
+        strategies.append(TableStrategy(party, moves, table))
+    return WiringProtocol(
+        n_parties=n,
+        randomness=SharedRandomness.singleton(0),
+        bank=BoxBank((pr_instance(pair),)),
+        strategies=tuple(strategies),
+        input_sizes=(2,) * n,
+        output_sizes=(2,) * n,
+    )
+
+
+def _branches(opt_p, opt_q):
+    """Joint (out_p, out_q) branches of two owners' options on one PR box,
+    whose outputs are a uniform bit a and a xor y_p y_q."""
+    use_p, y_p, h_p = opt_p
+    use_q, y_q, h_q = opt_q
+    if use_p and use_q:
+        return [(h_p[a], h_q[a ^ (y_p & y_q)]) for a in (0, 1)]
+    return [(h_p[a], h_q[a]) for a in (0, 1)]
+
+
+def _chsh(p, q):
+    """The PR box's parity conditions between parties p and q."""
+    return [ParityConstraint(((p, x), (q, y)), x & y) for x in (0, 1) for y in (0, 1)]
+
+
+def _first_by_enumeration(cs, assignment):
+    """Reference search: the first protocol of `enumerate_strategies` that
+    meets every constraint, checked by the generic executor, or None."""
+    n = cs.n_parties
+    bank = BoxBank(tuple(pr_instance(pair) for pair in assignment))
+    for protocol in enumerate_strategies(n, bank, (2,) * n, (2,) * n):
+        if all(satisfies(protocol_source(protocol), c, n) for c in cs.constraints):
+            return protocol
+    return None
 
 
 class TestConstraints:
@@ -52,7 +125,8 @@ class TestConstraints:
 class TestSatisfies:
     def test_all_zeros_satisfies_target_zero_only(self):
         cs = cluster_constraints()
-        proto = _build_protocol(None, None, None, {p: (0, 0) for p in range(5)}, 5)
+        proto = next(enumerate_strategies(5, BoxBank(()), (2,) * 5, (2,) * 5))
+        assert all(s.outputs == {(0, 0, ()): 0, (0, 1, ()): 0} for s in proto.strategies)
         src = protocol_source(proto)
         results = [satisfies(src, c) for c in cs.constraints]
         assert results[:5] == [True] * 5
@@ -193,17 +267,15 @@ class TestSearch:
         rng = random.Random(21)
         cs = cluster_constraints()
         pair = (1, 3)
-        from boxworld.cluster import _branches
-
         for _ in range(150):
-            s_p = (rng.choice(_OWNER_OPTIONS), rng.choice(_OWNER_OPTIONS))
-            s_q = (rng.choice(_OWNER_OPTIONS), rng.choice(_OWNER_OPTIONS))
+            s_p = (rng.choice(OWNER_OPTIONS), rng.choice(OWNER_OPTIONS))
+            s_q = (rng.choice(OWNER_OPTIONS), rng.choice(OWNER_OPTIONS))
             outputs = {
                 k: (rng.randint(0, 1), rng.randint(0, 1))
                 for k in range(5)
                 if k not in pair
             }
-            proto = _build_protocol(pair, s_p, s_q, outputs, 5)
+            proto = _one_box_protocol(pair, {pair[0]: s_p, pair[1]: s_q}, outputs)
             generic = all(satisfies(protocol_source(proto), c) for c in cs.constraints)
             # factorized evaluation of the same profile
             factorized = True
@@ -242,9 +314,9 @@ class TestSearch:
         x = (1, 0, 1, 1, 0)
         reference = None
         for _ in range(25):
-            s_p = (rng.choice(_OWNER_OPTIONS), rng.choice(_OWNER_OPTIONS))
-            s_q = (rng.choice(_OWNER_OPTIONS), rng.choice(_OWNER_OPTIONS))
-            proto = _build_protocol(pair, s_p, s_q, outputs, 5)
+            s_p = (rng.choice(OWNER_OPTIONS), rng.choice(OWNER_OPTIONS))
+            s_q = (rng.choice(OWNER_OPTIONS), rng.choice(OWNER_OPTIONS))
+            proto = _one_box_protocol(pair, {pair[0]: s_p, pair[1]: s_q}, outputs)
             dist = bw.execute_exact(proto, x)
             marg = {}
             for a, p in dist.outcomes.items():
@@ -265,6 +337,88 @@ class TestSearch:
     def test_two_boxes_refused_at_small_cap(self):
         with pytest.raises(TooLarge):
             simulation_search(2, pair_assignments=[((0, 1), (2, 3))], cap=10 ** 4)
+
+    def test_two_boxes_refused_with_the_space_of_all_55_assignments(self):
+        pairs = list(itertools.combinations(range(5), 2))
+        assignments = list(itertools.combinations_with_replacement(pairs, 2))
+        assert len(assignments) == 55
+        total = sum(
+            count_strategies(5, BoxBank(tuple(pr_instance(p) for p in a)), (2,) * 5, (2,) * 5)
+            for a in assignments
+        )
+        with pytest.raises(TooLarge) as err:
+            simulation_search(2)
+        assert err.value.count == total
+
+    @pytest.mark.parametrize("boxes, cap", [(0, 1023), (1, 6_399_999)])
+    def test_cap_applies_at_every_box_count(self, boxes, cap):
+        with pytest.raises(TooLarge) as err:
+            simulation_search(boxes, cap=cap)
+        assert err.value.count == cap + 1
+
+    def test_negative_box_count_rejected(self):
+        with pytest.raises(BoxworldError):
+            simulation_search(-1)
+
+    @pytest.mark.parametrize(
+        "boxes, assignment", [(1, (0, 7)), (1, ((0, 1), (2, 3))), (2, ((0, 1),)), (2, ((0, 1), (2, 3, 4)))]
+    )
+    def test_malformed_assignment_rejected(self, boxes, assignment):
+        with pytest.raises(BoxworldError):
+            simulation_search(boxes, pair_assignments=[assignment])
+
+    def test_bare_and_nested_pairs_agree(self):
+        inverted = inverted_cluster_constraints()
+        bare = simulation_search(1, pair_assignments=[(2, 4)], constraints=inverted)
+        nested = simulation_search(1, pair_assignments=[((2, 4),)], constraints=inverted)
+        assert bare.counterexample == nested.counterexample
+        assert bare.counterexample["assignment"] == (2, 4)
+
+    def test_options_follow_the_tree_generator(self):
+        # the search tries one-box trees in this order, so the counterexample
+        # it reports is the first in OWNER_OPTIONS order
+        bank = BoxBank((pr_instance((0, 1)),))
+        for party in (0, 1):
+            for s in (0, 1):
+                trees = _party_trees(bank, party, frozenset({0}), 2, 0, s, ())
+                assert [_one_box_option(t, s) for t in trees] == OWNER_OPTIONS
+
+    @pytest.mark.parametrize(
+        "cs, assignment",
+        [
+            (ConstraintSet(tuple(_chsh(0, 1)), 2), ()),
+            (ConstraintSet(tuple(_chsh(0, 1)), 2), ((0, 1),)),
+            (inverted_cluster_constraints(), ()),
+            pytest.param(
+                ConstraintSet(tuple(_chsh(0, 1)) + (ParityConstraint(((0, 1), (1, 1)), 0),), 2),
+                ((0, 1),),
+                marks=pytest.mark.slow,  # the reference runs all 10^4 profiles
+            ),
+        ],
+        ids=["chsh-0", "chsh-1", "inverted-0", "contradiction-1"],
+    )
+    def test_search_agrees_with_enumeration_reference(self, cs, assignment):
+        # every party of these banks owns a box or none does, so the search
+        # and the generator try profiles in the same order
+        reference = _first_by_enumeration(cs, assignment)
+        report = simulation_search(len(assignment), pair_assignments=[assignment], constraints=cs)
+        assert report.success == (reference is not None)
+        if reference is not None:
+            found = report.counterexample["protocol"]["strategies"]
+            assert found == [s.to_json_dict() for s in reference.strategies]
+
+    def test_two_box_counterexample_is_verified(self):
+        # CHSH on the pair (2, 3) and a parity on (0, 1) that constant
+        # outputs meet: the box on (2, 3) must be used, the one on (0, 1) not
+        cs = ConstraintSet(tuple(_chsh(2, 3)) + (ParityConstraint(((0, 0), (1, 0)), 0),), 4)
+        report = simulation_search(2, pair_assignments=[((0, 1), (2, 3))], constraints=cs, cap=10 ** 9)
+        assert report.success
+        cex = report.counterexample
+        assert cex["assignment"] == ((0, 1), (2, 3))
+        assert "owner_strategies" not in cex
+        strategies = cex["protocol"]["strategies"]
+        assert strategies[2]["moves"]["0,0,"] == ["use", 1, 0]
+        assert strategies[3]["moves"]["0,1,"] == ["use", 1, 1]
 
 
 def test_closed_family_contains_published_constraints():

@@ -13,6 +13,15 @@ from boxworld.polytope import (
     enumerate_vertices,
     is_vertex,
 )
+from boxworld.wiring import (
+    STOP,
+    BoxBank,
+    SharedRandomness,
+    TableStrategy,
+    WiringProtocol,
+    induced_box,
+    pr_instance,
+)
 
 
 def brute_force_vertices(h_rep):
@@ -150,6 +159,45 @@ class TestClassification:
             rep = classify_vertex(v, h, check=False)
             if rep.classification == "pr-equivalent":
                 assert bw.relabel(v, rep.relabeling) == target
+
+    def test_every_2222_vertex_is_induced_with_at_most_one_pr_box(self):
+        # local vertices need no box; a PR-equivalent vertex is the identity
+        # PR wiring composed with the inverse of its relabeling witness
+        h = build_h_rep((2, 2), (2, 2))
+        kinds = []
+        for vertex in enumerate_vertices(h):
+            rep = classify_vertex(vertex, h)
+            kinds.append(rep.classification)
+            moves = [{}, {}]
+            outputs = [{}, {}]
+            if rep.classification == "local-deterministic":
+                bank = BoxBank(())
+                for x in vertex.inputs():
+                    (a,) = (a for a in vertex.outputs() if vertex.prob(x, a) == 1)
+                    for party in (0, 1):
+                        moves[party][(0, x[party], ())] = STOP
+                        outputs[party][(0, x[party], ())] = a[party]
+            else:
+                assert rep.classification == "pr-equivalent"
+                rel = rep.relabeling
+                # party j holds the PR slot i with party_perm[i] == j
+                bank = BoxBank((pr_instance(rel.party_perm),))
+                for party in (0, 1):
+                    for x in (0, 1):
+                        moves[party][(0, x, ())] = ("use", 0, rel.input_perms[party][x])
+                        for alpha in (0, 1):
+                            moves[party][(0, x, (alpha,))] = STOP
+                            outputs[party][(0, x, (alpha,))] = rel.output_perms[party][x].index(alpha)
+            protocol = WiringProtocol(
+                n_parties=2,
+                randomness=SharedRandomness.singleton(0),
+                bank=bank,
+                strategies=tuple(TableStrategy(p, moves[p], outputs[p]) for p in (0, 1)),
+                input_sizes=(2, 2),
+                output_sizes=(2, 2),
+            )
+            assert induced_box(protocol) == vertex
+        assert sorted(kinds) == ["local-deterministic"] * 16 + ["pr-equivalent"] * 8
 
     def test_interior_point_is_not_a_vertex(self):
         with pytest.raises(NotAVertex):
