@@ -1,5 +1,5 @@
-"""Enumerate and classify the vertices of small bipartite no-signaling
-polytopes, and decompose interior boxes over them.
+"""Enumerate and classify the vertices of small no-signaling polytopes,
+and decompose interior boxes over them.
 
 Run:  python demos/03_polytope_vertices.py
 """

@@ -8,7 +8,9 @@ are encoded little-endian (bit 0 is the least significant).
 
 The module provides the two constructors the rest of the package is built
 on (the PR box and the parity-correlated family generalizing it), the
-no-signaling test, exact marginals, local relabelings, and the CHSH value.
+no-signaling test, exact marginals, the marginal-coordinate
+parametrization of no-signaling boxes shared by `locality` and
+`polytope`, local relabelings, and the CHSH value.
 """
 
 from __future__ import annotations
@@ -429,6 +431,73 @@ def marginal(box: Box, party_subset: Sequence[int], complement_inputs: Optional[
         output_sizes=tuple(box.output_sizes[p] for p in subset),
         table=table,
     )
+
+
+# Marginal ("Collins-Gisin") coordinates parametrize the no-signaling boxes
+# of a shape bijectively: Collins & Gisin, J. Phys. A 37, 1775 (2004).
+
+
+def marginal_coordinates(input_sizes: Sequence[int], output_sizes: Sequence[int]) -> list:
+    """For every nonempty party subset S, every joint input of S, and every
+    joint output of S avoiding each party's last symbol, the coordinate
+    (S, x_S, a_S) standing for P(a_S | x_S).  Their number is
+    prod(m_i (d_i - 1) + 1) - 1, the dimension of the no-signaling polytope."""
+    coords = []
+    n = len(input_sizes)
+    for r in range(1, n + 1):
+        for subset in itertools.combinations(range(n), r):
+            input_ranges = [range(input_sizes[p]) for p in subset]
+            output_ranges = [range(output_sizes[p] - 1) for p in subset]
+            for x_s in itertools.product(*input_ranges):
+                for a_s in itertools.product(*output_ranges):
+                    coords.append((subset, x_s, a_s))
+    return coords
+
+
+def marginal_point(box: Box, coords) -> list[Fraction]:
+    """The values of `coords` on a box; SignalingAmbiguity if it signals."""
+    marg_cache: dict = {}
+    vec = []
+    for subset, x_s, a_s in coords:
+        if subset not in marg_cache:
+            marg_cache[subset] = marginal(box, subset)
+        vec.append(marg_cache[subset].prob(x_s, a_s))
+    return vec
+
+
+def cell_expressions(input_sizes: Sequence[int], output_sizes: Sequence[int], coords):
+    """Every table cell (x, a), in `Box.inputs` x `Box.outputs` order, with
+    its value as an affine form (const, ((coord_index, coef), ...)) in
+    `coords`.
+
+    With F the parties whose output is not their last symbol and L the
+    rest, inclusion-exclusion over L gives
+        P(a_F, last_L | x) = sum_{T <= L} (-1)^|T| sum_{b_T} P_{F+T}(a_F, b_T | x)
+    where b_T ranges over the non-last outputs of T, and the term of the
+    empty party set is the constant 1.
+    """
+    index = {c: i for i, c in enumerate(coords)}
+    n = len(input_sizes)
+    cells = []
+    for x in itertools.product(*(range(s) for s in input_sizes)):
+        for a in itertools.product(*(range(s) for s in output_sizes)):
+            free = [p for p in range(n) if a[p] < output_sizes[p] - 1]
+            last = [p for p in range(n) if a[p] == output_sizes[p] - 1]
+            terms = []
+            for r in range(len(last) + 1):
+                for t_set in itertools.combinations(last, r):
+                    subset = tuple(sorted(free + list(t_set)))
+                    if not subset:
+                        continue
+                    x_s = tuple(x[p] for p in subset)
+                    for b_t in itertools.product(*(range(output_sizes[p] - 1) for p in t_set)):
+                        a_t = list(a)
+                        for p, b in zip(t_set, b_t):
+                            a_t[p] = b
+                        a_s = tuple(a_t[p] for p in subset)
+                        terms.append((index[(subset, x_s, a_s)], (-1) ** r))
+            cells.append(((x, a), (0 if free else 1, tuple(sorted(terms)))))
+    return cells
 
 
 def chsh_value(box: Box) -> Fraction:

@@ -300,7 +300,6 @@ class SearchReport:
     success: bool
     counterexample: Optional[dict] = None
     runtime_s: float = 0.0
-    note: str = ""
 
 
 def simulation_search(
@@ -319,8 +318,9 @@ def simulation_search(
     `pair_assignments` (default: every multiset of `n_pr_boxes` pairs; bare
     pairs are accepted for one box); zero boxes give one empty bank, whose
     space is the local deterministic assignments.  Each assignment's bank
-    is searched by `_search_bank`, and `strategies_tested` adds up
-    `count_strategies` of the banks searched.  TooLarge is raised before
+    is searched by `_search_bank` in turn; `assignments_tested` counts
+    the assignments searched, and `strategies_tested` adds up their
+    banks' `count_strategies`.  TooLarge is raised before
     any search when the total over all assignments exceeds `cap`.  The
     first counterexample found is re-verified through the generic executor
     before it is reported.
@@ -346,7 +346,7 @@ def simulation_search(
     if sum(sizes) > cap:
         raise TooLarge(sum(sizes), cap)
     strategies_tested = 0
-    for assignment, bank, size in zip(assignments, banks, sizes):
+    for searched, (assignment, bank, size) in enumerate(zip(assignments, banks, sizes), 1):
         found = _search_bank(bank, cs)
         strategies_tested += size
         if found is not None:
@@ -354,7 +354,7 @@ def simulation_search(
             shown = assignment[0] if len(assignment) == 1 else (assignment or None)
             return SearchReport(
                 boxes=n_pr_boxes,
-                assignments_tested=len(assignments),
+                assignments_tested=searched,
                 strategies_tested=strategies_tested,
                 success=True,
                 counterexample={"assignment": shown, **found},

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .boxes import Box, check_no_signaling, deterministic_box, make_box, marginal
+from .boxes import (
+    Box,
+    check_no_signaling,
+    deterministic_box,
+    make_box,
+    marginal_coordinates,
+    marginal_point,
+)
 from .errors import TooLarge, VerificationFailed
 from .exactlp import solve_equality_feasibility
 
@@ -34,30 +41,11 @@ def strategy_count(box: Box) -> int:
     return total
 
 
-def deterministic_responses(box: Box):
+def deterministic_responses(input_sizes, output_sizes):
     """All global deterministic strategies, as per-party response tuples."""
-    per_party = []
-    for i in range(box.n_parties):
-        per_party.append(
-            list(itertools.product(range(box.output_sizes[i]), repeat=box.input_sizes[i]))
-        )
-    return itertools.product(*per_party)
-
-
-def _cg_coordinates(box: Box):
-    """Marginal coordinates: for every nonempty party subset S, every joint
-    input of S, and every joint output of S avoiding each party's last
-    symbol, the probability P(a_S | x_S)."""
-    coords = []
-    n = box.n_parties
-    for r in range(1, n + 1):
-        for subset in itertools.combinations(range(n), r):
-            input_ranges = [range(box.input_sizes[p]) for p in subset]
-            output_ranges = [range(box.output_sizes[p] - 1) for p in subset]
-            for x_s in itertools.product(*input_ranges):
-                for a_s in itertools.product(*output_ranges):
-                    coords.append((subset, x_s, a_s))
-    return coords
+    return itertools.product(
+        *(itertools.product(range(d), repeat=m) for m, d in zip(input_sizes, output_sizes))
+    )
 
 
 def _strategy_cg_vector(responses, coords) -> list[int]:
@@ -65,16 +53,6 @@ def _strategy_cg_vector(responses, coords) -> list[int]:
     for subset, x_s, a_s in coords:
         ok = all(responses[p][x] == a for p, x, a in zip(subset, x_s, a_s))
         vec.append(1 if ok else 0)
-    return vec
-
-
-def _box_cg_vector(box: Box, coords) -> list[Fraction]:
-    marg_cache: dict = {}
-    vec = []
-    for subset, x_s, a_s in coords:
-        if subset not in marg_cache:
-            marg_cache[subset] = marginal(box, subset)
-        vec.append(marg_cache[subset].prob(x_s, a_s))
     return vec
 
 
@@ -122,7 +100,7 @@ def event_witness_value(box: Box, events) -> Fraction:
 def event_witness_local_max(box: Box, events) -> Fraction:
     """Exact maximum of the same functional over deterministic strategies."""
     best = None
-    for responses in deterministic_responses(box):
+    for responses in deterministic_responses(box.input_sizes, box.output_sizes):
         value = 0
         for x, parties, target in events:
             parity = 0
@@ -179,10 +157,10 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP, event_witnesses=None) ->
                 },
             )
 
-    coords = _cg_coordinates(box)
-    strategies = list(deterministic_responses(box))
+    coords = marginal_coordinates(box.input_sizes, box.output_sizes)
+    strategies = list(deterministic_responses(box.input_sizes, box.output_sizes))
     columns = [_strategy_cg_vector(s, coords) for s in strategies]
-    target = _box_cg_vector(box, coords)
+    target = marginal_point(box, coords)
 
     # rows: one per coordinate, plus total weight = 1
     n_rows = len(coords) + 1
@@ -229,15 +207,5 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP, event_witnesses=None) ->
 
 def all_deterministic_boxes(input_sizes, output_sizes):
     """Every deterministic box of the given shape."""
-    dummy = make_box(
-        len(input_sizes),
-        input_sizes,
-        output_sizes,
-        {
-            (x, tuple(0 for _ in output_sizes)): Fraction(1)
-            for x in itertools.product(*(range(s) for s in input_sizes))
-        },
-        sparse=True,
-    )
-    for responses in deterministic_responses(dummy):
+    for responses in deterministic_responses(input_sizes, output_sizes):
         yield deterministic_box(input_sizes, output_sizes, responses)

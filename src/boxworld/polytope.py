@@ -1,30 +1,33 @@
-"""Bipartite no-signaling polytopes: exact H-representation, vertex
-enumeration by double description, vertex classification, and convex
-decomposition.
+"""No-signaling polytopes of any party count: exact H-representation,
+vertex enumeration by double description, vertex classification, and
+convex decomposition.
 
 The polytope lives in the affine space cut out by normalization and the
 no-signaling equalities; its points are parametrized by marginal
-coordinates (single-party marginals with one output dropped, plus joint
-probabilities with one output dropped per party), in which the only
-remaining constraints are the nonnegativity of every table cell.  Vertex
-enumeration runs the classical double description method on the
-homogenization of that parametrized polytope, with exact integer ray
-arithmetic throughout.
+coordinates (the joint probabilities of every nonempty party subset with
+each party's last output dropped, `boxes.marginal_coordinates`), in
+which the only remaining constraints are the nonnegativity of every
+table cell.  Vertex enumeration runs the classical double description
+method on the homogenization of that parametrized polytope, with exact
+integer ray arithmetic throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .boxes import (
     Box,
     Relabeling,
     all_relabelings,
+    cell_expressions,
     check_no_signaling,
     make_box,
+    marginal_coordinates,
+    marginal_point,
     pr_box,
     relabel,
 )
@@ -36,20 +39,18 @@ DEFAULT_DIMENSION_CAP = 15  # covers 3 inputs x 2 outputs per party
 
 @dataclass(frozen=True, eq=False)
 class HRepresentation:
-    """Equality/inequality description of a bipartite no-signaling polytope.
+    """Parametrized description of an n-party no-signaling polytope.
 
-    `cells` indexes the ambient variables P(ab|xy); `eq_rows` contains the
-    normalization and no-signaling equalities over those variables; the
-    inequalities are nonnegativity of every cell.  `coords` and
-    `cell_exprs` give the exact affine parametrization used internally:
+    `coords` are the marginal coordinates of `boxes.marginal_coordinates`,
+    in which normalization and no-signaling hold identically; the only
+    constraints left are the nonnegativity of the table cells.  `cells`
+    lists the cells (x, a) and `cell_exprs` their exact affine forms:
     cell value = const + sum(coef * t[coord]).
     """
 
-    input_sizes: tuple[int, int]
-    output_sizes: tuple[int, int]
+    input_sizes: tuple[int, ...]
+    output_sizes: tuple[int, ...]
     cells: tuple
-    eq_rows: tuple
-    eq_rhs: tuple
     dimension: int
     coords: tuple
     cell_exprs: tuple  # per cell: (const, ((coord_index, coef), ...))
@@ -57,29 +58,15 @@ class HRepresentation:
     def box_from_point(self, t: Sequence[Fraction]) -> Box:
         table = {}
         for cell, (const, terms) in zip(self.cells, self.cell_exprs):
-            x, y, a, b = cell
             value = Fraction(const)
             for idx, coef in terms:
                 value += coef * t[idx]
             if value != 0:
-                table[((x, y), (a, b))] = value
-        return make_box(2, self.input_sizes, self.output_sizes, table, sparse=True)
+                table[cell] = value
+        return make_box(len(self.input_sizes), self.input_sizes, self.output_sizes, table, sparse=True)
 
     def point_from_box(self, box: Box) -> list[Fraction]:
-        mA, mB = self.input_sizes
-        dA, dB = self.output_sizes
-        t = []
-        for kind, *rest in self.coords:
-            if kind == "A":
-                x, a = rest
-                t.append(sum((box.prob((x, 0), (a, b)) for b in range(dB)), Fraction(0)))
-            elif kind == "B":
-                y, b = rest
-                t.append(sum((box.prob((0, y), (a, b)) for a in range(dA)), Fraction(0)))
-            else:
-                x, y, a, b = rest
-                t.append(box.prob((x, y), (a, b)))
-        return t
+        return marginal_point(box, self.coords)
 
 
 def build_h_rep(
@@ -87,135 +74,50 @@ def build_h_rep(
     output_sizes: Sequence[int],
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> HRepresentation:
-    """Exact constraint system for the bipartite no-signaling polytope.
+    """Exact constraint system for the no-signaling polytope of a shape.
 
-    The dimension is computed by exact rank elimination on the equality
-    system and checked against the closed form
-    (mA(dA-1)+1)(mB(dB-1)+1) - 1.
+    The dimension is the closed form prod(m_i(d_i-1)+1) - 1, checked
+    against the exact rank of the cell expressions' linear parts.
     """
-    if len(input_sizes) != 2 or len(output_sizes) != 2:
-        raise DimensionMismatch("vertex enumeration supports bipartite boxes only")
-    mA, mB = (int(v) for v in input_sizes)
-    dA, dB = (int(v) for v in output_sizes)
-    if min(mA, mB) < 1 or min(dA, dB) < 1:
-        raise DimensionMismatch("alphabet sizes must be at least 1")
-
-    cells = tuple(
-        (x, y, a, b)
-        for x in range(mA)
-        for y in range(mB)
-        for a in range(dA)
-        for b in range(dB)
-    )
-    cell_index = {c: i for i, c in enumerate(cells)}
-
-    eq_rows = []
-    eq_rhs = []
-    for x in range(mA):
-        for y in range(mB):
-            row = [0] * len(cells)
-            for a in range(dA):
-                for b in range(dB):
-                    row[cell_index[(x, y, a, b)]] = 1
-            eq_rows.append(tuple(row))
-            eq_rhs.append(1)
-    for x in range(mA):  # party A's marginal independent of y
-        for a in range(dA):
-            for y in range(mB - 1):
-                row = [0] * len(cells)
-                for b in range(dB):
-                    row[cell_index[(x, y, a, b)]] += 1
-                    row[cell_index[(x, y + 1, a, b)]] -= 1
-                eq_rows.append(tuple(row))
-                eq_rhs.append(0)
-    for y in range(mB):  # party B's marginal independent of x
-        for b in range(dB):
-            for x in range(mA - 1):
-                row = [0] * len(cells)
-                for a in range(dA):
-                    row[cell_index[(x, y, a, b)]] += 1
-                    row[cell_index[(x + 1, y, a, b)]] -= 1
-                eq_rows.append(tuple(row))
-                eq_rhs.append(0)
-
-    dimension = len(cells) - exact_rank(eq_rows)
-    closed_form = (mA * (dA - 1) + 1) * (mB * (dB - 1) + 1) - 1
-    if dimension != closed_form:
-        raise VerificationFailed(f"dimension {dimension} differs from the closed form {closed_form}")
+    if len(input_sizes) != len(output_sizes):
+        raise DimensionMismatch(f"{len(input_sizes)} input sizes but {len(output_sizes)} output sizes")
+    input_sizes = tuple(int(v) for v in input_sizes)
+    output_sizes = tuple(int(v) for v in output_sizes)
+    if not input_sizes or min(input_sizes + output_sizes) < 1:
+        raise DimensionMismatch("need at least one party and alphabet sizes of at least 1")
+    dimension = prod(m * (d - 1) + 1 for m, d in zip(input_sizes, output_sizes)) - 1
     if dimension > dimension_cap:
         raise TooLarge(dimension, dimension_cap)
 
-    coords = []
-    coords.extend(("A", x, a) for x in range(mA) for a in range(dA - 1))
-    coords.extend(("B", y, b) for y in range(mB) for b in range(dB - 1))
-    coords.extend(
-        ("AB", x, y, a, b)
-        for x in range(mA)
-        for y in range(mB)
-        for a in range(dA - 1)
-        for b in range(dB - 1)
-    )
-    coord_index = {c: i for i, c in enumerate(coords)}
-    if len(coords) != dimension:
-        raise VerificationFailed(f"{len(coords)} coordinates for dimension {dimension}")
-
-    def expr(cell):
-        x, y, a, b = cell
-        terms: dict[int, int] = {}
-
-        def add(coord, coef):
-            idx = coord_index[coord]
-            terms[idx] = terms.get(idx, 0) + coef
-
-        const = 0
-        if a < dA - 1 and b < dB - 1:
-            add(("AB", x, y, a, b), 1)
-        elif a < dA - 1:
-            add(("A", x, a), 1)
-            for b2 in range(dB - 1):
-                add(("AB", x, y, a, b2), -1)
-        elif b < dB - 1:
-            add(("B", y, b), 1)
-            for a2 in range(dA - 1):
-                add(("AB", x, y, a2, b), -1)
-        else:
-            const = 1
-            for a2 in range(dA - 1):
-                add(("A", x, a2), -1)
-            for b2 in range(dB - 1):
-                add(("B", y, b2), -1)
-            for a2 in range(dA - 1):
-                for b2 in range(dB - 1):
-                    add(("AB", x, y, a2, b2), 1)
-        return (const, tuple(sorted((i, c) for i, c in terms.items() if c)))
-
-    cell_exprs = tuple(expr(c) for c in cells)
+    coords = marginal_coordinates(input_sizes, output_sizes)
+    cells, cell_exprs = zip(*cell_expressions(input_sizes, output_sizes, coords))
+    linear = [_linear_row(terms, len(coords)) for _, terms in cell_exprs]
+    if len(coords) != dimension or exact_rank(linear) != dimension:
+        raise VerificationFailed(f"cell expressions do not span the {dimension} marginal coordinates")
     return HRepresentation(
-        input_sizes=(mA, mB),
-        output_sizes=(dA, dB),
+        input_sizes=input_sizes,
+        output_sizes=output_sizes,
         cells=cells,
-        eq_rows=tuple(eq_rows),
-        eq_rhs=tuple(eq_rhs),
         dimension=dimension,
         coords=tuple(coords),
         cell_exprs=cell_exprs,
     )
 
 
+def _linear_row(terms, dim: int) -> list[int]:
+    """The dense coefficient row of a cell expression's linear part."""
+    row = [0] * dim
+    for idx, coef in terms:
+        row[idx] = coef
+    return row
+
+
 def _inequality_rows(h_rep: HRepresentation) -> list[tuple[int, ...]]:
     """Homogenized inequality rows: row . (s, t) >= 0 for every cell,
     plus s >= 0."""
     dim = h_rep.dimension
-    rows = []
-    for const, terms in h_rep.cell_exprs:
-        row = [0] * (dim + 1)
-        row[0] = const
-        for idx, coef in terms:
-            row[idx + 1] = coef
-        rows.append(tuple(row))
-    s_row = [0] * (dim + 1)
-    s_row[0] = 1
-    rows.append(tuple(s_row))
+    rows = [tuple([const] + _linear_row(terms, dim)) for const, terms in h_rep.cell_exprs]
+    rows.append((1,) + (0,) * dim)
     return rows
 
 
@@ -368,14 +270,11 @@ def is_vertex(box: Box, h_rep: Optional[HRepresentation] = None) -> bool:
     """Extremality test: the cells at 0 must pin the point down completely."""
     if h_rep is None:
         h_rep = build_h_rep(box.input_sizes, box.output_sizes)
-    tight_rows = []
-    for cell, (const, terms) in zip(h_rep.cells, h_rep.cell_exprs):
-        x, y, a, b = cell
-        if box.prob((x, y), (a, b)) == 0:
-            row = [0] * h_rep.dimension
-            for idx, coef in terms:
-                row[idx] = coef
-            tight_rows.append(row)
+    tight_rows = [
+        _linear_row(terms, h_rep.dimension)
+        for cell, (_, terms) in zip(h_rep.cells, h_rep.cell_exprs)
+        if box.prob(*cell) == 0
+    ]
     if not tight_rows:
         return h_rep.dimension == 0
     return exact_rank(tight_rows) == h_rep.dimension
@@ -385,48 +284,45 @@ def is_vertex(box: Box, h_rep: Optional[HRepresentation] = None) -> bool:
 class VertexReport:
     box: Box
     classification: str  # local-deterministic | pr-equivalent | full-correlation | reducible | other
-    f_table: Optional[tuple] = None  # ((x, y, f(x,y)), ...) for parity forms
+    f_table: Optional[tuple] = None  # ((*x, f(x)), ...) for parity forms
     relabeling: Optional[Relabeling] = None
     reduction: Optional[dict] = None
 
 
-def _deterministic_responses_of(box: Box):
-    """Extract per-party response functions if the box is deterministic."""
+def _is_deterministic(box: Box) -> bool:
+    """Whether every party answers by a fixed function of its own input."""
     if any(p not in (0, 1) for p in box.table.values()):
-        return None
-    mA, mB = box.input_sizes
-    resp_a = {}
-    resp_b = {}
-    for (x, y), (a, b) in [k for k, v in box.table.items() if v == 1]:
-        if resp_a.setdefault(x, a) != a or resp_b.setdefault(y, b) != b:
-            return None
-    if len(resp_a) != mA or len(resp_b) != mB:
-        return None
-    return (
-        tuple(resp_a[x] for x in range(mA)),
-        tuple(resp_b[y] for y in range(mB)),
-    )
-
-
-def _is_genuine(box: Box) -> bool:
-    """Every output of every party occurs with positive probability for
-    every input (marginals at one completion suffice: the box is nonsignaling)."""
-    for party in range(2):
-        for x in range(box.input_sizes[party]):
-            for a in range(box.output_sizes[party]):
-                if _single_marginal(box, party, x, a) == 0:
+        return False
+    responses = [{} for _ in range(box.n_parties)]
+    for (x, a), v in box.table.items():
+        if v == 1:
+            for resp, x_p, a_p in zip(responses, x, a):
+                if resp.setdefault(x_p, a_p) != a_p:
                     return False
-    return True
+    return all(len(resp) == m for resp, m in zip(responses, box.input_sizes))
 
 
-def _single_marginal(box: Box, party: int, x: int, a: int) -> Fraction:
-    xx = [0, 0]
-    xx[party] = x
-    total = Fraction(0)
-    for a_pair in box.outputs():
-        if a_pair[party] == a:
-            total += box.prob(tuple(xx), a_pair)
-    return total
+def _impossible_output(box: Box):
+    """The first (party, input, output) that never occurs, or None.
+
+    Each party's marginal is read with the other parties at input 0; one
+    completion suffices because the box is nonsignaling."""
+    seen = set()
+    for (x, a), v in box.table.items():
+        if v != 0:
+            for p in range(box.n_parties):
+                if not any(x[:p] + x[p + 1:]):
+                    seen.add((p, x[p], a[p]))
+    return next(
+        (
+            (p, x_p, a_p)
+            for p in range(box.n_parties)
+            for x_p in range(box.input_sizes[p])
+            for a_p in range(box.output_sizes[p])
+            if (p, x_p, a_p) not in seen
+        ),
+        None,
+    )
 
 
 def parity_form_of(box: Box):
@@ -434,9 +330,7 @@ def parity_form_of(box: Box):
     weight 1/2^(n-1) on exactly the output tuples of one total parity per
     input - return {x: parity}; otherwise None.
 
-    Works for any party count, so explicitly supplied multipartite boxes
-    can be tested for the form even though vertex enumeration is
-    bipartite-only.
+    Works for any party count.
     """
     n = box.n_parties
     if box.output_sizes != (2,) * n:
@@ -457,7 +351,7 @@ def parity_form_of(box: Box):
 
 
 def classify_vertex(box: Box, h_rep: Optional[HRepresentation] = None, check: bool = True) -> VertexReport:
-    """Classify a verified vertex of the bipartite no-signaling polytope.
+    """Classify a verified vertex of a no-signaling polytope.
 
     Order of tests: local-deterministic; genuine-two-output; for genuine
     nonlocal vertices, exact parity form (with a relabeling witness onto
@@ -471,32 +365,23 @@ def classify_vertex(box: Box, h_rep: Optional[HRepresentation] = None, check: bo
         if not verdict.ok or not is_vertex(box, h_rep):
             raise NotAVertex("box is not an extremal nonsignaling point")
 
-    responses = _deterministic_responses_of(box)
-    if responses is not None:
+    if _is_deterministic(box):
         return VertexReport(box=box, classification="local-deterministic")
 
-    if not _is_genuine(box):
-        reduction = None
-        for party in range(2):
-            for x in range(box.input_sizes[party]):
-                for a in range(box.output_sizes[party]):
-                    if _single_marginal(box, party, x, a) == 0:
-                        reduction = {
-                            "party": party,
-                            "input": x,
-                            "impossible_output": a,
-                            "note": "simulate the box obtained by removing this input",
-                        }
-                        break
-                if reduction:
-                    break
-            if reduction:
-                break
+    impossible = _impossible_output(box)
+    if impossible is not None:
+        party, x, a = impossible
+        reduction = {
+            "party": party,
+            "input": x,
+            "impossible_output": a,
+            "note": "simulate the box obtained by removing this input",
+        }
         return VertexReport(box=box, classification="reducible", reduction=reduction)
 
     g = parity_form_of(box)
     if g is not None:
-        f_table = tuple(sorted((x, y, v) for (x, y), v in g.items()))
+        f_table = tuple(sorted((*x, v) for x, v in g.items()))
         if box.input_sizes == (2, 2) and box.output_sizes == (2, 2):
             target = pr_box()
             for rel in all_relabelings(box.input_sizes, box.output_sizes):
@@ -518,13 +403,7 @@ def decompose(box: Box, vertex_list: Sequence[Box]) -> list[Fraction]:
     Raises Infeasible (with a Farkas certificate) when the box lies outside
     the convex hull, e.g. when its table signals or is not normalized.
     """
-    cells = [
-        ((x, y), (a, b))
-        for x in range(box.input_sizes[0])
-        for y in range(box.input_sizes[1])
-        for a in range(box.output_sizes[0])
-        for b in range(box.output_sizes[1])
-    ]
+    cells = [(x, a) for x in box.inputs() for a in box.outputs()]
     A = []
     b_vec = []
     for cell in cells:

@@ -245,6 +245,18 @@ def test_polytope_commands():
     assert payload["weights"][0]["w"] == "1/1"
 
 
+def test_polytope_vertices_at_any_party_count():
+    verts = run_cli(["polytope", "vertices", "--inputs", "1,1,1", "--outputs", "2,2,2"])
+    assert verts.returncode == 0
+    payload = json.loads(verts.stdout)
+    validate(payload, "polytope_vertices")
+    assert (payload["dimension"], payload["count"]) == (7, 8)
+    assert {v["class"] for v in payload["vertices"]} == {"local-deterministic"}
+    # 26 dimensions exceed the default cap; mismatched shape lists are malformed
+    assert run_cli(["polytope", "vertices", "--inputs", "2,2,2", "--outputs", "2,2,2"]).returncode == 2
+    assert run_cli(["polytope", "vertices", "--inputs", "2,2", "--outputs", "2"]).returncode == 2
+
+
 def test_cluster_commands():
     constraints = run_cli(["cluster", "constraints"])
     payload = json.loads(constraints.stdout)
@@ -273,6 +285,7 @@ def test_cluster_search_cli():
     payload = json.loads(inverted.stdout)
     validate(payload, "cluster_search")
     assert payload["success"] is True
+    assert payload["assignments_tested"] == 1  # stopped in the first pair
     assert "runtime_s" not in payload
     assert set(payload["counterexample"]) == {"assignment", "owner_strategies", "outputs", "protocol"}
 

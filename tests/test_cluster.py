@@ -261,6 +261,14 @@ class TestSearch:
         assert report.success
         assert report.counterexample["protocol"]["parties"] == 5
 
+    def test_inverted_search_counts_only_the_assignments_searched(self):
+        # the first pair already holds a counterexample, so the search stops there
+        report = simulation_search(1, constraints=inverted_cluster_constraints())
+        assert report.success
+        assert report.counterexample["assignment"] == (0, 1)
+        assert report.assignments_tested == 1
+        assert report.strategies_tested == 100 * 100 * 4 ** 3
+
     def test_factorized_search_agrees_with_generic_on_random_profiles(self):
         # draw random one-box strategy profiles; the factorized evaluation's
         # verdict must match the generic executor's constraint check

@@ -5,7 +5,8 @@ import pytest
 
 import boxworld as bw
 from boxworld.errors import DimensionMismatch, Infeasible, NotAVertex, TooLarge
-from boxworld.exactlp import solve_linear_system
+from boxworld.exactlp import exact_rank, solve_linear_system
+from boxworld.locality import all_deterministic_boxes
 from boxworld.polytope import (
     build_h_rep,
     classify_vertex,
@@ -40,8 +41,6 @@ def brute_force_vertices(h_rep):
     for subset in itertools.combinations(range(len(rows)), dim):
         A = [rows[i] for i in subset]
         b = [-consts[i] for i in subset]
-        from boxworld.exactlp import exact_rank
-
         if exact_rank(A) < dim:
             continue
         sol = solve_linear_system(A, b)
@@ -56,6 +55,81 @@ def brute_force_vertices(h_rep):
         if ok:
             points.add(tuple(sol))
     return {h_rep.box_from_point(list(p)) for p in points}
+
+
+def reference_equalities(input_sizes, output_sizes):
+    """Independent reference for the parametrization: the table cells and
+    the normalization and no-signaling equalities over them, written out
+    directly.  Returns (cells, rows, rhs)."""
+    n = len(input_sizes)
+    inputs = list(itertools.product(*(range(m) for m in input_sizes)))
+    outputs = list(itertools.product(*(range(d) for d in output_sizes)))
+    cells = [(x, a) for x in inputs for a in outputs]
+    index = {c: i for i, c in enumerate(cells)}
+    rows, rhs = [], []
+    for x in inputs:
+        row = [0] * len(cells)
+        for a in outputs:
+            row[index[(x, a)]] = 1
+        rows.append(row)
+        rhs.append(1)
+    for i in range(n):  # the other parties' marginal ignores party i's input
+        for x in inputs:
+            if x[i] == input_sizes[i] - 1:
+                continue
+            x_next = x[:i] + (x[i] + 1,) + x[i + 1:]
+            for a_rest in itertools.product(*(range(output_sizes[p]) for p in range(n) if p != i)):
+                row = [0] * len(cells)
+                for a_i in range(output_sizes[i]):
+                    a = a_rest[:i] + (a_i,) + a_rest[i:]
+                    row[index[(x, a)]] += 1
+                    row[index[(x_next, a)]] -= 1
+                rows.append(row)
+                rhs.append(0)
+    return cells, rows, rhs
+
+
+PARAMETRIZED_SHAPES = [
+    ((3,), (2,)),
+    ((2,), (3,)),
+    ((2, 2), (2, 2)),
+    ((2, 1), (2, 3)),
+    ((1, 1), (3, 3)),
+    ((3, 2), (2, 3)),
+    ((1, 1, 1), (2, 2, 2)),
+    ((2, 1, 1), (2, 2, 2)),
+    ((2, 2, 2), (2, 2, 2)),
+    ((2, 1, 2), (2, 3, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "input_sizes, output_sizes",
+    PARAMETRIZED_SHAPES,
+    ids=[f"{ins}-{outs}".replace(" ", "") for ins, outs in PARAMETRIZED_SHAPES],
+)
+class TestMarginalParametrization:
+    def test_cell_expressions_satisfy_the_equalities(self, input_sizes, output_sizes):
+        h = build_h_rep(input_sizes, output_sizes, dimension_cap=100)
+        cells, rows, rhs = reference_equalities(input_sizes, output_sizes)
+        assert list(h.cells) == cells
+        for row, value in zip(rows, rhs):
+            const = 0
+            linear = [0] * h.dimension
+            for coef, (c, terms) in zip(row, h.cell_exprs):
+                const += coef * c
+                for idx, t in terms:
+                    linear[idx] += coef * t
+            assert (const, linear) == (value, [0] * h.dimension)
+        closed_form = 1
+        for m, d in zip(input_sizes, output_sizes):
+            closed_form *= m * (d - 1) + 1
+        assert len(cells) - exact_rank(rows) == h.dimension == closed_form - 1
+
+    def test_deterministic_boxes_round_trip(self, input_sizes, output_sizes):
+        h = build_h_rep(input_sizes, output_sizes, dimension_cap=100)
+        for box in all_deterministic_boxes(input_sizes, output_sizes):
+            assert h.box_from_point(h.point_from_box(box)) == box
 
 
 class TestHRepresentation:
@@ -82,9 +156,19 @@ class TestHRepresentation:
         t = h.point_from_box(pr)
         assert h.box_from_point(t) == pr
 
-    def test_multipartite_rejected(self):
-        with pytest.raises(DimensionMismatch):
+    def test_three_party_polytope(self):
+        h = build_h_rep((1, 1, 1), (2, 2, 2))
+        vertices = enumerate_vertices(h)
+        assert len(vertices) == 8
+        assert set(vertices) == brute_force_vertices(h)
+        assert all(classify_vertex(v, h).classification == "local-deterministic" for v in vertices)
+        # one input for all but one party: every vertex is deterministic
+        h = build_h_rep((2, 1, 1), (2, 2, 2))
+        assert set(enumerate_vertices(h)) == set(all_deterministic_boxes((2, 1, 1), (2, 2, 2)))
+        with pytest.raises(TooLarge):
             build_h_rep((2, 2, 2), (2, 2, 2))
+        with pytest.raises(DimensionMismatch):
+            build_h_rep((2, 2), (2,))
 
 
 class TestEnumeration:
