@@ -32,28 +32,12 @@ from .cluster import (
     inverted_cluster_constraints,
     simulation_search,
 )
-from .compiler import (
-    CompiledProtocol,
-    compile_circuit,
-    compiled_distribution,
-    induced_box_fast,
-    solve_cc,
-    verify_simulation,
-)
+from .compiler import compile_circuit, compiled_owner, solve_cc, verify_simulation
 from .errors import BoxworldError, TooLarge
 from .locality import is_local
 from .polytope import build_h_rep, classify_vertex, decompose, enumerate_vertices
-from .rational import format_rational, parse_rational
-from .wiring import (
-    BoxBank,
-    SharedRandomness,
-    TableStrategy,
-    WiringProtocol,
-    execute_exact,
-    execute_sample,
-    induced_box,
-    pr_instance,
-)
+from .rational import format_rational
+from .wiring import WiringProtocol, execute_exact, execute_sample, induced_box
 
 
 # What a malformed or wrongly shaped input document raises while it is
@@ -144,44 +128,15 @@ def _load_truth_table(data) -> TruthTable:
     return TruthTable(int(data["n_vars"]), tuple(int(b) for b in data["bits"]))
 
 
-def _load_protocol(data):
-    """Accept either a table protocol or a compiled-circuit envelope."""
+def _load_protocol(data) -> WiringProtocol:
+    """A table protocol, or the protocol of a compiled-circuit envelope."""
     with _loading("protocol"):
         if data.get("type") != "compiled":
-            return _load_table_protocol(data)
+            return WiringProtocol.from_json_dict(data)
         circuit = NandCircuit.from_json_dict(data["circuit"])
         parties = int(data["parties"])
         bit_map = [[str(name) for name in group] for group in data["party_bit_map"]]
-    return compile_circuit(circuit, parties, bit_map)
-
-
-def _load_table_protocol(data) -> WiringProtocol:
-    instances = []
-    for inst in data["bank"]:
-        if inst.get("template", "PR") != "PR":
-            raise BoxworldError(f"unknown bank template {inst.get('template')!r}")
-        instances.append(pr_instance(inst["owners"]))
-    randomness_data = data.get("randomness")
-    if randomness_data is None:
-        randomness = SharedRandomness.singleton(0)
-    else:
-        randomness = SharedRandomness(
-            tuple(int(lam) for lam in randomness_data["support"]),
-            tuple(parse_rational(w) for w in randomness_data["weights"]),
-        )
-    strategies = tuple(TableStrategy.from_json_dict(s) for s in data["strategies"])
-    return WiringProtocol(
-        n_parties=int(data["parties"]),
-        randomness=randomness,
-        bank=BoxBank(tuple(instances)),
-        strategies=strategies,
-        input_sizes=tuple(int(size) for size in data["input_sizes"]),
-        output_sizes=tuple(int(size) for size in data["output_sizes"]),
-    )
-
-
-def _protocol_of(loaded):
-    return loaded.protocol if isinstance(loaded, CompiledProtocol) else loaded
+    return compile_circuit(circuit, parties, bit_map).protocol
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +264,7 @@ def _cmd_compile(args):
     return 0, payload
 
 
-def _owned_order_function(compiled: CompiledProtocol, table: TruthTable):
+def _owned_order_function(compiled, table: TruthTable):
     """Reorder the flat-bit function to the ownership slot order."""
     order = [name for names in compiled.party_bit_map for name in names]
     index_of = {b.name: i for i, b in enumerate(compiled.circuit.inputs)}
@@ -324,8 +279,7 @@ def _owned_order_function(compiled: CompiledProtocol, table: TruthTable):
 
 
 def _cmd_simulate(args):
-    loaded = _load_protocol(_read_json(args.infile))
-    protocol = _protocol_of(loaded)
+    protocol = _load_protocol(_read_json(args.infile))
     x = args.x
     if args.sample:
         if args.seed is None:
@@ -343,16 +297,14 @@ def _cmd_simulate(args):
     if args.seed is not None:
         print("warning: --seed is ignored in exact mode", file=sys.stderr)
     if x is not None:
-        dist = compiled_distribution(loaded, x) if isinstance(loaded, CompiledProtocol) else execute_exact(protocol, x)
-        return 0, {"mode": "exact", "distribution": dist.to_json_dict()}
-    box = induced_box_fast(loaded) if isinstance(loaded, CompiledProtocol) else induced_box(protocol)
-    return 0, {"mode": "exact", "box": box.to_json_dict()}
+        return 0, {"mode": "exact", "distribution": execute_exact(protocol, x).to_json_dict()}
+    return 0, {"mode": "exact", "box": induced_box(protocol).to_json_dict()}
 
 
 def _cmd_verify(args):
-    loaded = _load_protocol(_read_json(args.infile))
+    protocol = _load_protocol(_read_json(args.infile))
     target = _read_box(args.target)
-    verdict = verify_simulation(loaded, target)
+    verdict = verify_simulation(protocol, target)
     if verdict.exact_match:
         return 0, {"verified": True}
     diff = verdict.first_difference
@@ -368,10 +320,10 @@ def _cmd_verify(args):
 
 
 def _cmd_cc(args):
-    loaded = _load_protocol(_read_json(args.infile))
-    if not isinstance(loaded, CompiledProtocol):
+    compiled = compiled_owner(_load_protocol(_read_json(args.infile)))
+    if compiled is None:
         raise BoxworldError("cc expects a compiled-circuit protocol envelope")
-    result = solve_cc(loaded, x=args.x, seed=args.seed or 0)
+    result = solve_cc(compiled, x=args.x, seed=args.seed or 0)
     return 0, {
         "value": result.value,
         "bits_communicated": result.bits_communicated,

@@ -493,7 +493,7 @@ def _counterexample(bank: BoxBank, cs: ConstraintSet, owners, trees, outputs) ->
             for j, p in enumerate(owners)
         }
     found["outputs"] = outputs
-    found["protocol"] = _protocol_json(protocol)
+    found["protocol"] = protocol.to_json_dict()
     return found
 
 
@@ -506,16 +506,3 @@ def _one_box_option(tree, s: int) -> tuple:
         return (False, 0, (outputs[(0, s, ())],) * 2)
     return (True, move[2], (outputs[(0, s, (0,))], outputs[(0, s, (1,))]))
 
-
-def _protocol_json(protocol: WiringProtocol) -> dict:
-    return {
-        "parties": protocol.n_parties,
-        "bank": [
-            {"template": "PR", "owners": list(inst.owners)}
-            for inst in protocol.bank.instances
-        ],
-        "strategies": [
-            s.to_json_dict() if isinstance(s, TableStrategy) else repr(s)
-            for s in protocol.strategies
-        ],
-    }

@@ -19,19 +19,21 @@ share is an affine form over the blocks' uniform branch bits, built once
 per row table (`_output_forms`).  Exact counts (`affine_outcome_counts`,
 `induced_box_fast`, `compiled_distribution`) follow from GF(2) span
 arithmetic on those forms, and a sampled branch (`cc_values`, `solve_cc`,
-and `sample_compiled`, which backs `wiring.execute_sample` on compiled
-protocols) is one random bit vector.  The independent references are the
-generic branch-tree executor in `wiring` (the strategies below implement
-its interface) and the honest block enumeration `nand_block_branches`
-that `_ensure_kernel` checks the affine identity against; tests compare
-the core with both.
+`sample_compiled`) is one random bit vector.  `wiring`'s executors
+(`execute_exact`, `induced_box`, `execute_sample`) run a compiled
+protocol's own protocol (`compiled_owner`) through this core, so callers
+never choose.  The independent references are the generic branch-tree
+executor in `wiring` (the strategies below implement its interface),
+reached through a copy with a fresh strategy tuple, and the honest block
+enumeration `nand_block_branches` that `_ensure_kernel` checks the affine
+identity against; tests compare the core with both.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -122,15 +124,6 @@ def _ensure_kernel(n: int):
     _kernel_checked.add(n)
 
 
-@dataclass(frozen=True)
-class NandBlockLayout:
-    """Bank indices of one gate's n(n-1) PR instances, keyed by ordered pair;
-    instance_for[(i, j)] is where party i feeds beta_i and party j feeds gamma_j."""
-
-    gate: str
-    instance_for: dict = field(hash=False)
-
-
 class CompiledPartyStrategy:
     """One party's program, exposed through the generic strategy interface.
 
@@ -145,11 +138,11 @@ class CompiledPartyStrategy:
         n = compiled.n_parties
         others = [j for j in range(n) if j != party]
         self._moves = []
-        for g_idx, layout in enumerate(compiled.layouts):
-            for j in others:
-                self._moves.append(("beta", g_idx, layout.instance_for[(party, j)]))
-            for j in others:
-                self._moves.append(("gamma", g_idx, layout.instance_for[(j, party)]))
+        for g_idx in range(len(compiled.circuit.gates)):
+            # gate g's box (i, j), i != j, is bank instance g*n(n-1) + i(n-1) + j - [j > i]
+            block = g_idx * n * (n - 1)
+            self._moves += [("beta", g_idx, block + party * (n - 1) + j - (j > party)) for j in others]
+            self._moves += [("gamma", g_idx, block + j * (n - 1) + party - (party > j)) for j in others]
         self._share_cache: dict = {}
 
     def _shares(self, x: int, history: tuple[int, ...]) -> dict[str, int]:
@@ -168,7 +161,7 @@ class CompiledPartyStrategy:
         else:
             shares = dict(self._shares(x, prefix[:-per_gate]))
             g_idx = complete - 1
-            u_ref, v_ref = compiled.gate_operands[g_idx]
+            u_ref, v_ref = compiled.circuit.gates[g_idx]
             beta_i = shares[u_ref]
             gamma_i = shares[v_ref]
             chunk = prefix[g_idx * per_gate:]
@@ -186,7 +179,7 @@ class CompiledPartyStrategy:
             return STOP
         phase, g_idx, inst_idx = self._moves[len(history)]
         shares = self._shares(x, tuple(history))
-        u_ref, v_ref = self.compiled.gate_operands[g_idx]
+        u_ref, v_ref = self.compiled.circuit.gates[g_idx]
         value = shares[u_ref] if phase == "beta" else shares[v_ref]
         return ("use", inst_idx, value)
 
@@ -200,22 +193,25 @@ class CompiledPartyStrategy:
 
 @dataclass(frozen=True, eq=False)
 class CompiledProtocol:
-    """A wiring protocol plus the compile-time metadata used for resource
-    accounting and by the affine core."""
+    """A wiring protocol plus the compile-time data the affine core reads:
+    the pruned circuit (gate g is wire "g{g}") and each party's input bits."""
 
     protocol: Optional[WiringProtocol]
     circuit: NandCircuit
     n_parties: int
     party_bit_map: tuple[tuple[str, ...], ...]
-    gate_order: tuple[str, ...]
-    gate_operands: tuple[tuple[str, str], ...]
-    layouts: tuple[NandBlockLayout, ...]
-    pr_box_count: int
-    degenerate: bool
 
     @property
     def input_sizes(self) -> tuple[int, ...]:
         return self.protocol.input_sizes
+
+    @property
+    def pr_box_count(self) -> int:
+        return len(self.protocol.bank.instances)
+
+    @property
+    def degenerate(self) -> bool:  # no live gate: shared randomness re-randomizes the shares
+        return not self.circuit.gates
 
     def base_shares(self, party: int, x: int) -> dict[str, int]:
         """Leaf-wire shares held by `party` on its input x: the owner of an
@@ -253,43 +249,27 @@ def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequenc
         extra = set(owned) - declared
         raise UnownedInputBit(f"ownership map mismatch: missing {missing}, unknown {extra}")
 
-    gate_order = tuple(f"g{i}" for i in range(len(circuit.gates)))
-    instances = []
-    layouts = []
-    for g in gate_order:
-        mapping = {}
-        for i in range(n_parties):
-            for j in range(n_parties):
-                if i != j:
-                    mapping[(i, j)] = len(instances)
-                    instances.append(pr_instance((i, j)))
-        layouts.append(NandBlockLayout(gate=g, instance_for=mapping))
-
-    degenerate = len(gate_order) == 0
-    if degenerate:
+    parties = range(n_parties)
+    instances = tuple(pr_instance((i, j)) for _ in circuit.gates for i in parties for j in parties if i != j)
+    if circuit.gates:
+        randomness = SharedRandomness.singleton((0,) * n_parties)
+    else:
         support = tuple(
             bits + (_xor(bits),) for bits in itertools.product((0, 1), repeat=n_parties - 1)
         )
         randomness = SharedRandomness.uniform(support)
-    else:
-        randomness = SharedRandomness.singleton((0,) * n_parties)
 
     compiled = CompiledProtocol(
         protocol=None,
         circuit=circuit,
         n_parties=n_parties,
         party_bit_map=party_bit_map,
-        gate_order=gate_order,
-        gate_operands=tuple(circuit.gates),
-        layouts=tuple(layouts),
-        pr_box_count=len(instances),
-        degenerate=degenerate,
     )
-    strategies = tuple(CompiledPartyStrategy(compiled, i) for i in range(n_parties))
+    strategies = tuple(CompiledPartyStrategy(compiled, i) for i in parties)
     protocol = WiringProtocol(
         n_parties=n_parties,
         randomness=randomness,
-        bank=BoxBank(tuple(instances)),
+        bank=BoxBank(instances),
         strategies=strategies,
         input_sizes=tuple(2 ** len(names) for names in party_bit_map),
         output_sizes=(2,) * n_parties,
@@ -299,8 +279,6 @@ def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequenc
     if compiled.pr_box_count != expected_boxes:
         raise VerificationFailed(f"{compiled.pr_box_count} PR boxes compiled, expected {expected_boxes}")
     return compiled
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +316,17 @@ def _sweep_rows(circuit: NandCircuit, n_parties: int, bit_maps):
     """Row table for a multi-ownership sweep: one row per (map, joint input).
 
     Returns a list of (map_idx, x), the joint inputs of each map in
-    `_x_tuples` order.
+    `_x_tuples` order.  The maps of a sweep mostly share their input
+    sizes, so the joint inputs are listed once per distinct size tuple.
     """
-    return [
-        (map_idx, x)
-        for map_idx, bit_map in enumerate(bit_maps)
-        for x in _x_tuples([2 ** len(names) for names in bit_map])
-    ]
+    joint_inputs: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    rows = []
+    for map_idx, bit_map in enumerate(bit_maps):
+        sizes = tuple(2 ** len(names) for names in bit_map)
+        if sizes not in joint_inputs:
+            joint_inputs[sizes] = _x_tuples(sizes)
+        rows += [(map_idx, x) for x in joint_inputs[sizes]]
+    return rows
 
 
 def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
@@ -597,17 +579,18 @@ class SimulationVerdict:
         return self.exact_match
 
 
-def verify_simulation(compiled, target: Box) -> SimulationVerdict:
-    """Exact rational comparison of a protocol's induced box against `target`."""
-    if isinstance(compiled, CompiledProtocol):
-        box = induced_box_fast(compiled)
-    else:
-        box = induced_box(compiled)
-    if (box.input_sizes, box.output_sizes) != (target.input_sizes, target.output_sizes):
-        raise ShapeMismatch(
-            f"shapes differ: {box.input_sizes}/{box.output_sizes} vs "
-            f"{target.input_sizes}/{target.output_sizes}"
-        )
+def verify_simulation(protocol, target: Box) -> SimulationVerdict:
+    """Exact rational comparison of a protocol's induced box against `target`.
+
+    `protocol` is a `WiringProtocol` or a `CompiledProtocol`; `induced_box`
+    picks the executor.  The shapes are compared before anything runs.
+    """
+    if isinstance(protocol, CompiledProtocol):
+        protocol = protocol.protocol
+    shape = (tuple(protocol.input_sizes), tuple(protocol.output_sizes))
+    if shape != (target.input_sizes, target.output_sizes):
+        raise ShapeMismatch(f"shapes differ: {shape[0]}/{shape[1]} vs {target.input_sizes}/{target.output_sizes}")
+    box = induced_box(protocol)
     for x in box.inputs():
         for a in box.outputs():
             got = box.prob(x, a)

@@ -35,6 +35,9 @@ from .errors import DimensionMismatch, Infeasible, NotAVertex, TooLarge, Verific
 from .exactlp import exact_rank, solve_equality_feasibility, solve_linear_system
 
 DEFAULT_DIMENSION_CAP = 15  # covers 3 inputs x 2 outputs per party
+# is_vertex and classify_vertex take exact ranks and never enumerate, so the
+# H-representation they build may reach five binary parties (about 2 s)
+RANK_CHECK_DIMENSION_CAP = 3 ** 5 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +272,7 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
 def is_vertex(box: Box, h_rep: Optional[HRepresentation] = None) -> bool:
     """Extremality test: the cells at 0 must pin the point down completely."""
     if h_rep is None:
-        h_rep = build_h_rep(box.input_sizes, box.output_sizes)
+        h_rep = build_h_rep(box.input_sizes, box.output_sizes, dimension_cap=RANK_CHECK_DIMENSION_CAP)
     tight_rows = [
         _linear_row(terms, h_rep.dimension)
         for cell, (_, terms) in zip(h_rep.cells, h_rep.cell_exprs)
@@ -359,7 +362,7 @@ def classify_vertex(box: Box, h_rep: Optional[HRepresentation] = None, check: bo
     get the input-removal reduction.
     """
     if h_rep is None:
-        h_rep = build_h_rep(box.input_sizes, box.output_sizes)
+        h_rep = build_h_rep(box.input_sizes, box.output_sizes, dimension_cap=RANK_CHECK_DIMENSION_CAP)
     if check:
         verdict = check_no_signaling(box)
         if not verdict.ok or not is_vertex(box, h_rep):

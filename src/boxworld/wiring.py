@@ -6,15 +6,19 @@ next and with which input, as a function of the shared randomness, its
 own measurement input, and the box outputs it has already observed; at
 the end it announces an output.  No communication happens anywhere.
 
-`execute_exact` computes the exact outcome distribution by branch
-enumeration: every box-side use branches over the side's possible
-outputs, weighted by the template's exact marginal (first side to act)
-or conditional (second side).  Because the templates are nonsignaling
-and every side is used at most once, any scheduling of the parties
-yields the same distribution; the engine canonically runs parties in
-index order.  Branch weights are computed per call, in a table that
-lives as long as one walk or one sampling call; nothing is cached at
-module level.
+The executors (`execute_exact`, `induced_box`, `execute_sample`), not
+their callers, choose how a protocol runs: a compiled protocol's own
+protocol (`compiler.compiled_owner`) through the compiler's affine core,
+any other through the generic branch walk, which the tests reach on a
+compiled protocol through a copy with a fresh strategy tuple.  The walk
+computes the exact outcome distribution by branch enumeration: every
+box-side use branches over the side's possible outputs, weighted by the
+template's exact marginal (first side to act) or conditional (second
+side).  Because the templates are nonsignaling and every side is used at
+most once, any scheduling of the parties yields the same distribution;
+the engine canonically runs parties in index order.  Branch weights are
+computed per call, in a table that lives as long as one walk or one
+sampling call; nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .boxes import Box, check_no_signaling, make_box
-from .errors import DimensionMismatch, ShapeMismatch, TooLarge, Unvalidated, VerificationFailed
+from .errors import BoxworldError, DimensionMismatch, ShapeMismatch, TooLarge, Unvalidated, VerificationFailed
+from .rational import format_rational, parse_rational
 
 STOP = ("stop",)
 
@@ -141,6 +146,48 @@ class WiringProtocol:
     def inputs(self):
         return itertools.product(*(range(s) for s in self.input_sizes))
 
+    def to_json_dict(self) -> dict:
+        """The table-protocol document that `from_json_dict` reads back; only
+        PR-box templates, TableStrategy strategies and integer shared
+        randomness have one (anything else raises ShapeMismatch)."""
+        pr = pr_instance((0, 1)).template
+        if any(inst.template != pr for inst in self.bank.instances):
+            raise ShapeMismatch("only PR-box bank templates have a JSON form")
+        if not all(isinstance(s, TableStrategy) for s in self.strategies):
+            raise ShapeMismatch("only TableStrategy strategies have a JSON form")
+        if not all(isinstance(lam, int) for lam in self.randomness.support):
+            raise ShapeMismatch("only integer shared randomness has a JSON form")
+        weights = [format_rational(w) for w in self.randomness.weights]
+        return {
+            "parties": self.n_parties,
+            "input_sizes": list(self.input_sizes),
+            "output_sizes": list(self.output_sizes),
+            "randomness": {"support": list(self.randomness.support), "weights": weights},
+            "bank": [{"template": "PR", "owners": list(inst.owners)} for inst in self.bank.instances],
+            "strategies": [s.to_json_dict() for s in self.strategies],
+        }
+
+    @staticmethod
+    def from_json_dict(data: dict) -> "WiringProtocol":
+        """A table protocol from its JSON document (no "randomness": singleton 0)."""
+        instances = []
+        for inst in data["bank"]:
+            if inst.get("template", "PR") != "PR":
+                raise BoxworldError(f"unknown bank template {inst.get('template')!r}")
+            instances.append(pr_instance(inst["owners"]))
+        randomness = data.get("randomness", {"support": [0], "weights": ["1/1"]})
+        return WiringProtocol(
+            n_parties=int(data["parties"]),
+            randomness=SharedRandomness(
+                tuple(int(lam) for lam in randomness["support"]),
+                tuple(parse_rational(w) for w in randomness["weights"]),
+            ),
+            bank=BoxBank(tuple(instances)),
+            strategies=tuple(TableStrategy.from_json_dict(s) for s in data["strategies"]),
+            input_sizes=tuple(int(size) for size in data["input_sizes"]),
+            output_sizes=tuple(int(size) for size in data["output_sizes"]),
+        )
+
 
 @dataclass(frozen=True)
 class ProtocolVerdict:
@@ -165,8 +212,6 @@ class OutcomeDistribution:
         return sum(self.outcomes.values(), Fraction(0))
 
     def to_json_dict(self) -> dict:
-        from .rational import format_rational
-
         return {
             "x": list(self.x),
             "outcomes": [
@@ -290,6 +335,16 @@ def _walk(protocol: WiringProtocol, lam, x, on_leaf, weight=Fraction(1)):
     run_party(0, empty_records, weight, ())
 
 
+def _compiled_of(protocol: WiringProtocol):
+    """(compiler module, compiled protocol) if `protocol` is a compiled
+    protocol's own (`compiler.compiled_owner`), else None: the one place the
+    executors learn to run it through the affine core, not the walk."""
+    from . import compiler  # compiler imports this module
+
+    compiled = compiler.compiled_owner(protocol)
+    return None if compiled is None else (compiler, compiled)
+
+
 _validated_protocols: "weakref.WeakSet" = weakref.WeakSet()
 
 
@@ -308,17 +363,13 @@ def validate_protocol(protocol: WiringProtocol) -> ProtocolVerdict:
         return ProtocolVerdict(False, {"reason": "one strategy per party required"})
     if not len(protocol.input_sizes) == len(protocol.output_sizes) == protocol.n_parties:
         return ProtocolVerdict(False, {"reason": "one input size and one output size per party required"})
-    from . import compiler  # compiler imports this module
-
-    if compiler.compiled_owner(protocol) is None:
+    if _compiled_of(protocol) is None:
         for lam in protocol.randomness.support:
             for x in protocol.inputs():
                 try:
                     _walk(protocol, lam, x, lambda outputs, w: None)
                 except Unvalidated as err:
-                    return ProtocolVerdict(
-                        False, {"lam": lam, "x": x, "reason": str(err)}
-                    )
+                    return ProtocolVerdict(False, {"lam": lam, "x": x, "reason": str(err)})
     _validated_protocols.add(protocol)
     return ProtocolVerdict(True)
 
@@ -343,44 +394,59 @@ def checked_inputs(input_sizes: Sequence[int], x) -> tuple[int, ...]:
 
 
 def execute_exact(protocol: WiringProtocol, x) -> OutcomeDistribution:
-    """Exact outcome distribution on input tuple x, by full branch enumeration."""
+    """Exact outcome distribution on input tuple x.
+
+    A compiled protocol's own protocol (or a `dataclasses.replace` copy
+    that keeps its parts) is read off the compiler's affine share forms
+    (`compiler.compiled_distribution`), at any gate count; every other
+    protocol is computed by full branch enumeration.  Either way the
+    weights must sum to exactly 1.
+    """
     x = checked_inputs(protocol.input_sizes, x)
     _require_valid(protocol)
-    outcomes: dict[tuple[int, ...], Fraction] = {}
+    owner = _compiled_of(protocol)
+    if owner is not None:
+        compiler, compiled = owner
+        dist = compiler.compiled_distribution(compiled, x)
+    else:
+        outcomes: dict[tuple[int, ...], Fraction] = {}
 
-    def on_leaf(outputs, w):
-        if w != 0:
-            outcomes[outputs] = outcomes.get(outputs, Fraction(0)) + w
+        def on_leaf(outputs, w):
+            if w != 0:
+                outcomes[outputs] = outcomes.get(outputs, Fraction(0)) + w
 
-    for lam, w_lam in zip(protocol.randomness.support, protocol.randomness.weights):
-        if w_lam != 0:
-            _walk(protocol, lam, x, on_leaf, weight=w_lam)
-
-    dist = OutcomeDistribution(x=x, outcomes=outcomes)
+        for lam, w_lam in zip(protocol.randomness.support, protocol.randomness.weights):
+            if w_lam != 0:
+                _walk(protocol, lam, x, on_leaf, weight=w_lam)
+        dist = OutcomeDistribution(x=x, outcomes=outcomes)
     if dist.total() != 1:
         raise VerificationFailed(f"branch weights sum to {dist.total()}, not 1")
     return dist
 
 
 def induced_box(protocol: WiringProtocol) -> Box:
-    """Assemble execute_exact over every input tuple into a Box.
+    """The box the protocol induces: its exact distribution on every input.
 
-    The result is post-verified to be nonsignaling: a communication-free
-    protocol cannot signal, so a failure here means an executor bug.
+    A compiled protocol's own protocol is read off the affine share forms
+    in one pass (`compiler.induced_box_fast`); any other protocol is
+    assembled from `execute_exact` on each input tuple.  `make_box`
+    refuses a row whose weights do not sum to 1, and the result is
+    post-verified to be nonsignaling: a communication-free protocol cannot
+    signal, so a failure here means an executor bug.
     """
-    table = {}
-    for x in protocol.inputs():
-        dist = execute_exact(protocol, x)
-        for a, p in dist.outcomes.items():
-            if p != 0:
-                table[(x, a)] = p
-    box = make_box(
-        protocol.n_parties,
-        protocol.input_sizes,
-        protocol.output_sizes,
-        table,
-        sparse=True,
-    )
+    _require_valid(protocol)
+    owner = _compiled_of(protocol)
+    if owner is not None:
+        compiler, compiled = owner
+        box = compiler.induced_box_fast(compiled)
+    else:
+        table = {}
+        for x in protocol.inputs():
+            dist = execute_exact(protocol, x)
+            for a, p in dist.outcomes.items():
+                if p != 0:
+                    table[(x, a)] = p
+        box = make_box(protocol.n_parties, protocol.input_sizes, protocol.output_sizes, table, sparse=True)
     verdict = check_no_signaling(box)
     if not verdict.ok:
         raise VerificationFailed(f"induced box signals: {verdict}")
@@ -420,19 +486,19 @@ def _draw(rng: random.Random, sampler: tuple[int, list[int], list]) -> object:
 def execute_sample(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[tuple[int, ...], int]:
     """Empirical counts from n_runs seeded executions.
 
-    Sampling walks the same branch tree as execute_exact and draws each
-    branch with its exact rational weight, so outcomes of exact probability
-    zero can never appear, and identical seeds give identical counts.  A
-    compiled protocol's own protocol (or a `dataclasses.replace` copy of
-    it) is sampled from the compiler's affine share forms instead: one
-    uniform branch vector per run, the same distribution.
+    Sampling walks the same branch tree as `execute_exact`'s generic walk
+    and draws each branch with its exact rational weight, so outcomes of
+    exact probability zero can never appear, and identical seeds give
+    identical counts.  A compiled protocol's own protocol (or a
+    `dataclasses.replace` copy of it) is sampled from the compiler's affine
+    share forms instead: one uniform branch vector per run, the same
+    distribution.
     """
     x = checked_inputs(protocol.input_sizes, x)
     _require_valid(protocol)
-    from . import compiler  # compiler imports this module
-
-    compiled = compiler.compiled_owner(protocol)
-    if compiled is not None:
+    owner = _compiled_of(protocol)
+    if owner is not None:
+        compiler, compiled = owner
         return compiler.sample_compiled(compiled, x, seed, n_runs)
     return _sample_walk(protocol, x, seed, n_runs)
 

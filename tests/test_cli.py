@@ -185,13 +185,17 @@ def test_out_of_range_inputs_exit_two():
 
 def test_compiled_exact_x_matches_generic_executor():
     # the compiled envelope's exact --x output comes from the affine core;
-    # it must be byte-identical to the generic branch-tree executor's
+    # it must be byte-identical to the generic branch-tree executor's, run
+    # on a copy with a fresh strategy tuple (not the compiled protocol's own)
+    import dataclasses
+
     from boxworld.cli import _load_protocol
     from boxworld.wiring import execute_exact
 
     synth = run_cli(["circuit", "synth"], stdin=json.dumps({"n_vars": 2, "bits": [0, 1, 1, 0]}))
     compiled = run_cli(["compile", "--parties", "2", "--map", "x0;x1"], stdin=synth.stdout)
-    protocol = _load_protocol(json.loads(compiled.stdout)).protocol
+    own = _load_protocol(json.loads(compiled.stdout))
+    protocol = dataclasses.replace(own, strategies=tuple(list(own.strategies)))
     assert len(protocol.bank.instances) <= 12  # keeps the generic walk quick
     for x in ((0, 1), (1, 1)):
         proc = run_cli(["simulate", "--exact", "--x", ",".join(map(str, x))], stdin=compiled.stdout)
@@ -257,6 +261,26 @@ def test_polytope_vertices_at_any_party_count():
     assert run_cli(["polytope", "vertices", "--inputs", "2,2", "--outputs", "2"]).returncode == 2
 
 
+def test_classify_multipartite_parity_boxes():
+    # classify builds its own H-representation only for rank checks, so it
+    # is not held to the enumeration cap: the 26-dimensional 3-party parity box
+    box = run_cli(["box", "make", "fullcorr", "--parties", "3", "--bits", "1", "--function", "00000001"])
+    classify = run_cli(["polytope", "classify"], stdin=box.stdout)
+    assert classify.returncode == 0, classify.stderr
+    payload = json.loads(classify.stdout)
+    validate(payload, "polytope_classify")
+    assert payload["class"] == "full-correlation"
+    assert payload["f"] == [[x0, x1, x2, x0 & x1 & x2] for x0 in (0, 1) for x1 in (0, 1) for x2 in (0, 1)]
+
+
+def test_classify_refuses_six_parties_at_once():
+    # 3^6 - 1 = 728 dimensions exceed the rank-check cap: refused before any rank is taken
+    six = bw.full_correlation_box(6, 1, lambda b: b[0] & b[5])
+    code, out, err = _main_in_process(["polytope", "classify"], json.dumps(six.to_json_dict()))
+    assert (code, out) == (2, "")
+    assert err == "limit exceeded: enumeration size 728 exceeds cap 242\n"
+
+
 def test_cluster_commands():
     constraints = run_cli(["cluster", "constraints"])
     payload = json.loads(constraints.stdout)
@@ -288,6 +312,17 @@ def test_cluster_search_cli():
     assert payload["assignments_tested"] == 1  # stopped in the first pair
     assert "runtime_s" not in payload
     assert set(payload["counterexample"]) == {"assignment", "owner_strategies", "outputs", "protocol"}
+
+    # the printed counterexample is a protocol document the CLI reads back,
+    # and it satisfies every inverted constraint
+    protocol_json = payload["counterexample"]["protocol"]
+    validate(protocol_json, "protocol")
+    exact = run_cli(["simulate", "--exact", "--x", "0,1,0,0,0"], stdin=json.dumps(protocol_json))
+    assert exact.returncode == 0, exact.stderr
+    assert json.loads(exact.stdout)["distribution"]["x"] == [0, 1, 0, 0, 0]
+    protocol = bw.WiringProtocol.from_json_dict(protocol_json)
+    for constraint in bw.inverted_cluster_constraints().constraints:
+        assert bw.satisfies(bw.protocol_source(protocol), constraint)
 
 
 def test_cluster_search_at_zero_and_two_boxes():

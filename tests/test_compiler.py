@@ -30,8 +30,14 @@ from boxworld.compiler import (
     solve_cc,
     verify_simulation,
 )
-from boxworld.errors import DimensionMismatch, UnownedInputBit
+from boxworld.errors import DimensionMismatch, ShapeMismatch, UnownedInputBit
 from boxworld.wiring import STOP, WiringProtocol, induced_box
+
+
+def walked_copy(protocol):
+    """A copy with a fresh strategy tuple: not a compiled protocol's own
+    protocol, so the executors run it through the generic branch walk."""
+    return dataclasses.replace(protocol, strategies=tuple(list(protocol.strategies)))
 
 
 def xor_all(bits):
@@ -144,7 +150,7 @@ class TestCompile:
         assert verify_simulation(compiled, target)
         # the shared-randomness re-randomization also holds through the
         # generic branch-tree executor
-        assert induced_box(compiled.protocol) == target
+        assert induced_box(walked_copy(compiled.protocol)) == target
 
     def test_three_party_majority(self):
         maj = lambda b: 1 if sum(b) >= 2 else 0
@@ -189,7 +195,7 @@ class TestExecutorAgreement:
                     continue
                 bit_map = [[f"b{i}"] for i in range(n)]
                 compiled = compile_circuit(circuit, n, bit_map)
-                assert induced_box(compiled.protocol) == induced_box_fast(compiled)
+                assert induced_box(walked_copy(compiled.protocol)) == induced_box_fast(compiled)
                 cases += 1
         assert cases >= 6
 
@@ -203,7 +209,7 @@ class TestExecutorAgreement:
             live_gates = []
             for circuit, bit_map in random_circuits(rng, n, m, max_gates, 2 * (max_gates + 1)):
                 compiled = compile_circuit(circuit, n, bit_map)
-                walked = induced_box(compiled.protocol)
+                walked = induced_box(walked_copy(compiled.protocol))
                 (counts,), denominator = affine_outcome_counts(circuit, n, [bit_map])
                 for x_idx, x in enumerate(_x_tuples(compiled.input_sizes)):
                     for a_idx in range(2 ** n):
@@ -269,8 +275,49 @@ class TestExecutorAgreement:
         circuit = synthesize_nand(tt, ["u", "v"])
         compiled = compile_circuit(circuit, 2, [["u"], ["v"]])
         assert bw.validate_protocol(compiled.protocol).ok  # the compiler's own protocol: no walk
-        walked = dataclasses.replace(compiled.protocol, strategies=tuple(list(compiled.protocol.strategies)))
-        assert bw.validate_protocol(walked).ok  # full branch walk agrees
+        assert bw.validate_protocol(walked_copy(compiled.protocol)).ok  # full branch walk agrees
+
+
+class TestExecutorChoice:
+    """wiring's executors, not their callers, pick the affine core."""
+
+    @staticmethod
+    def majority3():
+        maj = lambda b: 1 if sum(b) >= 2 else 0
+        circuit = synthesize_nand(TruthTable.from_function(3, maj), ["a", "b", "c"])
+        return compile_circuit(circuit, 3, [["a"], ["b"], ["c"]]), bw.full_correlation_box(3, 1, maj)
+
+    @staticmethod
+    def forbid(monkeypatch, module, name):
+        def refuse(*args, **kwargs):
+            raise RuntimeError(f"{name} was called")
+
+        monkeypatch.setattr(module, name, refuse)
+
+    def test_compiled_protocols_never_walk(self, monkeypatch):
+        # 54 PR boxes: the walk would take 2^54 branches per input
+        compiled, target = self.majority3()
+        assert compiled.pr_box_count == 54
+        self.forbid(monkeypatch, wiring, "_walk")
+        for proto in (compiled.protocol, dataclasses.replace(compiled.protocol)):
+            assert induced_box(proto) == target
+            for x in target.inputs():
+                expected = {a: target.prob(x, a) for a in target.outputs() if target.prob(x, a)}
+                assert bw.execute_exact(proto, x).outcomes == expected
+        fresh = walked_copy(compiled.protocol)
+        with pytest.raises(RuntimeError, match="_walk was called"):
+            bw.execute_exact(fresh, (0, 0, 0))
+        with pytest.raises(RuntimeError, match="_walk was called"):
+            induced_box(fresh)
+
+    def test_verify_simulation_checks_shapes_before_executing(self, monkeypatch):
+        compiled, _ = self.majority3()
+        self.forbid(monkeypatch, wiring, "_walk")
+        self.forbid(monkeypatch, compiler, "induced_box")
+        self.forbid(monkeypatch, compiler, "induced_box_fast")
+        for proto in (compiled, compiled.protocol, walked_copy(compiled.protocol)):
+            with pytest.raises(ShapeMismatch, match=r"^shapes differ: \(2, 2, 2\)/\(2, 2, 2\) vs \(2, 2\)/\(2, 2\)$"):
+                verify_simulation(proto, bw.pr_box())
 
 
 def ownership_splits(n, m):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import gc
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -14,7 +15,7 @@ import pytest
 
 import boxworld as bw
 from boxworld import wiring
-from boxworld.errors import TooLarge, Unvalidated
+from boxworld.errors import ShapeMismatch, TooLarge, Unvalidated
 from boxworld.wiring import (
     STOP,
     BoxBank,
@@ -79,8 +80,10 @@ def test_single_block_protocol_matches_parity_box():
     tt = bw.TruthTable.from_function(2, lambda b: (b[0] & b[1]) ^ 1)
     circuit = bw.synthesize_nand(tt, ["u", "v"])
     compiled = bw.compile_circuit(circuit, 2, [["u"], ["v"]])
-    # through the generic branch-tree executor, not the fast path
-    box = induced_box(compiled.protocol)
+    # through the generic branch-tree executor, not the affine core: a copy
+    # with a fresh strategy tuple is not the compiled protocol's own
+    walked = dataclasses.replace(compiled.protocol, strategies=tuple(list(compiled.protocol.strategies)))
+    box = induced_box(walked)
     assert box == bw.full_correlation_box(2, 1, lambda b: (b[0] & b[1]) ^ 1)
 
 
@@ -261,6 +264,46 @@ class TestSampling:
         )
         assert execute_exact(proto, (0, 0)).outcomes == {(1, 1): 1}
         assert execute_sample(proto, (0, 0), seed=1, n_runs=50) == {(1, 1): 50}
+
+
+def _shared_coin_protocol():
+    strategies = tuple(
+        TableStrategy(party, {(lam, 0, ()): STOP for lam in (0, 1)}, {(lam, 0, ()): lam for lam in (0, 1)})
+        for party in (0, 1)
+    )
+    return WiringProtocol(2, SharedRandomness.uniform((0, 1)), BoxBank(()), strategies, (1, 1), (2, 2))
+
+
+def test_protocol_json_round_trip():
+    protocols = [identity_wiring(bw.pr_box()), _shared_coin_protocol()]
+    protocols += itertools.islice(enumerate_strategies(2, BoxBank((pr_instance((0, 1)),)), (2, 2), (2, 2)), 0, 10000, 1999)
+    for proto in protocols:
+        data = proto.to_json_dict()
+        back = WiringProtocol.from_json_dict(json.loads(json.dumps(data)))
+        assert back.to_json_dict() == data
+        for x in proto.inputs():
+            assert execute_exact(back, x) == execute_exact(proto, x)
+    assert _shared_coin_protocol().to_json_dict()["randomness"] == {"support": [0, 1], "weights": ["1/2", "1/2"]}
+    # a missing "randomness" is the singleton 0
+    data = identity_wiring(bw.pr_box()).to_json_dict()
+    del data["randomness"]
+    assert WiringProtocol.from_json_dict(data).randomness == SharedRandomness.singleton(0)
+
+
+def test_only_table_protocols_have_a_json_form():
+    compiled = bw.compile_circuit(
+        bw.synthesize_nand(bw.TruthTable.from_function(2, lambda b: b[0] & b[1]), ["u", "v"]), 2, [["u"], ["v"]]
+    )
+    with pytest.raises(ShapeMismatch, match="TableStrategy"):
+        compiled.protocol.to_json_dict()
+    with pytest.raises(ShapeMismatch, match="PR-box"):
+        identity_wiring(bw.uniform_box((2, 2), (2, 2))).to_json_dict()
+    with pytest.raises(ShapeMismatch, match="integer shared randomness"):
+        dataclasses.replace(_shared_coin_protocol(), randomness=SharedRandomness.uniform(("a", "b"))).to_json_dict()
+    data = identity_wiring(bw.pr_box()).to_json_dict()
+    data["bank"][0]["template"] = "noise"
+    with pytest.raises(bw.BoxworldError, match="unknown bank template 'noise'"):
+        WiringProtocol.from_json_dict(data)
 
 
 def test_swapped_bank_of_compiled_protocol_is_walked():
