@@ -1,4 +1,4 @@
-"""Exact rational linear feasibility via a phase-1 simplex.
+"""Exact rational linear feasibility via a revised phase-1 simplex.
 
 Solves: does z >= 0 with A z = b exist?  Returns either a rational
 solution or a Farkas certificate y with y.A <= 0 (componentwise) and
@@ -6,19 +6,35 @@ y.b > 0, proving infeasibility.  Both answers are verified exactly
 before being returned, so callers can rely on them regardless of any
 pivoting subtleties.
 
-The tableau uses integer pivoting: all entries are integers equal to d
-times the true rational value, where d is the previous pivot element.
-Each pivot performs the two-term update (a*p - c*r) / d, whose division
-is exact (the entries are minors of the original integer system), so no
-gcd normalization or fraction arithmetic appears in the hot loop.
-Bland's rule guarantees termination.
+Phase 1 adds one artificial column per row (the starting basis) and
+minimizes their sum.  The simplex is revised: it never builds the m x n
+tableau.  It keeps one (m+1) x (m+1) integer matrix: the scaled basis
+inverse with the rhs beside it, and the objective row restricted to the
+artificial columns (u) with the scaled objective value beside it.  Every
+entry is an integer equal to d times the true rational value, where d is
+the previous pivot element (integer pivoting).  A pivot performs the
+two-term update (a*p - c*r) / d on that matrix alone; the division is
+exact (the entries are minors of the original integer system), so no gcd
+normalization or fraction arithmetic appears in the hot loop.
+
+Each original column is kept as the sparse list of its nonzero integer
+entries.  Its scaled reduced cost is sum_i (u_i - d) * a_ij and its
+scaled tableau column is the scaled basis inverse times a_j; an
+artificial column's reduced cost is u_i itself.  These are exactly the entries the full integer tableau
+would hold, since both are d times the same rationals.  Bland's rule
+picks the same pivots: the first column with a negative reduced cost
+enters (original columns, then artificial ones), and ratio-test ties go
+to the lower basis index.  So the pivots, the solution and the Farkas
+vector are those of the full-tableau form, which the tests keep as the
+reference, and Bland's rule still guarantees termination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import VerificationFailed
@@ -32,75 +48,87 @@ class FeasibilityResult:
 
 
 def _integerize(A: Sequence[Sequence], b: Sequence):
-    """Scale each row of [A | b] to integers; returns (rows, rhs, scales)."""
-    rows = []
+    """Scale each row of [A | b] to integers with rhs >= 0.
+
+    Returns (columns, rhs, scales, flipped).  Column j is a pair of
+    tuples: the rows of its nonzero entries and those integer entries.
+    Row i was multiplied by scales[i], and by -1 as well where flipped[i]."""
+    n = len(A[0]) if A else 0
+    rows = [[] for _ in range(n)]
+    entries = [[] for _ in range(n)]
     rhs = []
     scales = []
+    flipped = []
     for i, row in enumerate(A):
-        fracs = [Fraction(v) for v in row] + [Fraction(b[i])]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        nums = [int(f * den) for f in fracs]
-        rows.append(nums[:-1])
-        rhs.append(nums[-1])
+        beta = Fraction(b[i])
+        sign = -1 if beta < 0 else 1
+        den = beta.denominator
+        nonzero = []
+        for j, v in enumerate(row):
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
+            if v:
+                nonzero.append((j, v))
+                den = lcm(den, v.denominator)
+        for j, v in nonzero:
+            rows[j].append(i)
+            entries[j].append(sign * v.numerator * (den // v.denominator))
+        rhs.append(sign * beta.numerator * (den // beta.denominator))
         scales.append(den)
-    return rows, rhs, scales
+        flipped.append(sign < 0)
+    columns = [(tuple(idx), tuple(vals)) for idx, vals in zip(rows, entries)]
+    return columns, rhs, scales, flipped
+
+
+def _dot(vector, column) -> int:
+    """vector . a_j for a column in the form `_integerize` returns."""
+    idx, vals = column
+    return sum(map(mul, map(vector.__getitem__, idx), vals))
 
 
 def solve_equality_feasibility(A: Sequence[Sequence], b: Sequence) -> FeasibilityResult:
     """Decide {z >= 0 : A z = b}; every answer is re-verified exactly."""
     m = len(A)
     n = len(A[0]) if m else 0
-    int_rows, int_rhs, scales = _integerize(A, b)
+    columns, int_rhs, scales, flipped = _integerize(A, b)
 
-    flipped = []
+    # T[i] = [d * (B^-1)_i | d * (B^-1 b)_i] for i < m; T[m] = [u | -d * w],
+    # u_i being the scaled reduced cost of artificial i and w the phase-1
+    # objective.  Start: the artificial basis, d = 1, u = 0, w = sum(b).
+    T = [[0] * m + [r] for r in int_rhs]
     for i in range(m):
-        if int_rhs[i] < 0:
-            int_rows[i] = [-v for v in int_rows[i]]
-            int_rhs[i] = -int_rhs[i]
-            flipped.append(True)
-        else:
-            flipped.append(False)
-
-    # columns: n original | m artificial | rhs ; plus objective row below
-    width = n + m + 1
-    M = []
-    for i in range(m):
-        row = int_rows[i] + [0] * m + [int_rhs[i]]
-        row[n + i] = 1
-        M.append(row)
-    # phase-1 reduced costs (minimize sum of artificials, basis = artificials):
-    # cost row = c - sum of basic rows; rhs slot tracks -w
-    obj = [0] * width
-    for j in range(width):
-        total = 0
-        for i in range(m):
-            total += M[i][j]
-        obj[j] = -total
-    for j in range(n, n + m):
-        obj[j] += 1
-    M.append(obj)
-    OBJ = m
+        T[i][i] = 1
+    T.append([0] * m + [-sum(int_rhs)])
     basis = [n + i for i in range(m)]
     d = 1  # current integer-pivoting scale
 
     while True:
-        obj_row = M[OBJ]
+        u = T[m]
+        # Bland: the first column with a negative reduced cost enters,
+        # original columns first; cost_j = sum_i (u_i - d) * a_ij
+        shifted = [v - d for v in u]
         enter = -1
-        for j in range(n + m):
-            if obj_row[j] < 0:
+        for j, col in enumerate(columns):
+            cost = _dot(shifted, col)
+            if cost < 0:
                 enter = j
+                entering = [_dot(row, col) for row in T[:m]]
                 break
+        else:
+            for k in range(m):
+                if u[k] < 0:
+                    enter = n + k
+                    cost = u[k]
+                    entering = [row[k] for row in T[:m]]
+                    break
         if enter < 0:
             break
         best_i = -1
         best_num = 0
         best_den = 0
-        for i in range(m):
-            a = M[i][enter]
+        for i, a in enumerate(entering):
             if a > 0:
-                num = M[i][width - 1]
+                num = T[i][m]
                 if best_i < 0:
                     best_i, best_num, best_den = i, num, a
                 else:
@@ -109,32 +137,34 @@ def solve_equality_feasibility(A: Sequence[Sequence], b: Sequence) -> Feasibilit
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[best_i]):
                         best_i, best_num, best_den = i, num, a
         if best_i < 0:
-            raise ArithmeticError("phase-1 objective unbounded; input is inconsistent")
-        # integer pivot at (best_i, enter)
-        p = M[best_i][enter]
-        prow = M[best_i]
-        for i in range(m + 1):
-            if i == best_i:
+            # the phase-1 objective is bounded below by 0, so this cannot happen
+            raise VerificationFailed("phase-1 objective unbounded")
+        # integer pivot at (best_i, enter) on the (m+1) x (m+1) matrix.  Where
+        # the pivot row is 0 the update is x * p // d: the identity when p == d,
+        # as in most pivots of the 0/1 locality LPs.
+        entering.append(cost)
+        p = best_den
+        prow = T[best_i]
+        support = [(k, y) for k, y in enumerate(prow) if y]
+        for i, f in enumerate(entering):
+            if i == best_i or (not f and p == d):
                 continue
-            row = M[i]
-            f = row[enter]
-            if f == 0:
-                if p != d:
-                    for j in range(width):
-                        row[j] = row[j] * p // d
-            else:
-                for j in range(width):
-                    row[j] = (row[j] * p - f * prow[j]) // d
+            row = T[i]
+            new = row[:] if p == d else [x * p // d for x in row]
+            if f:
+                for k, y in support:
+                    new[k] = (row[k] * p - f * y) // d
+            T[i] = new
         d = p
         basis[best_i] = enter
 
-    w_star = Fraction(-M[OBJ][width - 1], d)
+    w_star = Fraction(-T[m][m], d)
 
     if w_star == 0:
         solution = [Fraction(0)] * n
         for i, col in enumerate(basis):
             if col < n:
-                solution[col] = Fraction(M[i][width - 1], d)
+                solution[col] = Fraction(T[i][m], d)
         for i in range(m):
             total = sum(Fraction(A[i][j]) * solution[j] for j in range(n) if solution[j])
             if total != Fraction(b[i]):
@@ -147,7 +177,7 @@ def solve_equality_feasibility(A: Sequence[Sequence], b: Sequence) -> Feasibilit
     # original rows (undo the integer row scaling and any sign flip)
     y = []
     for i in range(m):
-        red_cost = Fraction(M[OBJ][n + i], d)
+        red_cost = Fraction(T[m][i], d)
         yi = (Fraction(1) - red_cost) * scales[i]
         y.append(-yi if flipped[i] else yi)
     for j in range(n):

@@ -183,11 +183,12 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP, event_witnesses=None) ->
         return LocalityVerdict(local=True, weights=weights)
 
     y = result.farkas
-    # witness functional over marginal coordinates (plus constant term y[-1])
+    # witness functional over marginal coordinates (plus constant term y[-1]);
+    # a strategy's value sums y over the coordinates where its 0/1 column is 1
     box_value = sum(y[r] * target[r] for r in range(len(coords))) + y[-1]
     best = None
-    for s in range(len(strategies)):
-        val = sum(y[r] * columns[s][r] for r in range(len(coords))) + y[-1]
+    for column in columns:
+        val = sum((y[r] for r, bit in enumerate(column) if bit), y[-1])
         if best is None or val > best:
             best = val
     if not box_value > 0 >= best:

@@ -407,22 +407,23 @@ def decompose(box: Box, vertex_list: Sequence[Box]) -> list[Fraction]:
     the convex hull, e.g. when its table signals or is not normalized.
     """
     cells = [(x, a) for x in box.inputs() for a in box.outputs()]
-    A = []
-    b_vec = []
-    for cell in cells:
-        A.append([v.prob(*cell) for v in vertex_list])
-        b_vec.append(box.prob(*cell))
+    row_of = {cell: r for r, cell in enumerate(cells)}
+    A = [[0] * len(vertex_list) for _ in cells]
+    for j, v in enumerate(vertex_list):
+        for cell, p in v.table.items():
+            r = row_of.get(cell)
+            if r is not None and p:
+                A[r][j] = p
     A.append([1] * len(vertex_list))
-    b_vec.append(1)
+    b_vec = [box.prob(*cell) for cell in cells] + [1]
     result = solve_equality_feasibility(A, b_vec)
     if not result.feasible:
         raise Infeasible("box is not a convex mixture of the given vertices", result.farkas)
     weights = result.solution
-    # exact re-expansion check
-    for cell_idx, cell in enumerate(cells):
-        total = sum(
-            (w * v.prob(*cell) for w, v in zip(weights, vertex_list)), Fraction(0)
-        )
+    # exact re-expansion check, on every cell; zero weights add nothing
+    used = [(w, v) for w, v in zip(weights, vertex_list) if w]
+    for cell in cells:
+        total = sum((w * v.prob(*cell) for w, v in used), Fraction(0))
         if total != box.prob(*cell):
             raise VerificationFailed("decomposition failed re-expansion")
     return weights

@@ -356,6 +356,17 @@ def validate_protocol(protocol: WiringProtocol) -> ProtocolVerdict:
     is skipped for it alone; a copy with a swapped bank, randomness or
     strategy tuple is walked like any other protocol.
     """
+    return _validate(protocol)
+
+
+def _validate(protocol: WiringProtocol, leaves: Optional[dict] = None) -> ProtocolVerdict:
+    """`validate_protocol`, whose walk can also do an executor's work.
+
+    For each input tuple x that is a key of `leaves`, the walk of (lam, x)
+    adds every complete branch's exact weight, lam's weight included, to
+    leaves[x][outputs].  Lam of weight zero are walked all the same, for
+    validation, and add nothing.
+    """
     bad = _check_bank(protocol.bank)
     if bad is not None:
         return ProtocolVerdict(False, bad)
@@ -364,14 +375,29 @@ def validate_protocol(protocol: WiringProtocol) -> ProtocolVerdict:
     if not len(protocol.input_sizes) == len(protocol.output_sizes) == protocol.n_parties:
         return ProtocolVerdict(False, {"reason": "one input size and one output size per party required"})
     if _compiled_of(protocol) is None:
-        for lam in protocol.randomness.support:
+        for lam, w_lam in zip(protocol.randomness.support, protocol.randomness.weights):
             for x in protocol.inputs():
+                outcomes = None if leaves is None else leaves.get(x)
                 try:
-                    _walk(protocol, lam, x, lambda outputs, w: None)
+                    _walk(protocol, lam, x, _no_leaf if outcomes is None else _accumulator(outcomes), weight=w_lam)
                 except Unvalidated as err:
                     return ProtocolVerdict(False, {"lam": lam, "x": x, "reason": str(err)})
     _validated_protocols.add(protocol)
     return ProtocolVerdict(True)
+
+
+def _no_leaf(outputs, w):
+    pass
+
+
+def _accumulator(outcomes: dict):
+    """A leaf callback adding each nonzero branch weight to outcomes[outputs]."""
+
+    def on_leaf(outputs, w):
+        if w != 0:
+            outcomes[outputs] = outcomes.get(outputs, Fraction(0)) + w
+
+    return on_leaf
 
 
 def _require_valid(protocol: WiringProtocol):
@@ -380,6 +406,32 @@ def _require_valid(protocol: WiringProtocol):
     verdict = validate_protocol(protocol)
     if not verdict:
         raise Unvalidated(f"protocol failed validation: {verdict.violation}")
+
+
+def _walked_outcomes(protocol: WiringProtocol, xs) -> dict:
+    """x -> {outputs: exact weight} for each input tuple in xs, by the walk.
+
+    A protocol not validated yet is validated by the same walks: one per
+    (lam, x) over every lam and every x, raising Unvalidated on the first
+    violation.  A validated one walks only xs under lam of nonzero weight.
+    """
+    leaves: dict = {x: {} for x in xs}
+    if protocol not in _validated_protocols:
+        verdict = _validate(protocol, leaves)
+        if not verdict:
+            raise Unvalidated(f"protocol failed validation: {verdict.violation}")
+        return leaves
+    for x, outcomes in leaves.items():
+        for lam, w_lam in zip(protocol.randomness.support, protocol.randomness.weights):
+            if w_lam != 0:
+                _walk(protocol, lam, x, _accumulator(outcomes), weight=w_lam)
+    return leaves
+
+
+def _summing_to_one(dist: OutcomeDistribution) -> OutcomeDistribution:
+    if dist.total() != 1:
+        raise VerificationFailed(f"branch weights sum to {dist.total()}, not 1")
+    return dist
 
 
 def checked_inputs(input_sizes: Sequence[int], x) -> tuple[int, ...]:
@@ -399,29 +451,16 @@ def execute_exact(protocol: WiringProtocol, x) -> OutcomeDistribution:
     A compiled protocol's own protocol (or a `dataclasses.replace` copy
     that keeps its parts) is read off the compiler's affine share forms
     (`compiler.compiled_distribution`), at any gate count; every other
-    protocol is computed by full branch enumeration.  Either way the
-    weights must sum to exactly 1.
+    protocol is computed by full branch enumeration, which validates it on
+    the first call.  Either way the weights must sum to exactly 1.
     """
     x = checked_inputs(protocol.input_sizes, x)
-    _require_valid(protocol)
     owner = _compiled_of(protocol)
-    if owner is not None:
-        compiler, compiled = owner
-        dist = compiler.compiled_distribution(compiled, x)
-    else:
-        outcomes: dict[tuple[int, ...], Fraction] = {}
-
-        def on_leaf(outputs, w):
-            if w != 0:
-                outcomes[outputs] = outcomes.get(outputs, Fraction(0)) + w
-
-        for lam, w_lam in zip(protocol.randomness.support, protocol.randomness.weights):
-            if w_lam != 0:
-                _walk(protocol, lam, x, on_leaf, weight=w_lam)
-        dist = OutcomeDistribution(x=x, outcomes=outcomes)
-    if dist.total() != 1:
-        raise VerificationFailed(f"branch weights sum to {dist.total()}, not 1")
-    return dist
+    if owner is None:
+        return _summing_to_one(OutcomeDistribution(x=x, outcomes=_walked_outcomes(protocol, [x])[x]))
+    _require_valid(protocol)
+    compiler, compiled = owner
+    return _summing_to_one(compiler.compiled_distribution(compiled, x))
 
 
 def induced_box(protocol: WiringProtocol) -> Box:
@@ -429,24 +468,23 @@ def induced_box(protocol: WiringProtocol) -> Box:
 
     A compiled protocol's own protocol is read off the affine share forms
     in one pass (`compiler.induced_box_fast`); any other protocol is
-    assembled from `execute_exact` on each input tuple.  `make_box`
-    refuses a row whose weights do not sum to 1, and the result is
-    post-verified to be nonsignaling: a communication-free protocol cannot
-    signal, so a failure here means an executor bug.
+    assembled from the branch walk on every input tuple, the same walks
+    that validate it on the first call.  Each input's weights must sum to
+    exactly 1, and the result is post-verified to be nonsignaling: a
+    communication-free protocol cannot signal, so a failure here means an
+    executor bug.
     """
-    _require_valid(protocol)
     owner = _compiled_of(protocol)
-    if owner is not None:
+    if owner is None:
+        table = {}
+        for x, outcomes in _walked_outcomes(protocol, protocol.inputs()).items():
+            _summing_to_one(OutcomeDistribution(x=x, outcomes=outcomes))
+            table.update(((x, a), p) for a, p in outcomes.items())
+        box = make_box(protocol.n_parties, protocol.input_sizes, protocol.output_sizes, table, sparse=True)
+    else:
+        _require_valid(protocol)
         compiler, compiled = owner
         box = compiler.induced_box_fast(compiled)
-    else:
-        table = {}
-        for x in protocol.inputs():
-            dist = execute_exact(protocol, x)
-            for a, p in dist.outcomes.items():
-                if p != 0:
-                    table[(x, a)] = p
-        box = make_box(protocol.n_parties, protocol.input_sizes, protocol.output_sizes, table, sparse=True)
     verdict = check_no_signaling(box)
     if not verdict.ok:
         raise VerificationFailed(f"induced box signals: {verdict}")

@@ -399,6 +399,17 @@ def _main_in_process(args, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_engine_fault_in_the_lp_is_not_a_verdict():
+    # a solver fault is a VerificationFailed: exit 2 with its message, never
+    # exit 1 ("computed and negative") or a traceback
+    def faulty(A, b):
+        raise bw.VerificationFailed("phase-1 objective unbounded")
+
+    with mock.patch("boxworld.locality.solve_equality_feasibility", faulty):
+        code, out, err = _main_in_process(["box", "local"], json.dumps(_pr_box_dict()))
+    assert (code, out, err) == (2, "", "error: phase-1 objective unbounded\n")
+
+
 @pytest.mark.parametrize("text", ["{", '{"parties": 2}', "[1, 2]"])
 @pytest.mark.parametrize(
     "args",

@@ -5,7 +5,10 @@ third-party import is both a declared dependency and a start-up cost.
 """
 
 import ast
+import json
+import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -68,3 +71,39 @@ def test_pyproject_declares_no_runtime_dependency():
     assert project["dependencies"] == []
     # the tests themselves import numpy
     assert any(req.startswith("numpy") for req in project["optional-dependencies"]["test"])
+
+
+def _python_3_10():
+    """A python3.10 on PATH that starts and is 3.10, else None."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        return None
+    try:
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(sys.version_info[:2])"], capture_output=True, text=True, timeout=60
+        )
+    except OSError:
+        return None
+    return exe if probe.returncode == 0 and probe.stdout.strip() == "(3, 10)" else None
+
+
+def test_oldest_supported_python_runs_the_cli():
+    # pyproject.toml declares requires-python >= 3.10; run the package on 3.10
+    exe = _python_3_10()
+    if exe is None:
+        pytest.skip("no working python3.10 on PATH")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+
+    def run(args, stdin=None):
+        return subprocess.run([exe, *args], input=stdin, capture_output=True, text=True, env=env, timeout=120)
+
+    imported = run(["-c", "import boxworld; print(boxworld.__file__)"])
+    assert imported.returncode == 0, imported.stderr
+    assert pathlib.Path(imported.stdout.strip()).parent == PACKAGE
+    box = run(["-m", "boxworld", "box", "make", "pr"])
+    assert box.returncode == 0, box.stderr
+    local = run(["-m", "boxworld", "box", "local"], stdin=box.stdout)
+    assert local.returncode == 1, local.stderr  # computed, and nonlocal
+    payload = json.loads(local.stdout)
+    assert payload["local"] is False
+    assert payload["witness_kind"] == "linear"

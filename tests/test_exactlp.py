@@ -1,11 +1,79 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from boxworld.exactlp import exact_rank, solve_equality_feasibility, solve_linear_system
+import boxworld as bw
+from boxworld import locality, polytope
+from boxworld.exactlp import FeasibilityResult, exact_rank, solve_equality_feasibility, solve_linear_system
+
+
+def _full_tableau_feasibility(A, b) -> FeasibilityResult:
+    """Reference: phase 1 on the full (m+1) x (n+m+1) integer tableau.
+
+    The same integer pivoting and the same Bland rule as the package's
+    revised solver, which must return an equal FeasibilityResult."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    M = []
+    scales = []
+    flipped = []
+    for i, row in enumerate(A):
+        fracs = [Fraction(v) for v in row] + [Fraction(b[i])]
+        den = 1
+        for f in fracs:
+            den = den * f.denominator // gcd(den, f.denominator)
+        nums = [int(f * den) for f in fracs]
+        flipped.append(nums[-1] < 0)
+        if nums[-1] < 0:
+            nums = [-v for v in nums]
+        artificial = [0] * m
+        artificial[i] = 1
+        M.append(nums[:-1] + artificial + nums[-1:])
+        scales.append(den)
+    width = n + m + 1
+    # phase-1 reduced costs with the artificial basis; the rhs slot tracks -w
+    obj = [-sum(M[i][j] for i in range(m)) for j in range(width)]
+    for j in range(n, n + m):
+        obj[j] += 1
+    M.append(obj)
+    basis = [n + i for i in range(m)]
+    d = 1
+    while True:
+        enter = next((j for j in range(n + m) if M[m][j] < 0), -1)
+        if enter < 0:
+            break
+        best_i = -1
+        for i in range(m):
+            a = M[i][enter]
+            if a > 0:
+                if best_i < 0:
+                    best_i = i
+                    continue
+                lhs = M[i][width - 1] * M[best_i][enter]
+                rhs = M[best_i][width - 1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best_i]):
+                    best_i = i
+        assert best_i >= 0
+        p = M[best_i][enter]
+        prow = M[best_i]
+        for i in range(m + 1):
+            if i != best_i:
+                f = M[i][enter]
+                M[i] = [(M[i][j] * p - f * prow[j]) // d for j in range(width)]
+        d = p
+        basis[best_i] = enter
+    if M[m][width - 1] == 0:
+        solution = [Fraction(0)] * n
+        for i, col in enumerate(basis):
+            if col < n:
+                solution[col] = Fraction(M[i][width - 1], d)
+        return FeasibilityResult(True, solution=solution)
+    y = [(1 - Fraction(M[m][n + i], d)) * scales[i] for i in range(m)]
+    return FeasibilityResult(False, farkas=[-v if f else v for v, f in zip(y, flipped)])
 
 
 def test_feasible_simple():
@@ -94,3 +162,131 @@ def test_big_degenerate_instance():
     res = solve_equality_feasibility(A, b)
     assert res.feasible
     assert sum(res.solution) == 1
+
+
+def _random_lp(rng):
+    """A small seeded system: integer or Fraction entries, negative rhs, and
+    sometimes a zero row, a redundant row or an inconsistent row."""
+    m = rng.randint(1, 6)
+    n = rng.randint(1, 9)
+
+    def entry():
+        v = rng.randint(-4, 4)
+        return Fraction(v, rng.randint(1, 6)) if rng.random() < 0.3 else v
+
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    b = [entry() for _ in range(m)]
+    if rng.random() < 0.5:  # a feasible rhs by construction
+        z = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) if rng.random() < 0.6 else 0 for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, z)) for row in A]
+    kind = rng.randrange(4)
+    i = rng.randrange(m)
+    if kind == 0:
+        A.append([0] * n)
+        b.append(rng.choice((0, 0, 1)))
+    elif kind == 1:
+        k = Fraction(rng.choice((-3, -1, 2)), rng.randint(1, 2))
+        A.append([k * v for v in A[i]])
+        b.append(k * b[i])
+    elif kind == 2:
+        A.append(list(A[i]))
+        b.append(b[i] + rng.choice((-1, 1)))
+    order = list(range(len(A)))
+    rng.shuffle(order)
+    return [A[r] for r in order], [b[r] for r in order]
+
+
+def test_revised_equals_full_tableau_on_random_lps():
+    rng = random.Random(20261018)
+    verdicts = []
+    for _ in range(2500):
+        A, b = _random_lp(rng)
+        result = solve_equality_feasibility(A, b)
+        assert result == _full_tableau_feasibility(A, b), (A, b)
+        verdicts.append(result.feasible)
+    assert 500 < sum(verdicts) < 2000  # both answers are well represented
+
+
+def _recorded_lps(monkeypatch, module, run):
+    """(A, b, result) of every LP `module` solves while `run()` runs."""
+    seen = []
+
+    def recording(A, b):
+        result = solve_equality_feasibility(A, b)
+        seen.append((A, b, result))
+        return result
+
+    monkeypatch.setattr(module, "solve_equality_feasibility", recording)
+    run()
+    return seen
+
+
+def _census_ladder():
+    """2- and 3-party boxes of the kinds the census benchmark's locality
+    ladder holds: PR/noise mixtures on both sides of CHSH = 2, 3-party
+    parity boxes, and parity boxes mixed with noise."""
+    pr = bw.pr_box()
+    noise2 = bw.uniform_box((2, 2), (2, 2))
+    boxes = [bw.mix_boxes([(Fraction(k, 8), pr), (1 - Fraction(k, 8), noise2)]) for k in (2, 3, 4, 5, 6, 7, 8)]
+    noise3 = bw.uniform_box((2, 2, 2), (2, 2, 2))
+    for bits in ((0, 0, 0, 1, 0, 1, 1, 1), (0, 0, 0, 0, 0, 0, 0, 1), (0, 1, 1, 0, 1, 0, 0, 0)):
+        parity = bw.full_correlation_box(3, 1, lambda x, bits=bits: bits[x[0] + 2 * x[1] + 4 * x[2]])
+        boxes.append(parity)
+        boxes += [bw.mix_boxes([(lam, parity), (1 - lam, noise3)]) for lam in (Fraction(1, 4), Fraction(3, 4))]
+    return boxes
+
+
+def test_revised_equals_full_tableau_on_is_local_lps(monkeypatch):
+    boxes = _census_ladder()
+    seen = _recorded_lps(monkeypatch, locality, lambda: [locality.is_local(box) for box in boxes])
+    assert len(seen) == len(boxes)
+    assert {result.feasible for _, _, result in seen} == {True, False}
+    for A, b, result in seen:
+        assert result == _full_tableau_feasibility(A, b)
+
+
+def test_revised_equals_full_tableau_on_decompose_lps(monkeypatch):
+    vertices = polytope.enumerate_vertices(polytope.build_h_rep((2, 2), (2, 2)))
+    pr = bw.pr_box()
+    deterministic = bw.deterministic_box((2, 2), (2, 2), ((0, 1), (1, 1)))
+    mixtures = [
+        bw.mix_boxes([(Fraction(1, 3), pr), (Fraction(2, 3), deterministic)]),
+        bw.mix_boxes([(Fraction(3, 4), pr), (Fraction(1, 4), bw.uniform_box((2, 2), (2, 2)))]),
+    ]
+    seen = _recorded_lps(monkeypatch, polytope, lambda: [polytope.decompose(box, vertices) for box in mixtures])
+    assert len(seen) == 2
+    for A, b, result in seen:
+        assert result.feasible
+        assert result == _full_tableau_feasibility(A, b)
+
+
+def _beale(objective_value):
+    """Beale's cycling example in equality form: the slacks x1..x3 are
+    columns, and the objective is pinned to `objective_value` by a row."""
+    A = [
+        [1, 0, 0, Fraction(1, 4), -60, Fraction(-1, 25), 9],
+        [0, 1, 0, Fraction(1, 2), -90, Fraction(-1, 50), 3],
+        [0, 0, 1, 0, 0, 1, 0],
+        [0, 0, 0, Fraction(-3, 4), 150, Fraction(-1, 50), 6],
+    ]
+    return A, [0, 0, 1, objective_value]
+
+
+def test_beale_cycling_example_terminates():
+    # the minimum of Beale's objective is -1/20, at x4 = 1/25, x6 = 1
+    A, b = _beale(Fraction(-1, 20))
+    result = solve_equality_feasibility(A, b)
+    assert result.feasible
+    assert result.solution == [Fraction(3, 100), 0, 0, Fraction(1, 25), 0, 1, 0]
+    assert result == _full_tableau_feasibility(A, b)
+    A, b = _beale(Fraction(-1, 10))  # below the minimum
+    result = solve_equality_feasibility(A, b)
+    assert not result.feasible
+    assert result == _full_tableau_feasibility(A, b)
+
+
+def test_no_column_means_no_pivot():
+    assert solve_equality_feasibility([], []) == FeasibilityResult(True, solution=[])
+    assert solve_equality_feasibility([[], []], [0, 0]) == FeasibilityResult(True, solution=[])
+    result = solve_equality_feasibility([[], []], [0, Fraction(-1, 2)])
+    assert result == FeasibilityResult(False, farkas=[1, -2]) == _full_tableau_feasibility([[], []], [0, Fraction(-1, 2)])

@@ -83,3 +83,12 @@ def test_cluster_box_nonlocal_via_event_witness():
     assert verdict.witness["kind"] == "event-sum"
     assert verdict.witness["box_value"] == 6
     assert verdict.witness["local_max"] == 5
+
+
+def test_four_party_majority_parity_box_with_noise_local():
+    # 81 marginal rows x 256 strategies: the largest LP the census solves
+    majority = bw.full_correlation_box(4, 1, lambda b: int(sum(b) >= 2))
+    box = bw.mix_boxes([(Fraction(1, 16), majority), (Fraction(15, 16), bw.uniform_box((2,) * 4, (2,) * 4))])
+    verdict = is_local(box)
+    assert verdict.local
+    assert expand_weights(box, verdict.weights) == box

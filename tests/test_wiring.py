@@ -435,6 +435,61 @@ class TestEnumeration:
         assert sum(1 for _ in stream) == total
 
 
+def _flipping_pr_protocol(zero_weight_move=None):
+    """One PR box under three lam of weights 1/2, 0, 1/2; party 0 flips its
+    output under lam = 2, so the induced box is uniform noise.  Lam = 1 may
+    be given a different first move for party 0."""
+    moves = ({}, {})
+    outputs = ({}, {})
+    for lam, party, x in itertools.product((0, 1, 2), (0, 1), (0, 1)):
+        moves[party][(lam, x, ())] = ("use", 0, x)
+        for alpha in (0, 1):
+            moves[party][(lam, x, (alpha,))] = STOP
+            outputs[party][(lam, x, (alpha,))] = alpha ^ (party == 0 and lam == 2)
+    if zero_weight_move is not None:
+        moves[0][(1, 0, ())] = zero_weight_move
+    return WiringProtocol(
+        n_parties=2,
+        randomness=SharedRandomness((0, 1, 2), (HALF, Fraction(0), HALF)),
+        bank=BoxBank((pr_instance((0, 1)),)),
+        strategies=tuple(TableStrategy(party, moves[party], outputs[party]) for party in (0, 1)),
+        input_sizes=(2, 2),
+        output_sizes=(2, 2),
+    )
+
+
+def test_first_induced_box_walks_each_branch_once(monkeypatch):
+    walks = []
+    real_walk = wiring._walk
+
+    def counting_walk(protocol, lam, x, on_leaf, weight=Fraction(1)):
+        walks.append((lam, x))
+        return real_walk(protocol, lam, x, on_leaf, weight)
+
+    monkeypatch.setattr(wiring, "_walk", counting_walk)
+    proto = _flipping_pr_protocol()
+    first = induced_box(proto)  # validates and executes in one walk per (lam, x)
+    assert sorted(walks) == sorted(itertools.product((0, 1, 2), proto.inputs()))
+    walks.clear()
+    again = induced_box(proto)  # validated: only lam of nonzero weight
+    assert sorted(walks) == sorted(itertools.product((0, 2), proto.inputs()))
+    assert first == again == bw.uniform_box((2, 2), (2, 2))
+    walks.clear()
+    fresh = _flipping_pr_protocol()
+    assert execute_exact(fresh, (1, 1)) == execute_exact(fresh, (1, 1))
+    assert len(walks) == 3 * 4 + 2  # the first call validates, the second walks (1, 1) only
+
+
+def test_zero_weight_lam_is_still_validated():
+    proto = _flipping_pr_protocol(zero_weight_move=("use", 5, 0))
+    verdict = validate_protocol(_flipping_pr_protocol(zero_weight_move=("use", 5, 0)))  # a fresh copy
+    assert verdict.violation == {"lam": 1, "x": (0, 0), "reason": "party 0 referenced unknown instance 5"}
+    for run in (induced_box, lambda p: execute_exact(p, (1, 1))):
+        with pytest.raises(Unvalidated) as err:
+            run(proto)
+        assert str(err.value) == f"protocol failed validation: {verdict.violation}"
+
+
 def test_table_strategy_json_round_trip():
     proto = identity_wiring(bw.pr_box())
     s = proto.strategies[0]
