@@ -543,20 +543,17 @@ def relabel(box: Box, rel: Relabeling) -> Box:
     return make_box(n, new_input_sizes, new_output_sizes, table, sparse=True)
 
 
-def all_relabelings(input_sizes: Sequence[int], output_sizes: Sequence[int], include_party_perms=True):
+def all_relabelings(input_sizes: Sequence[int], output_sizes: Sequence[int]):
     """Yield every local relabeling of the given shape (parties must be swappable only when shapes match)."""
     n = len(input_sizes)
-    if include_party_perms:
-        party_perms = [
-            perm
-            for perm in itertools.permutations(range(n))
-            if all(
-                input_sizes[perm[i]] == input_sizes[i] and output_sizes[perm[i]] == output_sizes[i]
-                for i in range(n)
-            )
-        ]
-    else:
-        party_perms = [tuple(range(n))]
+    party_perms = [
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(
+            input_sizes[perm[i]] == input_sizes[i] and output_sizes[perm[i]] == output_sizes[i]
+            for i in range(n)
+        )
+    ]
     per_party_inputs = [list(itertools.permutations(range(input_sizes[i]))) for i in range(n)]
     per_party_outputs = [
         list(itertools.product(*(list(itertools.permutations(range(output_sizes[i]))) for _ in range(input_sizes[i]))))

@@ -224,11 +224,8 @@ def truth_table(circuit: NandCircuit, _cap: int = TRUTH_TABLE_CAP) -> TruthTable
 class _Builder:
     """Hash-consing NAND-circuit builder with double-negation peephole."""
 
-    def __init__(self, input_names: Sequence[str], parties: Optional[Sequence[Optional[int]]] = None):
-        self.inputs = tuple(
-            InputBit(name, None if parties is None else parties[i])
-            for i, name in enumerate(input_names)
-        )
+    def __init__(self, input_names: Sequence[str]):
+        self.inputs = tuple(InputBit(name) for name in input_names)
         self.gates: list[tuple[str, str]] = []
         self._cache: dict[tuple[str, str], str] = {}
         self._constants: dict[int, str] = {}
@@ -280,7 +277,7 @@ class _Builder:
         return prune(circuit)
 
 
-def synthesize_nand(table: TruthTable, input_names: Optional[Sequence[str]] = None, parties=None) -> NandCircuit:
+def synthesize_nand(table: TruthTable, input_names: Optional[Sequence[str]] = None) -> NandCircuit:
     """Build a NAND circuit computing `table`, verified exhaustively before return.
 
     Shannon-expands on the highest variable, memoizing subfunctions so that
@@ -293,7 +290,7 @@ def synthesize_nand(table: TruthTable, input_names: Optional[Sequence[str]] = No
         input_names = [f"x{v}" for v in range(n)]
     if len(input_names) != n:
         raise DimensionMismatch(f"{n} input names required, got {len(input_names)}")
-    builder = _Builder(input_names, parties)
+    builder = _Builder(input_names)
     memo: dict[tuple[int, int], str] = {}
 
     def build(mask: int, v: int) -> str:

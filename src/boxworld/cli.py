@@ -34,10 +34,16 @@ from .cluster import (
 )
 from .compiler import compile_circuit, compiled_owner, solve_cc, verify_simulation
 from .errors import BoxworldError, TooLarge
-from .locality import is_local
-from .polytope import build_h_rep, classify_vertex, decompose, enumerate_vertices
+from .locality import DEFAULT_STRATEGY_CAP as LOCALITY_STRATEGY_CAP, is_local
+from .polytope import DEFAULT_DIMENSION_CAP, build_h_rep, classify_vertex, decompose, enumerate_vertices
 from .rational import format_rational
-from .wiring import WiringProtocol, execute_exact, execute_sample, induced_box
+from .wiring import (
+    DEFAULT_STRATEGY_CAP as WIRING_STRATEGY_CAP,
+    WiringProtocol,
+    execute_exact,
+    execute_sample,
+    induced_box,
+)
 
 
 # What a malformed or wrongly shaped input document raises while it is
@@ -450,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = box.add_parser(name)
         p.add_argument("--in", dest="infile", help="box JSON file (default stdin)")
         if "cap" in extra:
-            p.add_argument("--cap", type=int, default=10 ** 6)
+            p.add_argument("--cap", type=int, default=LOCALITY_STRATEGY_CAP)
         p.set_defaults(func=func)
     p = box.add_parser("marginal")
     p.add_argument("--in", dest="infile")
@@ -503,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = polytope.add_parser("vertices")
     p.add_argument("--inputs", type=_int_list, required=True, help="e.g. 2,2")
     p.add_argument("--outputs", type=_int_list, required=True, help="e.g. 2,2")
-    p.add_argument("--cap", type=int, default=15)
+    p.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP)
     p.set_defaults(func=_cmd_polytope_vertices)
     p = polytope.add_parser("classify")
     p.add_argument("--in", dest="infile")
@@ -520,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cluster.add_parser("search")
     p.add_argument("--boxes", type=_at_least(0), default=1)
     p.add_argument("--inverted", action="store_true", help="flip the five-party target (sanity check)")
-    p.add_argument("--cap", type=int, default=10 ** 7)
+    p.add_argument("--cap", type=int, default=WIRING_STRATEGY_CAP)
     p.set_defaults(func=_cmd_cluster_search)
 
     return parser

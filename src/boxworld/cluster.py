@@ -34,6 +34,7 @@ from typing import Callable, Optional, Sequence
 from .boxes import Box, make_box
 from .errors import DimensionMismatch, ShapeMismatch, TooLarge, VerificationFailed
 from .wiring import (
+    DEFAULT_STRATEGY_CAP,
     STOP,
     BoxBank,
     OutcomeDistribution,
@@ -306,7 +307,7 @@ def simulation_search(
     n_pr_boxes: int,
     pair_assignments: Optional[Sequence] = None,
     constraints: Optional[ConstraintSet] = None,
-    cap: int = 10 ** 7,
+    cap: int = DEFAULT_STRATEGY_CAP,
 ) -> SearchReport:
     """Exhaustive search for a deterministic wiring protocol with
     `n_pr_boxes` shared PR boxes that reproduces every parity constraint
@@ -315,10 +316,10 @@ def simulation_search(
     Deterministic shared randomness is exhaustive for probability-1 events
     (a mixture succeeds iff every support point does), so this refutes all
     randomized protocols too.  The assignments of boxes to party pairs are
-    `pair_assignments` (default: every multiset of `n_pr_boxes` pairs; bare
-    pairs are accepted for one box); zero boxes give one empty bank, whose
-    space is the local deterministic assignments.  Each assignment's bank
-    is searched by `_search_bank` in turn; `assignments_tested` counts
+    `pair_assignments`, each a sequence of `n_pr_boxes` pairs (default:
+    every multiset of `n_pr_boxes` pairs); zero boxes give one empty bank,
+    whose space is the local deterministic assignments.  Each assignment's
+    bank is searched by `_search_bank` in turn; `assignments_tested` counts
     the assignments searched, and `strategies_tested` adds up their
     banks' `count_strategies`.  TooLarge is raised before
     any search when the total over all assignments exceeds `cap`.  The
@@ -334,10 +335,7 @@ def simulation_search(
         pair_assignments = itertools.combinations_with_replacement(
             itertools.combinations(range(n), 2), n_pr_boxes
         )
-    assignments = [
-        (tuple(a),) if n_pr_boxes == 1 and isinstance(a[0], int) else tuple(a)
-        for a in pair_assignments
-    ]
+    assignments = [tuple(a) for a in pair_assignments]
     for a in assignments:
         if len(a) != n_pr_boxes or not all(len(pair) == 2 and set(pair) <= set(range(n)) for pair in a):
             raise DimensionMismatch(f"assignment {a} does not name {n_pr_boxes} pairs of parties 0..{n - 1}")

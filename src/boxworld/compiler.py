@@ -25,8 +25,11 @@ protocol's own protocol (`compiled_owner`) through this core, so callers
 never choose.  The independent references are the generic branch-tree
 executor in `wiring` (the strategies below implement its interface),
 reached through a copy with a fresh strategy tuple, and the honest block
-enumeration `nand_block_branches` that `_ensure_kernel` checks the affine
-identity against; tests compare the core with both.
+enumeration `nand_block_branches`.  The core rests on one fixed block
+identity (see `_output_forms`) that no input can change, so it is checked
+by the tests, not per process: `tests/test_compiler.py` compares
+`nand_block` with the identity for every share pair at 2 and 3 parties,
+and the core with the generic walk at 2 to 4 parties.
 """
 
 from __future__ import annotations
@@ -95,33 +98,6 @@ def nand_block(beta: Sequence[int], gamma: Sequence[int]) -> dict[tuple[int, ...
     for _, _, a in nand_block_branches(beta, gamma):
         counts[a] = counts.get(a, 0) + 1
     return {a: Fraction(m, total) for a, m in counts.items()}
-
-
-_kernel_checked: set[int] = set()
-
-
-def _ensure_kernel(n: int):
-    """Check, once per party count, the block identity the affine core uses.
-
-    Honest enumeration of every PR branch of one block must give, for every
-    pair of share vectors, outputs a_i = s_i XOR (sum_j beta_j)*gamma_i XOR
-    r_i with s uniform over even-parity n-bit tuples: the share-product
-    terms cancel and each output is affine in the branch vector.
-    """
-    if n in _kernel_checked:
-        return
-    weight = Fraction(1, 2 ** (n - 1))
-    for beta in itertools.product((0, 1), repeat=n):
-        for gamma in itertools.product((0, 1), repeat=n):
-            beta_sum = _xor(beta)
-            dets = tuple((beta_sum & gamma[i]) ^ (1 if i == 0 else 0) for i in range(n))
-            expected = {}
-            for s_free in itertools.product((0, 1), repeat=n - 1):
-                s = s_free + (_xor(s_free),)
-                expected[tuple(s[i] ^ dets[i] for i in range(n))] = weight
-            if nand_block(beta, gamma) != expected:
-                raise VerificationFailed(f"block kernel mismatch at beta={beta}, gamma={gamma}")
-    _kernel_checked.add(n)
 
 
 class CompiledPartyStrategy:
@@ -334,13 +310,13 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
 
     Each gate's block contributes a fresh even-parity branch vector s (the
     per-party XORs of its PR outputs; variables g*(n-1) .. g*(n-1)+n-2,
-    with s_{n-1} their XOR) and, by the cancellation `_ensure_kernel`
-    checks, party i's share of the gate is s_i XOR u_value*gamma_i XOR r_i,
-    where gamma_i is its share of the second operand.  So a gate's share
-    form depends only on its second operand's form, and the output form is
-    built along that chain alone: a row's mask holds the blocks of the
-    chain's gates from the output down to the first gate whose first
-    operand is 0 on that row.  A circuit without gates gets one block of
+    with s_{n-1} their XOR) and, because the share-product terms cancel
+    (the tests check this against `nand_block`), party i's share of the
+    gate is s_i XOR u_value*gamma_i XOR r_i, where gamma_i is its share of
+    the second operand.  So a gate's share form depends only on its second
+    operand's form, and the output form is built along that chain alone: a
+    row's mask holds the blocks of the chain's gates from the output down
+    to the first gate whose first operand is 0 on that row.  A circuit without gates gets one block of
     variables for the even-parity shared randomness that re-randomizes its
     output shares.
 
@@ -420,9 +396,6 @@ def _span_counts(n: int, width: int, masks, consts) -> list[list[int]]:
     for which some branch variable appears in exactly the masks p names).
     Rows with the same masks share one span, computed once per call.
     """
-    # exact counts rest on the block identity; sampling skips the check,
-    # whose cost grows as 4^n * 2^(n(n-1))
-    _ensure_kernel(n)
     n_out = 1 << n
     full = (1 << width) - 1
     const_bits = [_row_bits(const, len(masks[0])) for const in consts]
@@ -610,19 +583,15 @@ class CCResult:
     bits_communicated: int
 
 
-def solve_cc(compiled_or_circuit, party_bit_map=None, x=None, seed: int = 0) -> CCResult:
-    """Communication-complexity run: simulate the parity box of the circuit,
-    then parties 1..n-1 each send their single output bit to party 0, who
-    XORs everything into the function value.
+def solve_cc(compiled: CompiledProtocol, x, seed: int = 0) -> CCResult:
+    """Communication-complexity run: simulate the parity box of the compiled
+    circuit on input x, then parties 1..n-1 each send their single output
+    bit to party 0, who XORs everything into the function value.
 
     One branch of the simulation is sampled (seeded, hence deterministic);
     the block parity identity makes the value equal the circuit evaluation
     on every branch, which the test suite checks exhaustively.
     """
-    if isinstance(compiled_or_circuit, CompiledProtocol):
-        compiled = compiled_or_circuit
-    else:
-        compiled = compile_circuit(compiled_or_circuit, len(party_bit_map), party_bit_map)
     n = compiled.n_parties
     (outputs,) = sample_compiled(compiled, x, seed, 1)  # the one run's joint output
     return CCResult(

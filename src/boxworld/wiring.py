@@ -31,13 +31,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .boxes import Box, check_no_signaling, make_box
+from .boxes import Box, check_no_signaling, make_box, pr_box
 from .errors import BoxworldError, DimensionMismatch, ShapeMismatch, TooLarge, Unvalidated, VerificationFailed
 from .rational import format_rational, parse_rational
 
 STOP = ("stop",)
 
 DEFAULT_STRATEGY_CAP = 10 ** 7
+
+_PR_TEMPLATE = pr_box()  # the one template every `pr_instance` shares
 
 
 @dataclass(frozen=True)
@@ -150,8 +152,7 @@ class WiringProtocol:
         """The table-protocol document that `from_json_dict` reads back; only
         PR-box templates, TableStrategy strategies and integer shared
         randomness have one (anything else raises ShapeMismatch)."""
-        pr = pr_instance((0, 1)).template
-        if any(inst.template != pr for inst in self.bank.instances):
+        if any(inst.template != _PR_TEMPLATE for inst in self.bank.instances):
             raise ShapeMismatch("only PR-box bank templates have a JSON form")
         if not all(isinstance(s, TableStrategy) for s in self.strategies):
             raise ShapeMismatch("only TableStrategy strategies have a JSON form")
@@ -576,13 +577,13 @@ def _sample_walk(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[tu
     return counts
 
 
-def count_strategies(n_parties: int, bank: BoxBank, input_sizes, output_sizes, n_lam: int = 1) -> int:
+def count_strategies(n_parties: int, bank: BoxBank, input_sizes, output_sizes) -> int:
     """Closed-form count of deterministic adaptive strategies (matches the generator)."""
     total = 1
     for party in range(n_parties):
         owned = tuple(bank.owned_by(party))
         per_x = _tree_count(bank, party, frozenset(owned), output_sizes[party], {})
-        per_party = per_x ** (input_sizes[party] * n_lam)
+        per_party = per_x ** input_sizes[party]
         total *= per_party
     return total
 
@@ -630,7 +631,6 @@ def enumerate_strategies(
     input_sizes: Sequence[int],
     output_sizes: Sequence[int],
     cap: int = DEFAULT_STRATEGY_CAP,
-    lam_values=(0,),
 ):
     """Exhaustive, duplicate-free stream of deterministic wiring protocols.
 
@@ -642,22 +642,18 @@ def enumerate_strategies(
     """
     input_sizes = tuple(input_sizes)
     output_sizes = tuple(output_sizes)
-    total = count_strategies(n_parties, bank, input_sizes, output_sizes, len(lam_values))
+    total = count_strategies(n_parties, bank, input_sizes, output_sizes)
     if total > cap:
         raise TooLarge(total, cap)
-    randomness = (
-        SharedRandomness.singleton(lam_values[0])
-        if len(lam_values) == 1
-        else SharedRandomness.uniform(lam_values)
-    )
+    randomness = SharedRandomness.singleton(0)
 
     per_party: list[list[tuple[dict, dict]]] = []
     for party in range(n_parties):
         owned = frozenset(bank.owned_by(party))
-        cells = []
-        for lam in lam_values:
-            for x in range(input_sizes[party]):
-                cells.append(list(_party_trees(bank, party, owned, output_sizes[party], lam, x, ())))
+        cells = [
+            list(_party_trees(bank, party, owned, output_sizes[party], 0, x, ()))
+            for x in range(input_sizes[party])
+        ]
         combos = []
         for combo in itertools.product(*cells):
             moves: dict = {}
@@ -683,18 +679,10 @@ def enumerate_strategies(
         )
 
 
-_pr_template: Optional[Box] = None
-
-
 def pr_instance(owners: tuple[int, int]) -> BoxInstance:
     """PR-box instance; all instances share one immutable template object,
     so a bank of them is checked for no-signaling once (`_check_bank`)."""
-    global _pr_template
-    if _pr_template is None:
-        from .boxes import pr_box
-
-        _pr_template = pr_box()
-    return BoxInstance(template=_pr_template, owners=tuple(owners))
+    return BoxInstance(template=_PR_TEMPLATE, owners=tuple(owners))
 
 
 def identity_wiring(template: Box) -> WiringProtocol:

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,26 @@ try:
             for x in itertools.product((0, 1), repeat=len(subset)):
                 for a in itertools.product((0, 1), repeat=len(subset)):
                     assert m.prob(x, a) == w
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_box_json_round_trip(data):
+        # random shapes and random exact rows, signaling or not
+        n = data.draw(st.integers(1, 3))
+        input_sizes = tuple(data.draw(st.integers(1, 2)) for _ in range(n))
+        output_sizes = tuple(data.draw(st.integers(1, 3)) for _ in range(n))
+        outputs = list(itertools.product(*(range(s) for s in output_sizes)))
+        table = {}
+        for x in itertools.product(*(range(s) for s in input_sizes)):
+            weights = data.draw(st.lists(st.integers(0, 3), min_size=len(outputs), max_size=len(outputs)))
+            weights[data.draw(st.integers(0, len(outputs) - 1))] += 1
+            table.update({(x, a): Fraction(w, sum(weights)) for a, w in zip(outputs, weights)})
+        box = bw.make_box(n, input_sizes, output_sizes, table)
+        document = json.loads(json.dumps(box.to_json_dict()))
+        back = bw.Box.from_json_dict(document)
+        assert back == box
+        assert back.to_json_dict() == document
+        assert all(back.prob(x, a) == p for (x, a), p in table.items())
 
 except ImportError:  # pragma: no cover
     pass

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -202,6 +203,28 @@ try:
     def test_synthesis_round_trip_hypothesis(mask):
         tt = TruthTable.from_int(4, mask)
         assert truth_table(synthesize_nand(tt)) == tt
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_circuit_json_and_netlist_round_trips(data):
+        # random DAGs over 1..4 inputs (some with a party), 0..2 constants
+        n = data.draw(st.integers(1, 4))
+        inputs = tuple(InputBit(f"x{i}", data.draw(st.none() | st.integers(0, 3))) for i in range(n))
+        values = data.draw(st.lists(st.integers(0, 1), max_size=2))
+        constants = tuple(Constant(f"c{i}", v) for i, v in enumerate(values))
+        nodes = [b.name for b in inputs] + [c.name for c in constants]
+        gates = []
+        for g in range(data.draw(st.integers(0, 6))):
+            gates.append((data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))))
+            nodes.append(f"g{g}")
+        circuit = NandCircuit(inputs, tuple(gates), data.draw(st.sampled_from(nodes)), constants)
+        document = circuit.to_json_dict()
+        from_json = NandCircuit.from_json_dict(json.loads(json.dumps(document)))
+        from_netlist = parse_netlist(format_netlist(circuit))
+        for back in (from_json, from_netlist):
+            assert back.to_json_dict() == document
+            assert format_netlist(back) == format_netlist(circuit)
+            assert truth_table(back) == truth_table(circuit)
 
 except ImportError:  # pragma: no cover
     pass

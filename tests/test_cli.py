@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -227,6 +228,27 @@ def test_cc_command_five_parties():
         validate(payload, "cc")
         assert payload["value"] == (1 if sum(x) >= 3 else 0)
         assert payload["bits_communicated"] == 4
+
+
+def test_exact_paths_on_a_four_party_envelope(tmp_path):
+    # majority of four bits: 15 gates, 180 PR boxes, exact in one process
+    bits = "".join("1" if bin(idx).count("1") >= 3 else "0" for idx in range(16))
+    target = run_cli(["box", "make", "fullcorr", "--parties", "4", "--bits", "1", "--function", bits])
+    target_file = tmp_path / "target.json"
+    target_file.write_text(target.stdout)
+    synth = run_cli(["circuit", "synth"], stdin=json.dumps({"n_vars": 4, "bits": [int(b) for b in bits]}))
+    compiled = run_cli(["compile", "--parties", "4", "--map", "x0;x1;x2;x3"], stdin=synth.stdout)
+    assert compiled.returncode == 0
+    assert json.loads(compiled.stdout)["pr_boxes"] == 180
+    exact = run_cli(["simulate", "--exact", "--x", "1,1,0,1"], stdin=compiled.stdout)
+    assert exact.returncode == 0
+    payload = json.loads(exact.stdout)
+    validate(payload, "simulate")
+    outcomes = {tuple(entry["a"]): entry["p"] for entry in payload["distribution"]["outcomes"]}
+    assert outcomes == {a: "1/8" for a in itertools.product((0, 1), repeat=4) if sum(a) % 2 == 1}
+    verify = run_cli(["verify", "--target", str(target_file)], stdin=compiled.stdout)
+    assert verify.returncode == 0
+    assert json.loads(verify.stdout) == {"verified": True}
 
 
 def test_polytope_commands():

@@ -246,7 +246,7 @@ class TestSearch:
         assert report.counterexample is not None
 
     def test_one_box_single_pair_fails(self):
-        report = simulation_search(1, pair_assignments=[(0, 1)])
+        report = simulation_search(1, pair_assignments=[((0, 1),)])
         assert not report.success
         assert report.strategies_tested == 100 * 100 * 4 ** 3
 
@@ -256,7 +256,7 @@ class TestSearch:
 
     def test_one_box_inverted_finds_verified_counterexample(self):
         report = simulation_search(
-            1, pair_assignments=[(0, 1)], constraints=inverted_cluster_constraints()
+            1, pair_assignments=[((0, 1),)], constraints=inverted_cluster_constraints()
         )
         assert report.success
         assert report.counterexample["protocol"]["parties"] == 5
@@ -369,18 +369,12 @@ class TestSearch:
             simulation_search(-1)
 
     @pytest.mark.parametrize(
-        "boxes, assignment", [(1, (0, 7)), (1, ((0, 1), (2, 3))), (2, ((0, 1),)), (2, ((0, 1), (2, 3, 4)))]
+        "boxes, assignment",
+        [(1, (0, 7)), (1, ((0, 1), (2, 3))), (2, ((0, 1),)), (2, ((0, 1), (2, 3, 4))), (1, (0, 1))],
     )
     def test_malformed_assignment_rejected(self, boxes, assignment):
         with pytest.raises(BoxworldError):
             simulation_search(boxes, pair_assignments=[assignment])
-
-    def test_bare_and_nested_pairs_agree(self):
-        inverted = inverted_cluster_constraints()
-        bare = simulation_search(1, pair_assignments=[(2, 4)], constraints=inverted)
-        nested = simulation_search(1, pair_assignments=[((2, 4),)], constraints=inverted)
-        assert bare.counterexample == nested.counterexample
-        assert bare.counterexample["assignment"] == (2, 4)
 
     def test_options_follow_the_tree_generator(self):
         # the search tries one-box trees in this order, so the counterexample

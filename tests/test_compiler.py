@@ -110,6 +110,18 @@ class TestNandBlock:
                             if i != j:
                                 assert b[(i, j)] ^ c[(i, j)] == (beta[i] & gamma[j])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_block_is_the_affine_core_coset(self, n):
+        # the identity the affine core is built on: for every share pair the
+        # honest block outputs s XOR ((sum beta)*gamma_i XOR [i = 0]) with s
+        # uniform over the even-parity n-bit tuples
+        even = [s + (xor_all(s),) for s in itertools.product((0, 1), repeat=n - 1)]
+        for beta in itertools.product((0, 1), repeat=n):
+            for gamma in itertools.product((0, 1), repeat=n):
+                shift = [(xor_all(beta) & gamma[i]) ^ (i == 0) for i in range(n)]
+                coset = {tuple(s[i] ^ shift[i] for i in range(n)): Fraction(1, len(even)) for s in even}
+                assert nand_block(beta, gamma) == coset, (beta, gamma)
+
     def test_subset_uniformity(self):
         # any n-1 outputs jointly uniform
         dist = nand_block((1, 0, 1), (0, 1, 1))
@@ -220,6 +232,27 @@ class TestExecutorAgreement:
                     }
                 live_gates.append(gate_count(circuit))
             assert max(live_gates) >= 2, (n, m, live_gates)
+
+    @pytest.mark.parametrize(
+        "gate, bit_map",
+        [
+            (("u", "v"), [["u"], ["v"], [], []]),
+            (("u", "v"), [[], ["u"], [], ["v"]]),
+            (("v", "one"), [[], [], ["u", "v"], []]),
+        ],
+    )
+    def test_four_party_affine_equals_generic_walk(self, gate, bit_map):
+        # one block of 12 PR boxes, 2^12 branches per input for the walk;
+        # the first operand is 0 on some input, where it gates the output
+        circuit = NandCircuit(
+            inputs=(InputBit("u"), InputBit("v")),
+            gates=(gate,),
+            output="g0",
+            constants=(Constant("one", 1),),
+        )
+        compiled = compile_circuit(circuit, 4, bit_map)
+        assert compiled.pr_box_count == 12
+        assert induced_box(compiled.protocol) == induced_box(walked_copy(compiled.protocol))
 
     def test_affine_sampler_equals_replay_walk(self):
         # execute_sample on a compiled protocol draws from the affine forms;
@@ -363,8 +396,7 @@ class TestAffineCoreAgainstParity:
             assert cc_values(circuit, n, splits, seed=mask) == [f for row in f_rows for f in row], (n, m, mask)
 
     def test_repeated_calls_leave_no_module_level_growth(self):
-        # the affine core keeps its tables per call; only the kernel-check
-        # set, one entry per party count, lives in the module
+        # the affine core keeps its tables per call, none in the module
         circuit = synthesize_nand(TruthTable.from_int(3, 0b11101000), ["b0", "b1", "b2"])
         splits = ownership_splits(3, 1)
         affine_outcome_counts(circuit, 3, splits)
@@ -452,7 +484,7 @@ class TestSolveCC:
     def test_and_at_one_one(self):
         tt = TruthTable.from_function(2, lambda b: b[0] & b[1])
         circuit = synthesize_nand(tt, ["u", "v"])
-        result = solve_cc(circuit, [["u"], ["v"]], x=(1, 1))
+        result = solve_cc(compile_circuit(circuit, 2, [["u"], ["v"]]), (1, 1))
         assert result.value == 1
         assert result.bits_communicated == 1
         assert result.boxes_consumed == gate_count(circuit) * 2
@@ -490,7 +522,7 @@ class TestSolveCC:
     def test_constant_zero(self):
         tt = TruthTable.from_function(2, lambda b: 0)
         circuit = synthesize_nand(tt, ["u", "v"])
-        result = solve_cc(circuit, [["u"], ["v"]], x=(1, 0))
+        result = solve_cc(compile_circuit(circuit, 2, [["u"], ["v"]]), (1, 0))
         assert result.value == 0
         assert result.boxes_consumed == 0
         assert result.bits_communicated == 1
@@ -549,11 +581,7 @@ class TestSolveCC:
             bits = tuple((x[party] >> slot) & 1 for party in range(3) for slot in range(2))
             assert solve_cc(compiled, x=x, seed=x_idx).value == tt.value(bits)
 
-    def test_five_parties_skip_the_block_enumeration(self):
-        # sampling needs no exact counts, so it must not pay the exhaustive
-        # block check (4^n share pairs x 2^(n(n-1)) branches each); four
-        # parties too, whose check alone takes about 20 s
-        checked_before = set(compiler._kernel_checked)
+    def test_four_and_five_party_majority_sampled(self):
         for n in (4, 5):
             maj = lambda b: 1 if 2 * sum(b) > n else 0
             names = [f"b{i}" for i in range(n)]
@@ -570,8 +598,20 @@ class TestSolveCC:
                 counts = bw.execute_sample(compiled.protocol, x, seed=sum(x), n_runs=200)
                 assert sum(counts.values()) == 200
                 assert all(xor_all(a) == maj(x) for a in counts)
-        assert compiler._kernel_checked == checked_before
-        assert 5 not in compiler._kernel_checked
+
+    def test_four_and_five_party_majority_exact(self):
+        # 15 and 24 gates, 180 and 480 PR boxes: the exact paths at n = 4, 5
+        for n, boxes in ((4, 180), (5, 480)):
+            maj = lambda b: 1 if 2 * sum(b) > n else 0
+            names = [f"b{i}" for i in range(n)]
+            circuit = synthesize_nand(TruthTable.from_function(n, maj), names)
+            compiled = compile_circuit(circuit, n, [[name] for name in names])
+            assert compiled.pr_box_count == boxes
+            target = bw.full_correlation_box(n, 1, maj)
+            assert induced_box(compiled.protocol) == target
+            for x in target.inputs():
+                expected = {a: target.prob(x, a) for a in target.outputs() if target.prob(x, a)}
+                assert bw.execute_exact(compiled.protocol, x).outcomes == expected
 
     def test_out_of_range_inputs_rejected(self):
         tt = TruthTable.from_function(2, lambda b: b[0] & b[1])

@@ -389,6 +389,40 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+# The one module-level container the package may hold, with its reason:
+# repeated executor calls on one protocol validate it once, and the weak
+# references hold nothing a caller dropped.
+MODULE_STATE_ALLOWED = {"wiring._validated_protocols"}
+_CONTAINER_NODES = (ast.Set, ast.Dict, ast.List, ast.SetComp, ast.DictComp, ast.ListComp)
+_CONTAINER_CALLS = {
+    "set", "dict", "list", "defaultdict", "OrderedDict", "Counter", "deque",
+    "WeakSet", "WeakKeyDictionary", "WeakValueDictionary",
+}
+
+
+def test_package_keeps_no_module_level_state():
+    # no `global` rebinding, and no mutable container assigned at module
+    # level: a result must not depend on what ran earlier in the process
+    package = pathlib.Path(bw.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.stem}:{node.lineno} global" for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            func = value.func if isinstance(value, ast.Call) else None
+            call = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if isinstance(value, _CONTAINER_NODES) or call in _CONTAINER_CALLS:
+                names = [f"{path.stem}.{ast.unparse(target)}" for target in targets]
+                found += [name for name in names if name not in MODULE_STATE_ALLOWED]
+    assert found == []
+
+
 class TestEnumeration:
     def test_count_matches_hand_closed_form_one_pr_box(self):
         # per side, per input: stop with either output (2) or feed either bit
@@ -496,3 +530,47 @@ def test_table_strategy_json_round_trip():
     back = TableStrategy.from_json_dict(s.to_json_dict())
     assert back.moves == s.moves
     assert back.outputs == s.outputs
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_table_protocol_json_round_trip(data):
+        # random banks of 0..2 PR boxes, random shared randomness and, for
+        # every (lam, x), one of the party's decision trees
+        n = data.draw(st.integers(2, 3))
+        owners = data.draw(st.lists(st.sampled_from(list(itertools.permutations(range(n), 2))), max_size=2))
+        bank = BoxBank(tuple(pr_instance(pair) for pair in owners))
+        input_sizes = tuple(data.draw(st.integers(1, 2)) for _ in range(n))
+        output_sizes = tuple(data.draw(st.integers(1, 2)) for _ in range(n))
+        support = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True))
+        weights = data.draw(st.lists(st.integers(1, 3), min_size=len(support), max_size=len(support)))
+        strategies = []
+        for party in range(n):
+            moves, outputs = {}, {}
+            for lam in support:
+                for x in range(input_sizes[party]):
+                    owned = frozenset(bank.owned_by(party))
+                    trees = list(wiring._party_trees(bank, party, owned, output_sizes[party], lam, x, ()))
+                    tree_moves, tree_outputs = trees[data.draw(st.integers(0, len(trees) - 1))]
+                    moves.update(tree_moves)
+                    outputs.update(tree_outputs)
+            strategies.append(TableStrategy(party, moves, outputs))
+        proto = WiringProtocol(
+            n_parties=n,
+            randomness=SharedRandomness(tuple(support), tuple(Fraction(w, sum(weights)) for w in weights)),
+            bank=bank,
+            strategies=tuple(strategies),
+            input_sizes=input_sizes,
+            output_sizes=output_sizes,
+        )
+        document = json.loads(json.dumps(proto.to_json_dict()))
+        back = WiringProtocol.from_json_dict(document)
+        assert back.to_json_dict() == document
+        assert induced_box(back) == induced_box(proto)
+
+except ImportError:  # pragma: no cover
+    pass
