@@ -15,35 +15,19 @@ import contextlib
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .boxes import (
-    Box,
-    check_no_signaling,
-    chsh_value,
-    full_correlation_box,
-    marginal,
-    pr_box,
-)
-from .circuits import NandCircuit, TruthTable, eval_circuit, gate_count, parse_netlist, synthesize_nand, truth_table
-from .cluster import (
-    cluster_constraints,
-    ghz_local_search,
-    inverted_cluster_constraints,
-    simulation_search,
-)
-from .compiler import compile_circuit, compiled_owner, solve_cc, verify_simulation
 from .errors import BoxworldError, TooLarge
-from .locality import DEFAULT_STRATEGY_CAP as LOCALITY_STRATEGY_CAP, is_local
-from .polytope import DEFAULT_DIMENSION_CAP, build_h_rep, classify_vertex, decompose, enumerate_vertices
 from .rational import format_rational
-from .wiring import (
-    DEFAULT_STRATEGY_CAP as WIRING_STRATEGY_CAP,
-    WiringProtocol,
-    execute_exact,
-    execute_sample,
-    induced_box,
-)
+
+# Each handler and loader imports the library modules it runs, so a call
+# compiles only those: `box check` never loads the compiler or the solvers.
+# The imports below serve the annotations alone.
+if TYPE_CHECKING:
+    from .boxes import Box
+    from .circuits import NandCircuit, TruthTable
+    from .wiring import WiringProtocol
 
 
 # What a malformed or wrongly shaped input document raises while it is
@@ -93,6 +77,12 @@ def _bit_string(text) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
 
+def _cap(args, keyword="cap"):
+    """`--cap` as keyword arguments; none when the option is not given, so
+    the library function's own default cap holds."""
+    return {} if args.cap is None else {keyword: args.cap}
+
+
 @_loading("JSON input")
 def _read_json(path):
     if path in (None, "-"):
@@ -103,6 +93,8 @@ def _read_json(path):
 
 @_loading("box")
 def _read_box(path) -> Box:
+    from .boxes import Box
+
     return Box.from_json_dict(_read_json(path))
 
 
@@ -120,6 +112,8 @@ def _emit(payload) -> None:
 
 @_loading("circuit")
 def _load_circuit(path) -> NandCircuit:
+    from .circuits import NandCircuit, parse_netlist
+
     text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -129,6 +123,8 @@ def _load_circuit(path) -> NandCircuit:
 
 @_loading("truth table")
 def _load_truth_table(data) -> TruthTable:
+    from .circuits import TruthTable
+
     if isinstance(data, dict) and "truth_table" in data:
         data = data["truth_table"]
     return TruthTable(int(data["n_vars"]), tuple(int(b) for b in data["bits"]))
@@ -136,6 +132,10 @@ def _load_truth_table(data) -> TruthTable:
 
 def _load_protocol(data) -> WiringProtocol:
     """A table protocol, or the protocol of a compiled-circuit envelope."""
+    from .circuits import NandCircuit
+    from .compiler import compile_circuit
+    from .wiring import WiringProtocol
+
     with _loading("protocol"):
         if data.get("type") != "compiled":
             return WiringProtocol.from_json_dict(data)
@@ -151,6 +151,8 @@ def _load_protocol(data) -> WiringProtocol:
 
 
 def _cmd_box_make(args):
+    from .boxes import full_correlation_box, pr_box
+
     if args.kind == "pr":
         return 0, pr_box().to_json_dict()
     data = _read_json(args.infile) if (args.function is None) else None
@@ -160,6 +162,8 @@ def _cmd_box_make(args):
             raise BoxworldError(
                 f"--function needs {2 ** n_vars} bits for {args.parties} parties x {args.bits} bits"
             )
+        from .circuits import TruthTable
+
         table = TruthTable(n_vars, args.function)
     else:
         table = _load_truth_table(data)
@@ -168,6 +172,8 @@ def _cmd_box_make(args):
 
 
 def _cmd_box_check(args):
+    from .boxes import check_no_signaling
+
     box = _read_box(args.infile)
     verdict = check_no_signaling(box)
     if verdict.ok:
@@ -185,8 +191,10 @@ def _cmd_box_check(args):
 
 
 def _cmd_box_local(args):
+    from .locality import is_local
+
     box = _read_box(args.infile)
-    verdict = is_local(box, cap=args.cap)
+    verdict = is_local(box, **_cap(args))
     if verdict.local:
         weights = [
             {"responses": [list(r) for r in resp], "w": format_rational(w)}
@@ -204,6 +212,8 @@ def _cmd_box_local(args):
 
 
 def _cmd_box_marginal(args):
+    from .boxes import marginal
+
     box = _read_box(args.infile)
     m = marginal(box, args.parties, args.complement_inputs or None)
     entries = [
@@ -220,11 +230,15 @@ def _cmd_box_marginal(args):
 
 
 def _cmd_box_chsh(args):
+    from .boxes import chsh_value
+
     box = _read_box(args.infile)
     return 0, {"chsh": format_rational(chsh_value(box))}
 
 
 def _cmd_circuit_synth(args):
+    from .circuits import gate_count, synthesize_nand
+
     table = _load_truth_table(_read_json(args.infile))
     names = args.names.split(",") if args.names else None
     circuit = synthesize_nand(table, names)
@@ -234,17 +248,25 @@ def _cmd_circuit_synth(args):
 
 
 def _cmd_circuit_eval(args):
+    from .circuits import eval_circuit
+
     circuit = _load_circuit(args.infile)
     return 0, {"value": eval_circuit(circuit, args.assignment)}
 
 
 def _cmd_circuit_table(args):
+    from .circuits import truth_table
+
     circuit = _load_circuit(args.infile)
     table = truth_table(circuit)
     return 0, {"n_vars": table.n_vars, "bits": list(table.bits)}
 
 
 def _cmd_compile(args):
+    from .boxes import full_correlation_box
+    from .circuits import gate_count, truth_table
+    from .compiler import compile_circuit, verify_simulation
+
     circuit = _load_circuit(args.infile)
     bit_map = [group.split(",") if group else [] for group in args.map.split(";")]
     compiled = compile_circuit(circuit, args.parties, bit_map)
@@ -285,6 +307,8 @@ def _owned_order_function(compiled, table: TruthTable):
 
 
 def _cmd_simulate(args):
+    from .wiring import execute_exact, execute_sample, induced_box
+
     protocol = _load_protocol(_read_json(args.infile))
     x = args.x
     if args.sample:
@@ -308,6 +332,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_verify(args):
+    from .compiler import verify_simulation
+
     protocol = _load_protocol(_read_json(args.infile))
     target = _read_box(args.target)
     verdict = verify_simulation(protocol, target)
@@ -326,6 +352,8 @@ def _cmd_verify(args):
 
 
 def _cmd_cc(args):
+    from .compiler import compiled_owner, solve_cc
+
     compiled = compiled_owner(_load_protocol(_read_json(args.infile)))
     if compiled is None:
         raise BoxworldError("cc expects a compiled-circuit protocol envelope")
@@ -341,7 +369,9 @@ def _cmd_cc(args):
 
 
 def _cmd_polytope_vertices(args):
-    h = build_h_rep(args.inputs, args.outputs, dimension_cap=args.cap)
+    from .polytope import build_h_rep, classify_vertex, enumerate_vertices
+
+    h = build_h_rep(args.inputs, args.outputs, **_cap(args, "dimension_cap"))
     vertices = enumerate_vertices(h)
     reports = []
     for v in vertices:
@@ -358,6 +388,8 @@ def _cmd_polytope_vertices(args):
 
 
 def _cmd_polytope_classify(args):
+    from .polytope import classify_vertex
+
     box = _read_box(args.infile)
     rep = classify_vertex(box)
     payload = {"class": rep.classification}
@@ -381,6 +413,8 @@ def _cmd_polytope_classify(args):
 
 
 def _cmd_polytope_decompose(args):
+    from .polytope import build_h_rep, decompose, enumerate_vertices
+
     box = _read_box(args.infile)
     h = build_h_rep(box.input_sizes, box.output_sizes)
     vertices = enumerate_vertices(h)
@@ -394,6 +428,8 @@ def _cmd_polytope_decompose(args):
 
 
 def _cmd_cluster_constraints(args):
+    from .cluster import cluster_constraints
+
     cs = cluster_constraints()
     return 0, {
         "n_parties": cs.n_parties,
@@ -405,6 +441,8 @@ def _cmd_cluster_constraints(args):
 
 
 def _cmd_cluster_ghz(args):
+    from .cluster import ghz_local_search
+
     report = ghz_local_search()
     code = 0 if report.satisfying_assignments == 0 else 1
     return code, {
@@ -415,8 +453,10 @@ def _cmd_cluster_ghz(args):
 
 
 def _cmd_cluster_search(args):
+    from .cluster import inverted_cluster_constraints, simulation_search
+
     constraints = inverted_cluster_constraints() if args.inverted else None
-    report = simulation_search(args.boxes, constraints=constraints, cap=args.cap)
+    report = simulation_search(args.boxes, constraints=constraints, **_cap(args))
     payload = {
         "boxes": report.boxes,
         "assignments_tested": report.assignments_tested,
@@ -456,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = box.add_parser(name)
         p.add_argument("--in", dest="infile", help="box JSON file (default stdin)")
         if "cap" in extra:
-            p.add_argument("--cap", type=int, default=LOCALITY_STRATEGY_CAP)
+            p.add_argument("--cap", type=int)
         p.set_defaults(func=func)
     p = box.add_parser("marginal")
     p.add_argument("--in", dest="infile")
@@ -509,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = polytope.add_parser("vertices")
     p.add_argument("--inputs", type=_int_list, required=True, help="e.g. 2,2")
     p.add_argument("--outputs", type=_int_list, required=True, help="e.g. 2,2")
-    p.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP)
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_polytope_vertices)
     p = polytope.add_parser("classify")
     p.add_argument("--in", dest="infile")
@@ -526,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cluster.add_parser("search")
     p.add_argument("--boxes", type=_at_least(0), default=1)
     p.add_argument("--inverted", action="store_true", help="flip the five-party target (sanity check)")
-    p.add_argument("--cap", type=int, default=WIRING_STRATEGY_CAP)
+    p.add_argument("--cap", type=int)
     p.set_defaults(func=_cmd_cluster_search)
 
     return parser

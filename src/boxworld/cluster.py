@@ -316,8 +316,9 @@ def simulation_search(
     Deterministic shared randomness is exhaustive for probability-1 events
     (a mixture succeeds iff every support point does), so this refutes all
     randomized protocols too.  The assignments of boxes to party pairs are
-    `pair_assignments`, each a sequence of `n_pr_boxes` pairs (default:
-    every multiset of `n_pr_boxes` pairs); zero boxes give one empty bank,
+    `pair_assignments`, each a sequence of `n_pr_boxes` pairs of distinct
+    int parties, else DimensionMismatch (default: every multiset of
+    `n_pr_boxes` pairs); zero boxes give one empty bank,
     whose space is the local deterministic assignments.  Each assignment's
     bank is searched by `_search_bank` in turn; `assignments_tested` counts
     the assignments searched, and `strategies_tested` adds up their
@@ -335,10 +336,13 @@ def simulation_search(
         pair_assignments = itertools.combinations_with_replacement(
             itertools.combinations(range(n), 2), n_pr_boxes
         )
-    assignments = [tuple(a) for a in pair_assignments]
+    assignments = list(pair_assignments)
     for a in assignments:
-        if len(a) != n_pr_boxes or not all(len(pair) == 2 and set(pair) <= set(range(n)) for pair in a):
-            raise DimensionMismatch(f"assignment {a} does not name {n_pr_boxes} pairs of parties 0..{n - 1}")
+        if not (isinstance(a, (tuple, list)) and len(a) == n_pr_boxes and all(_is_pair(pair, n) for pair in a)):
+            raise DimensionMismatch(
+                f"assignment {a} does not name {n_pr_boxes} pairs of distinct parties 0..{n - 1}"
+            )
+    assignments = [tuple(a) for a in assignments]
     banks = [BoxBank(tuple(pr_instance(pair) for pair in a)) for a in assignments]
     sizes = [count_strategies(n, bank, (2,) * n, (2,) * n) for bank in banks]
     if sum(sizes) > cap:
@@ -364,6 +368,16 @@ def simulation_search(
         strategies_tested=strategies_tested,
         success=False,
         runtime_s=time.monotonic() - start,
+    )
+
+
+def _is_pair(pair, n: int) -> bool:
+    """Whether `pair` names two distinct parties, each an int in 0..n-1."""
+    return (
+        isinstance(pair, (tuple, list))
+        and len(pair) == 2
+        and all(isinstance(p, int) and 0 <= p < n for p in pair)
+        and pair[0] != pair[1]
     )
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import itertools
 import json
@@ -512,6 +513,28 @@ def test_cap_option_is_the_only_cap(monkeypatch, args, variable, code, value):
     # the environment variables that once overrode --cap are ignored
     monkeypatch.setenv(variable, value)
     assert _main_in_process(args, "")[0] == code
+
+
+@pytest.mark.parametrize(
+    "args, stdin, constant",
+    [
+        # 2^20 deterministic strategies
+        (["box", "local"], json.dumps(bw.uniform_box((10, 10), (2, 2)).to_json_dict()), "locality.DEFAULT_STRATEGY_CAP"),
+        # a polytope of dimension 24
+        (["polytope", "vertices", "--inputs", "4,4", "--outputs", "2,2"], "", "polytope.DEFAULT_DIMENSION_CAP"),
+        (["cluster", "search", "--boxes", "2"], "", "cluster.DEFAULT_STRATEGY_CAP"),
+    ],
+    ids=["box local", "polytope vertices", "cluster search"],
+)
+def test_cap_default_is_the_library_constant(args, stdin, constant):
+    # --help shows no default for --cap; without the option, the library
+    # function's own default applies
+    module, name = constant.split(".")
+    cap = getattr(importlib.import_module(f"boxworld.{module}"), name)
+    refused = _main_in_process(args, stdin)
+    assert refused[:2] == (2, "")
+    assert refused[2].startswith("limit exceeded: ") and refused[2].endswith(f" exceeds cap {cap}\n")
+    assert _main_in_process([*args, "--cap", str(cap)], stdin) == refused
 
 
 try:

@@ -376,6 +376,20 @@ class TestSearch:
         with pytest.raises(BoxworldError):
             simulation_search(boxes, pair_assignments=[assignment])
 
+    @pytest.mark.parametrize(
+        "boxes, assignment",
+        [
+            (2, (0, 1)),  # parties where pairs belong
+            (1, ((0, 1.0),)),  # a float party
+            (1, ((0, 0),)),  # one party on both sides
+            (2, ((0, 1), (3, 3))),
+            (1, 5),  # no sequence at all
+        ],
+    )
+    def test_assignment_must_name_pairs_of_distinct_int_parties(self, boxes, assignment):
+        with pytest.raises(bw.DimensionMismatch):
+            simulation_search(boxes, pair_assignments=[assignment])
+
     def test_options_follow_the_tree_generator(self):
         # the search tries one-box trees in this order, so the counterexample
         # it reports is the first in OWNER_OPTIONS order
