@@ -413,6 +413,9 @@ def marginal(box: Box, party_subset: Sequence[int], complement_inputs: Optional[
             raise DimensionMismatch(
                 f"expected {len(complement)} complement inputs, got {len(complement_inputs)}"
             )
+        for p, v in zip(complement, complement_inputs):
+            if not 0 <= v < box.input_sizes[p]:
+                raise DimensionMismatch(f"complement input {v} of party {p} outside 0..{box.input_sizes[p] - 1}")
         table = marg_at(tuple(complement_inputs))
     else:
         completions = list(itertools.product(*(range(box.input_sizes[p]) for p in complement)))

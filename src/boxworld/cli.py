@@ -263,8 +263,8 @@ def _cmd_circuit_table(args):
 
 
 def _cmd_compile(args):
-    from .boxes import full_correlation_box
-    from .circuits import gate_count, truth_table
+    from .boxes import parity_box
+    from .circuits import eval_circuit, gate_count
     from .compiler import compile_circuit, verify_simulation
 
     circuit = _load_circuit(args.infile)
@@ -272,9 +272,15 @@ def _cmd_compile(args):
     compiled = compile_circuit(circuit, args.parties, bit_map)
     verified = None
     if args.verify_target:
-        table = truth_table(compiled.circuit)
-        m = len(compiled.party_bit_map[0])
-        target = full_correlation_box(args.parties, m, _owned_order_function(compiled, table))
+
+        def parity_of(x):  # slot b of party i's input is bit b of x_i
+            bits = {}
+            for x_i, names in zip(x, compiled.party_bit_map):
+                for slot, name in enumerate(names):
+                    bits[name] = (x_i >> slot) & 1
+            return eval_circuit(compiled.circuit, bits)
+
+        target = parity_box(compiled.input_sizes, parity_of)
         verified = bool(verify_simulation(compiled, target))
     payload = {
         "f": compiled.circuit.to_json_dict(),
@@ -290,20 +296,6 @@ def _cmd_compile(args):
         payload["verified"] = verified
         return (0 if verified else 1), payload
     return 0, payload
-
-
-def _owned_order_function(compiled, table: TruthTable):
-    """Reorder the flat-bit function to the ownership slot order."""
-    order = [name for names in compiled.party_bit_map for name in names]
-    index_of = {b.name: i for i, b in enumerate(compiled.circuit.inputs)}
-
-    def func(bits):
-        assignment = [0] * len(order)
-        for slot, name in enumerate(order):
-            assignment[index_of[name]] = bits[slot]
-        return table.value(tuple(assignment))
-
-    return func
 
 
 def _cmd_simulate(args):

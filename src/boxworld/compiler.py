@@ -221,9 +221,10 @@ def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequenc
     owned = [name for names in party_bit_map for name in names]
     declared = set(circuit.input_names)
     if sorted(owned) != sorted(declared):
-        missing = declared - set(owned)
-        extra = set(owned) - declared
-        raise UnownedInputBit(f"ownership map mismatch: missing {missing}, unknown {extra}")
+        missing = sorted(declared - set(owned))
+        extra = sorted(set(owned) - declared)
+        twice = sorted({name for name in owned if owned.count(name) > 1})
+        raise UnownedInputBit(f"ownership map mismatch: missing {missing}, unknown {extra}, owned twice {twice}")
 
     parties = range(n_parties)
     instances = tuple(pr_instance((i, j)) for _ in circuit.gates for i in parties for j in parties if i != j)

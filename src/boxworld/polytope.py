@@ -138,9 +138,9 @@ def _gcd_reduce(vec: list[int]) -> tuple[int, ...]:
 def _initial_basis(rows: list[tuple[int, ...]], dim: int):
     """Pick dim independent rows; return (indices, inverse columns as rays)."""
     chosen = []
-    mat: list[list[Fraction]] = []
+    mat: list[tuple[int, ...]] = []
     for idx, row in enumerate(rows):
-        candidate = mat + [[Fraction(v) for v in row]]
+        candidate = mat + [row]
         if exact_rank(candidate) == len(candidate):
             mat = candidate
             chosen.append(idx)
@@ -150,10 +150,9 @@ def _initial_basis(rows: list[tuple[int, ...]], dim: int):
         raise VerificationFailed("inequality system is rank-deficient")
     # invert the basis matrix exactly: solve B X = I column by column
     rays = []
-    B = [rows[i] for i in chosen]
     for col in range(dim):
         e = [Fraction(1) if r == col else Fraction(0) for r in range(dim)]
-        sol = solve_linear_system(B, e)
+        sol = solve_linear_system(mat, e)
         if sol is None:
             raise VerificationFailed("chosen basis matrix is singular")
         den = 1
@@ -166,41 +165,37 @@ def _initial_basis(rows: list[tuple[int, ...]], dim: int):
 def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
     """All vertices of the polytope, by exact double description.
 
+    Each ray carries the bitmask of the processed rows it is tight on,
+    and no mask is ever recomputed.  Initial ray j, column j of the basis
+    inverse, is tight on every basis row but row j.  Adding row r keeps
+    the rays with row . ray >= 0 (those at 0 gain bit r) and joins each
+    adjacent pair (p, n) with values vp > 0 > vn into vp*n - vn*p, a
+    positive combination of rays that are >= 0 on every earlier row: it
+    is tight on an earlier row exactly when both parents are, and on r
+    by construction, so its mask is mask_p & mask_n | 1 << r (Fukuda &
+    Prodon, "Double description method revisited", 1996).
+
     Every returned box is verified: exactly normalized, nonsignaling, and
     extremal (its tight nonnegativity constraints have full rank).
     """
     rows = _inequality_rows(h_rep)
     dim = h_rep.dimension + 1  # homogenized
     order, initial_rays = _initial_basis(rows, dim)
-    processed = list(order)
-    processed_set = set(order)
-
-    def dot(row, ray):
-        return sum(r * v for r, v in zip(row, ray))
-
-    rays = []
-    for ray in initial_rays:
-        mask = 0
-        for pos, row_idx in enumerate(processed):
-            if dot(rows[row_idx], ray) == 0:
-                mask |= 1 << row_idx
-        rays.append((ray, mask))
+    basis = sum(1 << row_idx for row_idx in order)
+    rays = [(ray, basis & ~(1 << row_idx)) for row_idx, ray in zip(order, initial_rays)]
 
     for row_idx, row in enumerate(rows):
-        if row_idx in processed_set:
+        if basis >> row_idx & 1:
             continue
-        vals = [dot(row, ray) for ray, _ in rays]
+        vals = [sum(r * v for r, v in zip(row, ray)) for ray, _ in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         if not neg:
-            new_rays = [
+            rays = [
                 (ray, mask | (1 << row_idx) if vals[i] == 0 else mask)
                 for i, (ray, mask) in enumerate(rays)
             ]
-            rays = new_rays
-            processed.append(row_idx)
-            processed_set.add(row_idx)
             continue
 
         kept = []
@@ -231,13 +226,7 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
                     continue
                 vn = vals[j]
                 new = [vp * ray_n[c] - vn * ray_p[c] for c in range(dim)]
-                new_t = _gcd_reduce(new)
-                new_mask = 0
-                for r_idx in processed:
-                    if dot(rows[r_idx], new_t) == 0:
-                        new_mask |= 1 << r_idx
-                new_mask |= 1 << row_idx
-                created.append((new_t, new_mask))
+                created.append((_gcd_reduce(new), common | (1 << row_idx)))
 
         seen = {ray for ray, _ in kept}
         for ray, mask in created:
@@ -245,21 +234,14 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
                 seen.add(ray)
                 kept.append((ray, mask))
         rays = kept
-        processed.append(row_idx)
-        processed_set.add(row_idx)
 
+    # the rays are distinct primitive integer vectors, so no two give one point
     boxes = []
-    seen_points = set()
     for ray, _ in rays:
         s = ray[0]
         if not s > 0:
             raise VerificationFailed("unbounded direction found in a bounded polytope")
-        t = [Fraction(v, s) for v in ray[1:]]
-        key = tuple(t)
-        if key in seen_points:
-            continue
-        seen_points.add(key)
-        box = h_rep.box_from_point(t)
+        box = h_rep.box_from_point([Fraction(v, s) for v in ray[1:]])
         verdict = check_no_signaling(box)
         if not verdict.ok:
             raise VerificationFailed("enumerated vertex signals")

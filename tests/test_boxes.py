@@ -167,6 +167,13 @@ def test_marginal_requires_complement_inputs_for_signaling_cut():
     assert m.prob((0,), (1,)) == 1
 
 
+def test_marginal_complement_inputs_out_of_range():
+    for bad in ([5], [-1], [2]):
+        with pytest.raises(DimensionMismatch, match="complement input"):
+            bw.marginal(bw.pr_box(), [0], complement_inputs=bad)
+    assert bw.marginal(bw.pr_box(), [0], complement_inputs=[1]).prob((0,), (0,)) == HALF
+
+
 def test_chsh_values():
     assert bw.chsh_value(bw.uniform_box((2, 2), (2, 2))) == 0
     always_zero = bw.deterministic_box((2, 2), (2, 2), ((0, 0), (0, 0)))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import itertools
@@ -80,6 +81,11 @@ def test_box_marginal():
     payload = json.loads(marg.stdout)
     validate(payload, "box_marginal")
     assert all(entry["p"] == "1/2" for entry in payload["table"])
+    # a completion input outside the party's alphabet is a usage error, not an empty table
+    for bad in ("5", "-1"):
+        out = run_cli(["box", "marginal", "--parties", "0", "--complement-inputs", bad], stdin=box)
+        assert out.returncode == 2
+        assert out.stdout == ""
 
 
 def test_fullcorr_make_and_verify_roundtrip(tmp_path):
@@ -110,6 +116,20 @@ def test_fullcorr_make_and_verify_roundtrip(tmp_path):
     assert verify.returncode == 0
     payload = json.loads(verify.stdout)
     validate(payload, "verify")
+    assert payload["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "parties, bit_map",
+    [("2", "a,b;c"), ("3", "a;;b,c"), ("2", "a;b,c"), ("3", "a;b;c")],
+)
+def test_compile_verify_target_with_uneven_ownership(parties, bit_map):
+    # parties may own different numbers of bits, or none
+    netlist = "input a\ninput b\ninput c\ng0 = NAND(a, b)\ng1 = NAND(g0, c)\noutput g1\n"
+    out = run_cli(["compile", "--parties", parties, "--map", bit_map, "--verify-target"], stdin=netlist)
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    validate(payload, "compile")
     assert payload["verified"] is True
 
 
@@ -270,6 +290,23 @@ def test_polytope_commands():
     validate(payload, "polytope_decompose")
     assert len(payload["weights"]) == 1
     assert payload["weights"][0]["w"] == "1/1"
+
+
+@pytest.mark.parametrize(
+    "inputs, outputs, digest",
+    [
+        ("2,2", "2,2", "4f0aa8b184f59b30d649e8f47deee37e9c0bd4e8d3e957a226fe3fc7f123895a"),
+        ("1,1,1", "2,2,2", "924a5a78690c017150d2971c9b380074de4e2d3785c220945833227e18ad9f76"),
+        ("2,3", "2,2", "a2589fb24e56009a5ead11116706095eb934c166fb80118a09372630684c42a2"),
+        ("2,2", "2,3", "6d6e15f1348dfb72af4f78b93a4d8bb4c7f5652a3e13b1caf1c8056267ac6e77"),
+        ("2,1,1", "2,2,2", "35151cf5436c5d3c47f8fe23e7d5071b7983de3c03fbbb64a7106675b6317a43"),
+    ],
+)
+def test_polytope_vertices_output_is_pinned(inputs, outputs, digest):
+    # the oracle tests compare vertex sets; this pins the printed order too
+    out = run_cli(["polytope", "vertices", "--inputs", inputs, "--outputs", outputs])
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
 def test_polytope_vertices_at_any_party_count():

@@ -181,6 +181,8 @@ class TestCompile:
             compile_circuit(circuit, 2, [["u"], ["w"]])
         with pytest.raises(UnownedInputBit):
             compile_circuit(circuit, 2, [["u"], []])
+        with pytest.raises(UnownedInputBit, match=r"owned twice \['u'\]"):
+            compile_circuit(circuit, 2, [["u", "v"], ["u"]])
 
     def test_multi_bit_ownership(self):
         f = lambda b: (b[0] & b[2]) ^ b[1] ^ b[3]
