@@ -246,10 +246,14 @@ def parity_box(input_sizes: Sequence[int], parity_of: Callable[[tuple[int, ...]]
     Each of the 2^(n-1) output tuples with the correct parity carries
     probability 1/2^(n-1).  This is the general-alphabet form used by the
     polytope classifier; `full_correlation_box` is the m-bit-input special
-    case.
+    case.  A shape with more than BOX_CELL_CAP (x, a) pairs raises TooLarge
+    before parity_of is called.
     """
     input_sizes = tuple(int(s) for s in input_sizes)
     n = len(input_sizes)
+    cells = math.prod(input_sizes) * 2 ** n
+    if cells > BOX_CELL_CAP:
+        raise TooLarge(cells, BOX_CELL_CAP)
     weight = Fraction(1, 2 ** (n - 1))
     table = {}
     for x in itertools.product(*(range(s) for s in input_sizes)):

@@ -263,8 +263,7 @@ def _cmd_circuit_table(args):
 
 
 def _cmd_compile(args):
-    from .boxes import parity_box
-    from .circuits import eval_circuit, gate_count
+    from .circuits import gate_count
     from .compiler import compile_circuit, verify_simulation
 
     circuit = _load_circuit(args.infile)
@@ -272,16 +271,7 @@ def _cmd_compile(args):
     compiled = compile_circuit(circuit, args.parties, bit_map)
     verified = None
     if args.verify_target:
-
-        def parity_of(x):  # slot b of party i's input is bit b of x_i
-            bits = {}
-            for x_i, names in zip(x, compiled.party_bit_map):
-                for slot, name in enumerate(names):
-                    bits[name] = (x_i >> slot) & 1
-            return eval_circuit(compiled.circuit, bits)
-
-        target = parity_box(compiled.input_sizes, parity_of)
-        verified = bool(verify_simulation(compiled, target))
+        verified = bool(verify_simulation(compiled, compiled.target_box()))
     payload = {
         "f": compiled.circuit.to_json_dict(),
         "n": compiled.n_parties,

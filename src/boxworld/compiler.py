@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .boxes import Box, make_box
-from .circuits import NandCircuit, gate_count, prune
+from .boxes import Box, make_box, parity_box
+from .circuits import NandCircuit, eval_circuit, gate_count, prune
 from .errors import ShapeMismatch, UnownedInputBit, VerificationFailed
 from .wiring import (
     STOP,
@@ -189,16 +189,31 @@ class CompiledProtocol:
     def degenerate(self) -> bool:  # no live gate: shared randomness re-randomizes the shares
         return not self.circuit.gates
 
+    def owned_bits(self, party: int, x: int) -> dict[str, int]:
+        """The input bits `party` owns on its input x: slot b is bit b of x."""
+        return {name: (x >> slot) & 1 for slot, name in enumerate(self.party_bit_map[party])}
+
     def base_shares(self, party: int, x: int) -> dict[str, int]:
         """Leaf-wire shares held by `party` on its input x: the owner of an
         input bit holds it, everyone else holds 0; constants are public
         parity carried by party 0."""
         shares: dict[str, int] = {name: 0 for name in self.circuit.input_names}
-        for slot, name in enumerate(self.party_bit_map[party]):
-            shares[name] = (x >> slot) & 1
+        shares.update(self.owned_bits(party, x))
         for c in self.circuit.constants:
             shares[c.name] = c.value if party == 0 else 0
         return shares
+
+    def target_box(self) -> Box:
+        """The parity box the protocol simulates: the outputs' total parity
+        is the circuit's value on the bits the parties own."""
+
+        def parity_of(x):
+            bits: dict[str, int] = {}
+            for party, x_i in enumerate(x):
+                bits.update(self.owned_bits(party, x_i))
+            return eval_circuit(self.circuit, bits)
+
+        return parity_box(self.input_sizes, parity_of)
 
 
 def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequence[Sequence[str]]) -> CompiledProtocol:

@@ -63,6 +63,15 @@ def test_make_box_caps_the_table_size(monkeypatch):
         bw.make_box(2, (1, 1), (3, 3), {((0, 0), (0, 0)): 1}, sparse=True)
 
 
+def test_parity_box_refuses_an_oversized_shape_before_evaluating():
+    def parity_of(x):
+        raise AssertionError("parity_of called on a shape over the cap")
+
+    with pytest.raises(TooLarge) as err:
+        bw.parity_box((2 ** 12, 2 ** 12), parity_of)
+    assert (err.value.count, err.value.cap) == (2 ** 26, BOX_CELL_CAP)
+
+
 class TestPRBox:
     def test_supported_pairs(self):
         pr = bw.pr_box()

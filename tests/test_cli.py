@@ -133,6 +133,20 @@ def test_compile_verify_target_with_uneven_ownership(parties, bit_map):
     assert payload["verified"] is True
 
 
+def test_compile_verify_target_refuses_an_oversized_target():
+    # 24 input bits: the target box is refused before any input is evaluated
+    names = [f"i{k}" for k in range(24)]
+    lines = [f"input {name}" for name in names]
+    lines += [f"g0 = NAND({names[0]}, {names[1]})"]
+    lines += [f"g{k - 1} = NAND(g{k - 2}, {names[k]})" for k in range(2, 24)]
+    netlist = "\n".join(lines + ["output g22", ""])
+    bit_map = ",".join(names[:12]) + ";" + ",".join(names[12:])
+    out = run_cli(["compile", "--parties", "2", "--map", bit_map, "--verify-target"], stdin=netlist)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("limit exceeded: ")
+
+
 def test_verify_mismatch_exits_one(tmp_path):
     wrong = run_cli(["box", "make", "fullcorr", "--parties", "2", "--bits", "1", "--function", "1110"])
     target_file = tmp_path / "t.json"
