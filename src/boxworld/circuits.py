@@ -77,6 +77,10 @@ class Constant:
     name: str
     value: int
 
+    def __post_init__(self):
+        if not isinstance(self.value, int) or self.value not in (0, 1):
+            raise DimensionMismatch(f"constant {self.name!r} must be 0 or 1, got {self.value!r}")
+
 
 def _is_gate_id(name: str) -> bool:
     return name.startswith("g") and name[1:].isdigit()
@@ -183,12 +187,16 @@ def live_nodes(circuit: NandCircuit) -> set[str]:
 
 
 def prune(circuit: NandCircuit) -> NandCircuit:
-    """Drop gates, inputs' constants not reachable from the output; keep all inputs.
+    """Drop the gates and constants not reachable from the output; keep all inputs.
 
     Input leaves always survive (they define the function's domain); dead
-    gates and dead constants are removed and gates are renumbered.
+    gates and dead constants are removed and gates are renumbered.  A
+    circuit with nothing dead is returned as it is.
     """
     live = live_nodes(circuit)
+    constants = tuple(c for c in circuit.constants if c.name in live)
+    if len(constants) == len(circuit.constants) and all(f"g{i}" in live for i in range(len(circuit.gates))):
+        return circuit
     rename = {}
     new_gates = []
     for i, (left, right) in enumerate(circuit.gates):
@@ -200,7 +208,7 @@ def prune(circuit: NandCircuit) -> NandCircuit:
         inputs=circuit.inputs,
         gates=tuple(new_gates),
         output=rename.get(circuit.output, circuit.output),
-        constants=tuple(c for c in circuit.constants if c.name in live),
+        constants=constants,
     )
 
 
@@ -209,16 +217,55 @@ def gate_count(circuit: NandCircuit) -> int:
     return sum(1 for name in live_nodes(circuit) if _is_gate_id(name))
 
 
+def run_window(run: int, lo: int, length: int) -> int:
+    """Row bitset of `length` rows whose bit j is ((lo + j) // run) & 1.
+
+    In a table whose row index holds a variable at bit v, that variable's
+    column is the window with run 2^v.  The first rows keep row lo's
+    value up to the next multiple of `run`; after them whole runs
+    alternate, ones first when row lo is 0: one run of ones and one of
+    zeros, doubled until it covers the rest.  A window that starts on a 1
+    is the complement of that.  The cost grows with the window only, not
+    with the run or lo.
+    """
+    head = min(run - lo % run, length)
+    tail = length - head
+    pattern, covered = (1 << min(run, tail)) - 1, 2 * run
+    while covered < tail:
+        pattern |= pattern << covered
+        covered *= 2
+    window = (pattern & ((1 << tail) - 1)) << head
+    return window ^ ((1 << length) - 1) if (lo // run) & 1 else window
+
+
+def row_bits(bitset: int, n_rows: int) -> list[int]:
+    """The 0/1 values of a row bitset, row 0 first."""
+    return list(map(int, reversed(bin(bitset | 1 << n_rows)[3:])))
+
+
+def wire_bitsets(circuit: NandCircuit, leaves: dict[str, int], n_rows: int) -> dict[str, int]:
+    """Every wire's value on n_rows rows at once, as row bitsets (bit r is
+    the value on row r), from the input leaves' bitsets: a constant is all
+    ones or all zeros, and a gate is one big-int NAND."""
+    full = (1 << n_rows) - 1
+    values = dict(leaves)
+    for c in circuit.constants:
+        values[c.name] = full if c.value else 0
+    for i, (left, right) in enumerate(circuit.gates):
+        values[f"g{i}"] = full ^ (values[left] & values[right])
+    return values
+
+
 def truth_table(circuit: NandCircuit, _cap: int = TRUTH_TABLE_CAP) -> TruthTable:
-    """Exhaustive evaluation over all assignments (little-endian row order)."""
+    """Exhaustive evaluation over all assignments (little-endian row order),
+    every row at once: variable v's column is `run_window(2^v, 0, 2^n)`."""
     n = len(circuit.inputs)
     if 2 ** n > _cap:
         raise TooLarge(2 ** n, _cap)
-    rows = []
-    for idx in range(2 ** n):
-        bits = tuple((idx >> v) & 1 for v in range(n))
-        rows.append(eval_circuit(circuit, bits))
-    return TruthTable(n, tuple(rows))
+    rows = 2 ** n
+    leaves = {b.name: run_window(1 << v, 0, rows) for v, b in enumerate(circuit.inputs)}
+    out = wire_bitsets(circuit, leaves, rows)[circuit.output]
+    return TruthTable(n, tuple(row_bits(out, rows)))
 
 
 class _Builder:
@@ -340,6 +387,13 @@ def synthesize_nand(table: TruthTable, input_names: Optional[Sequence[str]] = No
     return circuit
 
 
+def _netlist_int(text: str, raw: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DimensionMismatch(f"cannot parse netlist line {raw!r}: {text!r} is not an integer") from None
+
+
 def parse_netlist(text: str) -> NandCircuit:
     """Parse the plain-text circuit form.
 
@@ -362,11 +416,11 @@ def parse_netlist(text: str) -> NandCircuit:
             party = None
             for token in rest[1:]:
                 if token.startswith("party="):
-                    party = int(token[len("party="):])
+                    party = _netlist_int(token[len("party="):], raw)
             inputs.append(InputBit(rest[0], party))
         elif line.startswith("const "):
             name, _, value = line[len("const "):].partition("=")
-            constants.append(Constant(name.strip(), int(value.strip()) & 1))
+            constants.append(Constant(name.strip(), _netlist_int(value.strip(), raw)))
         elif line.startswith("output "):
             output = line[len("output "):].strip()
         elif "=" in line and "NAND" in line.upper():
@@ -377,11 +431,12 @@ def parse_netlist(text: str) -> NandCircuit:
                     f"gates must be declared in order; expected g{len(gates)}, got {name!r}"
                 )
             inner = expr.strip()
-            upper = inner.upper()
-            start = upper.index("NAND(") + len("NAND(")
-            body = inner[start:inner.rindex(")")]
-            left, right = (part.strip() for part in body.split(","))
-            gates.append((left, right))
+            start = inner.upper().find("NAND(")
+            end = inner.rfind(")")
+            operands = [part.strip() for part in inner[start + len("NAND("):end].split(",")]
+            if start < 0 or end < start or len(operands) != 2:
+                raise DimensionMismatch(f"cannot parse netlist line {raw!r}: a gate is NAND(<ref>, <ref>)")
+            gates.append(tuple(operands))
         else:
             raise DimensionMismatch(f"cannot parse netlist line {raw!r}")
     if output is None:

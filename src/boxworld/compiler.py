@@ -34,14 +34,17 @@ and the core with the generic walk at 2 to 4 parties.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_, itemgetter, xor
 from typing import Optional, Sequence
 
 from .boxes import Box, make_box, parity_box
-from .circuits import NandCircuit, eval_circuit, gate_count, prune
+from .circuits import NandCircuit, eval_circuit, gate_count, prune, row_bits, run_window, wire_bitsets
 from .errors import ShapeMismatch, UnownedInputBit, VerificationFailed
 from .wiring import (
     STOP,
@@ -280,28 +283,29 @@ def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequenc
 
 def _x_tuples(sizes) -> list[tuple[int, ...]]:
     """All joint inputs, party 0 varying fastest."""
-    n_x = 1
-    for s in sizes:
-        n_x *= s
-    out = []
-    for idx in range(n_x):
-        rem = idx
-        t = []
-        for s in sizes:
-            t.append(rem % s)
-            rem //= s
-        out.append(tuple(t))
-    return out
+    return [x[::-1] for x in itertools.product(*map(range, reversed(sizes)))]
 
 
-def _bitset(bits) -> int:
-    """Row bitset of a list of 0/1 row values: bit r is the value on row r."""
-    return int("".join(map(str, reversed(bits))) or "0", 2)
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _row_bits(bitset: int, n_rows: int) -> list[int]:
-    """The 0/1 values of a row bitset, row 0 first."""
-    return list(map(int, reversed(bin(bitset | 1 << n_rows)[3:])))
+def _row_codes(bitsets, n_rows: int) -> list[int]:
+    """Scatter bitsets into per-row codes: code r holds bit r of bitsets[i]
+    at bit i.
+
+    Each bitset's binary digits become one 0/1 byte per row; eight such
+    byte strings, bitset i shifted by i, add without carries into one
+    integer whose bytes are the rows' codes over those eight bitsets.
+    """
+    codes = [0] * n_rows
+    for base in range(0, len(bitsets), 8):
+        acc = 0
+        for i, bitset in enumerate(bitsets[base:base + 8]):
+            digits = bin(bitset | 1 << n_rows)[3:].encode().translate(_BIT_BYTES)
+            acc |= int.from_bytes(digits, "big") << i
+        group = acc.to_bytes(n_rows, "little")
+        codes = list(group) if base == 0 else [code | byte << base for code, byte in zip(codes, group)]
+    return codes
 
 
 def _sweep_rows(circuit: NandCircuit, n_parties: int, bit_maps):
@@ -317,8 +321,28 @@ def _sweep_rows(circuit: NandCircuit, n_parties: int, bit_maps):
         sizes = tuple(2 ** len(names) for names in bit_map)
         if sizes not in joint_inputs:
             joint_inputs[sizes] = _x_tuples(sizes)
-        rows += [(map_idx, x) for x in joint_inputs[sizes]]
+        rows += zip(itertools.repeat(map_idx), joint_inputs[sizes])
     return rows
+
+
+def _map_blocks(bit_maps, rows):
+    """(map_idx, first row, table index of that row, row count) for each
+    map in `rows`: its rows must be consecutive rows of its `_x_tuples`
+    table, and the maps must come in ascending order.  x's table index
+    puts bit `slot` of x[p] at its position in the flattened map."""
+    blocks = []
+    start = 0
+    while start < len(rows):
+        map_idx, x = rows[start]
+        stop = bisect.bisect_right(rows, map_idx, start, key=itemgetter(0))
+        offset = 0
+        lo = 0
+        for x_p, names in zip(x, bit_maps[map_idx]):
+            lo |= x_p << offset
+            offset += len(names)
+        blocks.append((map_idx, start, lo, stop - start))
+        start = stop
+    return blocks
 
 
 def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
@@ -336,8 +360,18 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
     variables for the even-parity shared randomness that re-randomizes its
     output shares.
 
-    Wire values and constants are row bitsets (bit r is the value on row
-    r), so a gate costs one big-int operation for all rows.
+    Wire values are row bitsets (`wire_bitsets`: bit r is the value on
+    row r), so a gate costs one big-int operation for all rows.  The
+    leaves cost one per map: in `_x_tuples` order, party 0 fastest, the
+    column of bit `slot` of x[p] is a run pattern, run = 2^slot *
+    prod(sizes[:p]) zeros then `run` ones, repeated, so a leaf's bitset
+    is one `run_window` per map, built once per (run, window) in the call
+    and shifted to the map's first row.  The holder of an input leaf owns
+    every row of a map.
+
+    `rows` lists (map_idx, x) pairs as `_sweep_rows` does: each map's rows
+    consecutive in its `_x_tuples` table (the whole table in a sweep, one
+    input in a single-input call), maps ascending.
 
     Returns (width, masks, consts): the joint branch vector has `width`
     uniform bits, masks[i] is a list of Python-int masks over them, one
@@ -348,18 +382,26 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
     gates = circuit.gates
     width = (n - 1) * max(len(gates), 1)
     full = (1 << len(rows)) - 1
-    places = [
-        {name: (party, slot) for party, names in enumerate(bit_map) for slot, name in enumerate(names)}
-        for bit_map in bit_maps
-    ]
-    values: dict[str, int] = {}
+    # owner and position of every bit of each map: bit `slot` of x[p]
+    # follows the bits of parties 0..p-1 in the flattened map, so its run
+    # is 2^position
+    places = []
+    for bit_map in bit_maps:
+        owned = [(party, name) for party, names in enumerate(bit_map) for name in names]
+        places.append({name: (party, position) for position, (party, name) in enumerate(owned)})
+    blocks = _map_blocks(bit_maps, rows)
+    windows: dict[tuple[int, int, int], int] = {}
+    leaves: dict[str, int] = {}
     for b in circuit.inputs:
-        located = [places[m_idx][b.name] for m_idx, _ in rows]
-        values[b.name] = _bitset([(x[party] >> slot) & 1 for (party, slot), (_, x) in zip(located, rows)])
-    for c in circuit.constants:
-        values[c.name] = full if c.value else 0
-    for g_idx, (l, r) in enumerate(gates):
-        values[f"g{g_idx}"] = full ^ (values[l] & values[r])
+        column = 0
+        for map_idx, first, lo, count in blocks:
+            position = places[map_idx][b.name][1]
+            key = (position, lo, count)
+            if key not in windows:
+                windows[key] = run_window(1 << position, lo, count)
+            column |= windows[key] << first
+        leaves[b.name] = column
+    values = wire_bitsets(circuit, leaves, len(rows))
 
     chain = []
     leaf = circuit.output
@@ -371,25 +413,25 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
     # leaf shares: the owner of an input bit holds it, everyone else 0;
     # constants are public parity carried by party 0
     if leaf in circuit.input_names:
-        holder = [places[m_idx][leaf][0] for m_idx, _ in rows]
-        consts = [values[leaf] & _bitset([int(h == party) for h in holder]) for party in range(n)]
+        held = [0] * n
+        for map_idx, first, _, count in blocks:
+            held[places[map_idx][leaf][0]] |= ((1 << count) - 1) << first
+        consts = [values[leaf] & rows_held for rows_held in held]
     else:
         consts = [values[leaf] if party == 0 else 0 for party in range(n)]
     for g_idx in reversed(chain):
         vu = values[gates[g_idx][0]]
-        consts = [(const & vu) ^ (full if party == 0 else 0) for party, const in enumerate(consts)]
-
-    def block_masks(block):
-        low = block * (n - 1)
-        return [1 << (low + i) for i in range(n - 1)] + [((1 << (n - 1)) - 1) << low]
+        consts = [const & vu for const in consts]
+        consts[0] ^= full
 
     # levels[d]: the masks holding the blocks of chain[0..d]; row r gets
-    # levels[level[r]]
+    # levels[level[r]].  `lows` has bit g*(n-1) set for each block g held:
+    # party i < n-1 holds variable i of each block, party n-1 all n-1.
     levels = []
-    acc = [0] * n
+    lows = 0
     for g_idx in chain or [0]:
-        acc = [mask | own for mask, own in zip(acc, block_masks(g_idx))]
-        levels.append(acc)
+        lows |= 1 << (g_idx * (n - 1))
+        levels.append([lows << i for i in range(n - 1)] + [lows * ((1 << (n - 1)) - 1)])
     level = [len(levels) - 1] * len(rows)
     remaining = full
     for depth, g_idx in enumerate(chain[:-1]):
@@ -400,7 +442,7 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
             low = stop & -stop
             level[low.bit_length() - 1] = depth
             stop ^= low
-    masks = [[levels[lv][party] for lv in level] for party in range(n)]
+    masks = [list(map(per_level.__getitem__, level)) for per_level in zip(*levels)]
     return width, masks, consts
 
 
@@ -410,15 +452,18 @@ def _span_counts(n: int, width: int, masks, consts) -> list[list[int]]:
     The joint output is c XOR M t for uniform t, so it is uniform over the
     coset c + span of M's distinct column patterns (the n-bit patterns p
     for which some branch variable appears in exactly the masks p names).
-    Rows with the same masks share one span, computed once per call.
+    Rows with the same masks share one span, and one outcome table per
+    span holds the counts for each of the 2^n joint constants c, filled
+    as rows ask for them; each row copies its entry.  The rows' constants
+    are scattered from the `consts` bitsets at once (`_row_codes`).
     """
     n_out = 1 << n
     full = (1 << width) - 1
-    const_bits = [_row_bits(const, len(masks[0])) for const in consts]
-    spans: dict[tuple[int, ...], tuple[list[bool], int]] = {}
+    tables: dict[tuple[int, ...], tuple[list[int], list]] = {}
     out = []
-    for row_masks, row_consts in zip(zip(*masks), zip(*const_bits)):
-        if row_masks not in spans:
+    for row_masks, c in zip(zip(*masks), _row_codes(consts, len(masks[0]))):
+        table = tables.get(row_masks)
+        if table is None:
             span = [True] + [False] * (n_out - 1)
             for p in range(1, n_out):
                 sel = full
@@ -426,20 +471,14 @@ def _span_counts(n: int, width: int, masks, consts) -> list[list[int]]:
                     sel &= mask if (p >> i) & 1 else full ^ mask
                 if sel:
                     span = [s or span[a ^ p] for a, s in enumerate(span)]
-            spans[row_masks] = (span, (1 << width) // sum(span))
-        span, weight = spans[row_masks]
-        c = sum(bit << i for i, bit in enumerate(row_consts))
-        out.append([weight if span[a ^ c] else 0 for a in range(n_out)])
+            weight = (1 << width) // sum(span)
+            table = tables[row_masks] = ([weight if s else 0 for s in span], [None] * n_out)
+        coset, by_const = table
+        counts = by_const[c]
+        if counts is None:
+            counts = by_const[c] = [coset[a ^ c] for a in range(n_out)]
+        out.append(counts.copy())
     return out
-
-
-def _branch_outputs(masks, consts, branches) -> list[tuple[int, ...]]:
-    """Every party's output on each row, on the branch vector branches[row]."""
-    per_party = [
-        [c ^ ((m & t).bit_count() & 1) for m, c, t in zip(mask, _row_bits(const, len(mask)), branches)]
-        for mask, const in zip(masks, consts)
-    ]
-    return list(zip(*per_party))
 
 
 def _compiled_forms(compiled: CompiledProtocol, xs):
@@ -457,6 +496,14 @@ def _probabilities(n: int, width: int, counts) -> dict[tuple[int, ...], Fraction
     }
 
 
+def _sweep_forms(circuit: NandCircuit, n_parties: int, bit_maps):
+    """The affine forms of a sweep: the pruned circuit on one row per
+    (ownership map, joint input) of `_sweep_rows`."""
+    circuit = prune(circuit)
+    rows = _sweep_rows(circuit, n_parties, bit_maps)
+    return _output_forms(circuit, n_parties, bit_maps, rows)
+
+
 def affine_outcome_counts(circuit: NandCircuit, n_parties: int, bit_maps):
     """Exact outcome counts of the compiled protocol for every ownership map
     and joint input, from the affine share forms of `_output_forms`.
@@ -464,9 +511,7 @@ def affine_outcome_counts(circuit: NandCircuit, n_parties: int, bit_maps):
     Returns (counts, denominator): counts[map_idx][x_idx][a_idx] integers,
     denominator = 2^((n-1)*k), or 2^(n-1) when no gate is live.
     """
-    circuit = prune(circuit)
-    rows = _sweep_rows(circuit, n_parties, bit_maps)
-    width, masks, consts = _output_forms(circuit, n_parties, bit_maps, rows)
+    width, masks, consts = _sweep_forms(circuit, n_parties, bit_maps)
     flat = _span_counts(n_parties, width, masks, consts)
     counts_by_map = []
     pos = 0
@@ -483,14 +528,17 @@ def cc_values(circuit: NandCircuit, n_parties: int, bit_maps, seed: int = 0) -> 
 
     Mirrors solve_cc over many cases at once (the parity identity makes the
     value branch-independent, which the acceptance suite checks against
-    exhaustive circuit evaluation).
+    exhaustive circuit evaluation).  Parity is linear, so the XOR of the
+    outputs const_i XOR parity(mask_i & t) on row r is bit r of the XOR
+    of the consts XOR parity((XOR of the row's masks) & t).
     """
-    circuit = prune(circuit)
-    rows = _sweep_rows(circuit, n_parties, bit_maps)
-    width, masks, consts = _output_forms(circuit, n_parties, bit_maps, rows)
+    width, masks, consts = _sweep_forms(circuit, n_parties, bit_maps)
     rng = random.Random(seed)
-    branches = [rng.getrandbits(width) for _ in rows]
-    return [_xor(outputs) for outputs in _branch_outputs(masks, consts, branches)]
+    branches = [rng.getrandbits(width) for _ in masks[0]]
+    joint_masks = functools.reduce(lambda acc, party_masks: list(map(xor, acc, party_masks)), masks)
+    parities = map(int.bit_count, map(and_, joint_masks, branches))
+    joint_consts = row_bits(functools.reduce(xor, consts), len(branches))
+    return [const ^ (parity & 1) for const, parity in zip(joint_consts, parities)]
 
 
 def compiled_owner(protocol: WiringProtocol) -> Optional[CompiledProtocol]:

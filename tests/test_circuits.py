@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -86,6 +87,32 @@ def test_truth_table_identity_wire():
     assert truth_table(c).bits == (0, 1)
 
 
+def test_truth_table_equals_per_assignment_eval():
+    # the bit-parallel table against eval_circuit, one assignment at a time,
+    # on random DAGs with constants of both values and dead gates
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randrange(0, 6)
+        inputs = tuple(InputBit(f"x{i}") for i in range(n))
+        constants = (Constant("zero", 0), Constant("one", 1))
+        nodes = [b.name for b in inputs] + ["zero", "one"]
+        gates = []
+        for g in range(rng.randrange(0, 12)):
+            gates.append((rng.choice(nodes), rng.choice(nodes)))
+            nodes.append(f"g{g}")
+        circuit = NandCircuit(inputs, tuple(gates), rng.choice(nodes), constants)
+        rows = [tuple((idx >> v) & 1 for v in range(n)) for idx in range(2 ** n)]
+        assert truth_table(circuit).bits == tuple(eval_circuit(circuit, bits) for bits in rows)
+        assert truth_table(prune(circuit)) == truth_table(circuit)
+
+
+def test_prune_keeps_a_circuit_with_nothing_dead():
+    circuit = or_from_nand()
+    assert prune(circuit) is circuit
+    pruned = prune(NandCircuit(circuit.inputs, circuit.gates + (("x", "y"),), "g2", (Constant("one", 1),)))
+    assert (pruned.gates, pruned.constants) == (circuit.gates, ())
+
+
 def test_truth_table_cap():
     c = NandCircuit(inputs=tuple(InputBit(f"x{i}") for i in range(6)), gates=(), output="x0")
     with pytest.raises(TooLarge):
@@ -165,6 +192,32 @@ def test_netlist_parsing():
 def test_netlist_requires_ordered_gates():
     with pytest.raises(DimensionMismatch):
         parse_netlist("input x\ng1 = NAND(x, x)\noutput g1\n")
+
+
+def test_malformed_netlist_lines_are_named():
+    for line in ("g0 = NAND(a)", "g0 = NAND(a, a, a)", "g0 = NAND a, a", "g0 = NAND(a, a", "const k = x"):
+        with pytest.raises(DimensionMismatch, match=re.escape(repr(line))):
+            parse_netlist(f"input a\n{line}\ng0 = NAND(a, a)\noutput g0\n")
+    with pytest.raises(DimensionMismatch, match=re.escape(repr("input a party=p"))):
+        parse_netlist("input a party=p\noutput a\n")
+
+
+def test_constants_must_be_bits():
+    # eval_circuit and the compiler's affine core read a constant
+    # differently (value & 1 against its truth), so only bits are constants
+    for value in (2, 3, -1, 1.0, "1"):
+        with pytest.raises(DimensionMismatch, match="constant 'k' must be 0 or 1"):
+            Constant("k", value)
+    document = or_from_nand().to_json_dict()
+    document["constants"] = {"k": 2}
+    with pytest.raises(DimensionMismatch):
+        NandCircuit.from_json_dict(document)
+    with pytest.raises(DimensionMismatch):
+        parse_netlist("input a\nconst k = 3\ng0 = NAND(k, a)\noutput g0\n")
+    for value in (0, 1):
+        circuit = parse_netlist(f"input a\nconst k = {value}\ng0 = NAND(k, a)\noutput g0\n")
+        assert circuit.constants == (Constant("k", value),)
+        assert truth_table(circuit).bits == (1, 1 - value)
 
 
 def test_gate_id_leaf_names_rejected():

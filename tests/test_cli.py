@@ -413,6 +413,33 @@ def test_cluster_search_at_zero_and_two_boxes():
     assert err == "limit exceeded: enumeration size 17495845002240 exceeds cap 10000000\n"
 
 
+_NON_BIT_CONSTANT = {
+    "inputs": [{"name": "a"}, {"name": "b"}],
+    "gates": [{"l": "k", "r": "a"}, {"l": "g0", "r": "b"}],
+    "output": "g1",
+    "constants": {"k": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "stdin",
+    [
+        json.dumps(_NON_BIT_CONSTANT),
+        "input a\ninput b\nconst k = 3\ng0 = NAND(k, a)\ng1 = NAND(g0, b)\noutput g1\n",
+        "input a\ninput b\ng0 = NAND(a)\noutput g0\n",
+    ],
+    ids=["json constant 2", "netlist constant 3", "netlist one-operand gate"],
+)
+@pytest.mark.parametrize(
+    "args", [["circuit", "eval", "--assignment", "11"], ["compile", "--parties", "2", "--map", "a;b"]], ids=" ".join
+)
+def test_non_bit_constants_and_short_gates_exit_two(args, stdin):
+    # like any other malformed circuit: exit 2, a message, no output
+    code, out, err = _main_in_process(args, stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_errors_exit_two():
     assert run_cli(["box"]).returncode == 2
     assert run_cli(["nonsense"]).returncode == 2

@@ -14,6 +14,7 @@ from boxworld.circuits import (
     TruthTable,
     gate_count,
     prune,
+    run_window,
     synthesize_nand,
 )
 from boxworld import compiler, wiring
@@ -433,6 +434,125 @@ class TestAffineCoreAgainstParity:
             for r in range(len(rows))
         ]
         assert compiler._span_counts(3, width, masks, consts) == one_at_a_time
+
+
+def per_row_leaf(bit_maps, rows, name):
+    """The per-row leaf extraction: bit r is the owned bit `name` on row r,
+    one list entry per row, read as a binary string."""
+    bits = []
+    for map_idx, x in rows:
+        (party, slot), = [(p, names.index(name)) for p, names in enumerate(bit_maps[map_idx]) if name in names]
+        bits.append((x[party] >> slot) & 1)
+    return int("".join(map(str, reversed(bits))) or "0", 2)
+
+
+def per_row_forms(circuit, n, bit_map, x):
+    """One row's affine forms, gate by gate from its evaluated wires:
+    (each party's constant bit, each party's mask)."""
+    owned = {name: (p, (x[p] >> slot) & 1) for p, names in enumerate(bit_map) for slot, name in enumerate(names)}
+    values = {name: bit for name, (_, bit) in owned.items()}
+    values.update({c.name: c.value for c in circuit.constants})
+    for g, (left, right) in enumerate(circuit.gates):
+        values[f"g{g}"] = 1 ^ (values[left] & values[right])
+    chain = []
+    leaf = circuit.output
+    while leaf.startswith("g") and leaf[1:].isdigit():
+        chain.append(int(leaf[1:]))
+        leaf = circuit.gates[chain[-1]][1]
+    holder = owned[leaf][0] if leaf in owned else 0
+    consts = [values[leaf] if party == holder else 0 for party in range(n)]
+    for g in reversed(chain):
+        u = values[circuit.gates[g][0]]
+        consts = [(c & u) ^ (party == 0) for party, c in enumerate(consts)]
+    masks = [0] * n
+    for g in chain or [0]:
+        low = g * (n - 1)
+        for party in range(n - 1):
+            masks[party] |= 1 << (low + party)
+        masks[n - 1] |= ((1 << (n - 1)) - 1) << low
+        if chain and values[circuit.gates[g][0]] == 0:
+            break  # the lower blocks drop out of this row's shares
+    return consts, masks
+
+
+class TestRunPatternForms:
+    """The forms of a sweep, built from run-pattern leaf columns and
+    scattered row codes, against a per-row reference."""
+
+    @staticmethod
+    def check_forms(circuit, n, splits, rows):
+        """`_output_forms` on every row against `per_row_forms`; returns the consts."""
+        width, masks, consts = compiler._output_forms(circuit, n, splits, rows)
+        assert width == (n - 1) * max(len(circuit.gates), 1)
+        for r, (map_idx, x) in enumerate(rows):
+            want_consts, want_masks = per_row_forms(circuit, n, splits[map_idx], x)
+            assert [(c >> r) & 1 for c in consts] == want_consts, (r, x)
+            assert [mask[r] for mask in masks] == want_masks, (r, x)
+        return consts
+
+    def check_sweep(self, circuit, n, splits):
+        circuit = prune(circuit)
+        rows = compiler._sweep_rows(circuit, n, splits)
+        assert len(rows) == len(splits) * 2 ** len(circuit.inputs)
+        # a circuit whose output is an input leaf shows that leaf's bitset,
+        # each row's bit held by the leaf's owner alone
+        for name in circuit.input_names:
+            leaf_only = NandCircuit(inputs=circuit.inputs, gates=(), output=name)
+            consts = self.check_forms(leaf_only, n, splits, rows)
+            assert sum(consts) == per_row_leaf(splits, rows, name), name
+        self.check_forms(circuit, n, splits, rows)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (2, 2)])
+    def test_every_split_equals_per_row_reference(self, n, m):
+        names = [f"b{i}" for i in range(n * m)]
+        splits = ownership_splits(n, m)
+        n_tables = 2 ** (2 ** (n * m))
+        for mask in range(n_tables) if n * m <= 3 else random.Random(23).sample(range(n_tables), 12):
+            self.check_sweep(synthesize_nand(TruthTable.from_int(n * m, mask), names), n, splits)
+        for circuit, _ in random_circuits(random.Random(29), n, m, 5, 12):
+            self.check_sweep(circuit, n, splits)
+
+    def test_seeded_three_party_two_bit_tables(self):
+        names = [f"b{i}" for i in range(6)]
+        splits = ownership_splits(3, 2)
+        rng = random.Random(31)
+        for _ in range(3):
+            self.check_sweep(synthesize_nand(TruthTable.from_int(6, rng.getrandbits(64)), names), 3, splits)
+
+    def test_long_chain(self):
+        # 300 chained gates: masks over 300 blocks, row levels past 255
+        gates = [("b0", "b1")] + [("b0" if g % 3 else "b1", f"g{g - 1}") for g in range(1, 300)]
+        circuit = NandCircuit(inputs=(InputBit("b0"), InputBit("b1")), gates=tuple(gates), output="g299")
+        self.check_sweep(circuit, 2, ownership_splits(2, 1))
+
+    def test_run_windows_and_row_codes(self):
+        for run in (1, 2, 3, 4, 8):
+            for lo in range(20):
+                for length in range(20):
+                    want = sum((((lo + j) // run) & 1) << j for j in range(length))
+                    assert run_window(run, lo, length) == want, (run, lo, length)
+        # more than eight bitsets (parties) scatter in groups of eight
+        rng = random.Random(37)
+        for n_bitsets in (0, 1, 8, 9, 17):
+            n_rows = rng.randrange(1, 40)
+            bitsets = [rng.getrandbits(n_rows) for _ in range(n_bitsets)]
+            want = [sum(((b >> r) & 1) << i for i, b in enumerate(bitsets)) for r in range(n_rows)]
+            assert compiler._row_codes(bitsets, n_rows) == want
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+    def test_single_input_forms_equal_induced_box_rows(self, n, m):
+        # compiled_distribution builds one row at the input's table index;
+        # induced_box_fast builds the whole table at once
+        names = [f"b{i}" for i in range(n * m)]
+        split = [names[p * m:(p + 1) * m] for p in range(n)][::-1]
+        rng = random.Random(41 + n * m)
+        for _ in range(4):
+            circuit = synthesize_nand(TruthTable.from_int(n * m, rng.getrandbits(2 ** (n * m))), names)
+            compiled = compile_circuit(circuit, n, split)
+            box = induced_box_fast(compiled)
+            for x in _x_tuples(compiled.input_sizes):
+                row = {a: p for (xx, a), p in box.table.items() if xx == x and p}
+                assert compiled_distribution(compiled, x).outcomes == row, (n, m, x)
 
 
 def test_verify_simulation_reports_first_difference():
