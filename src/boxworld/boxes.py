@@ -337,49 +337,62 @@ def check_no_signaling(box: Box) -> NoSignalingVerdict:
 
     For each party i, all fixed inputs of the others, and every pair of
     inputs for i, the marginal over the other parties' outputs must be
-    identical (exact rational equality).  Returns the first violation found.
+    identical (exact rational equality).  Returns the first violation found,
+    in order of party, the others' inputs, then party i's input, each
+    compared with party i's input 0.
+
+    Every marginal is summed in one pass over the table's nonzero entries;
+    the witness of a violation is summed again from the two inputs' cells.
     """
     n = box.n_parties
-    for i in range(n):
+    # per party: (others' inputs, own input) -> {others' outputs: probability}
+    margs = [{} for _ in range(n)]
+    for (x, a), p_val in box.table.items():
+        if p_val != 0:
+            for i, marg_i in enumerate(margs):
+                marg = marg_i.setdefault((x[:i] + x[i + 1:], x[i]), {})
+                a_others = a[:i] + a[i + 1:]
+                marg[a_others] = marg.get(a_others, ZERO) + p_val
+    for i, marg_i in enumerate(margs):
         others = [p for p in range(n) if p != i]
         for x_others in itertools.product(*(range(box.input_sizes[p]) for p in others)):
-            reference = None
-            ref_xi = None
-            for x_i in range(box.input_sizes[i]):
-                x = [0] * n
-                for p, v in zip(others, x_others):
-                    x[p] = v
-                x[i] = x_i
-                x = tuple(x)
-                marg = {}
-                for a in box.outputs():
-                    a_others = tuple(a[p] for p in others)
-                    p_val = box.prob(x, a)
-                    if p_val != 0:
-                        marg[a_others] = marg.get(a_others, ZERO) + p_val
-                if reference is None:
-                    reference = marg
-                    ref_xi = x_i
-                elif marg != reference:
-                    diff = next(
-                        k
-                        for k in set(marg) | set(reference)
-                        if marg.get(k, ZERO) != reference.get(k, ZERO)
-                    )
-                    return NoSignalingVerdict(
-                        ok=False,
-                        party=i,
-                        inputs_pair=(ref_xi, x_i),
-                        context={
-                            "others_inputs": dict(zip(others, x_others)),
-                            "others_outputs": diff,
-                            "probabilities": (
-                                reference.get(diff, ZERO),
-                                marg.get(diff, ZERO),
-                            ),
-                        },
-                    )
+            reference = marg_i.get((x_others, 0), {})
+            for x_i in range(1, box.input_sizes[i]):
+                if marg_i.get((x_others, x_i), {}) != reference:
+                    return _signaling_witness(box, i, others, x_others, x_i)
     return NoSignalingVerdict(ok=True)
+
+
+def _signaling_witness(box: Box, i: int, others, x_others, x_i: int) -> NoSignalingVerdict:
+    """The verdict for a marginal of the others that moves when party i's
+    input goes from 0 to x_i.  Both marginals are summed in `Box.outputs`
+    order, so the witness does not depend on the table's key order."""
+    margs = []
+    for own in (0, x_i):
+        x = [0] * box.n_parties
+        for p, v in zip(others, x_others):
+            x[p] = v
+        x[i] = own
+        x = tuple(x)
+        marg = {}
+        for a in box.outputs():
+            a_others = tuple(a[p] for p in others)
+            p_val = box.prob(x, a)
+            if p_val != 0:
+                marg[a_others] = marg.get(a_others, ZERO) + p_val
+        margs.append(marg)
+    reference, marg = margs
+    diff = next(k for k in set(marg) | set(reference) if marg.get(k, ZERO) != reference.get(k, ZERO))
+    return NoSignalingVerdict(
+        ok=False,
+        party=i,
+        inputs_pair=(0, x_i),
+        context={
+            "others_inputs": dict(zip(others, x_others)),
+            "others_outputs": diff,
+            "probabilities": (reference.get(diff, ZERO), marg.get(diff, ZERO)),
+        },
+    )
 
 
 def marginal(box: Box, party_subset: Sequence[int], complement_inputs: Optional[Sequence[int]] = None) -> PartyMarginal:

@@ -192,10 +192,17 @@ def solve_equality_feasibility(A: Sequence[Sequence], b: Sequence) -> Feasibilit
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals (fraction-free elimination with exact division)."""
-    mat = [[int(v) if isinstance(v, int) else Fraction(v) for v in row] for row in rows]
+    types = set()
+    for row in rows:
+        types.update(map(type, row))
+    if types <= {int}:
+        # all plain ints (the callers' usual case): no per-entry coercion
+        mat = [list(row) for row in rows]
+    else:
+        mat = [[int(v) if isinstance(v, int) else Fraction(v) for v in row] for row in rows]
     if not mat:
         return 0
-    if any(isinstance(v, Fraction) for row in mat for v in row):
+    if any(not issubclass(t, int) for t in types):
         scaled = []
         for row in mat:
             den = 1

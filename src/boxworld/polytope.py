@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .boxes import (
@@ -31,7 +32,7 @@ from .boxes import (
     pr_box,
     relabel,
 )
-from .errors import DimensionMismatch, Infeasible, NotAVertex, TooLarge, VerificationFailed
+from .errors import DimensionMismatch, Infeasible, NotAVertex, ShapeMismatch, TooLarge, VerificationFailed
 from .exactlp import exact_rank, solve_equality_feasibility, solve_linear_system
 
 DEFAULT_DIMENSION_CAP = 15  # covers 3 inputs x 2 outputs per party
@@ -58,15 +59,22 @@ class HRepresentation:
     coords: tuple
     cell_exprs: tuple  # per cell: (const, ((coord_index, coef), ...))
 
-    def box_from_point(self, t: Sequence[Fraction]) -> Box:
-        table = {}
-        for cell, (const, terms) in zip(self.cells, self.cell_exprs):
-            value = Fraction(const)
-            for idx, coef in terms:
-                value += coef * t[idx]
-            if value != 0:
-                table[cell] = value
+    def _cell_values(self, s: int, t: Sequence[int]) -> list[int]:
+        """Every cell's value on the integer ray (s, t): const*s + sum(coef*t[idx]),
+        which is s times the cell at the point t/s."""
+        return [const * s + sum(coef * t[idx] for idx, coef in terms) for const, terms in self.cell_exprs]
+
+    def _box_on_ray(self, s: int, values: Sequence[int]) -> Box:
+        """The box whose cells are values/s, through `make_box`'s range and
+        normalization checks."""
+        table = {cell: Fraction(v, s) for cell, v in zip(self.cells, values) if v}
         return make_box(len(self.input_sizes), self.input_sizes, self.output_sizes, table, sparse=True)
+
+    def box_from_point(self, t: Sequence[Fraction]) -> Box:
+        """The box at point t, evaluated on the integer ray (s, s*t) with s
+        the common denominator of t."""
+        s = lcm(*(v.denominator for v in t))
+        return self._box_on_ray(s, self._cell_values(s, [v.numerator * (s // v.denominator) for v in t]))
 
     def point_from_box(self, box: Box) -> list[Fraction]:
         return marginal_point(box, self.coords)
@@ -175,19 +183,32 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
     by construction, so its mask is mask_p & mask_n | 1 << r (Fukuda &
     Prodon, "Double description method revisited", 1996).
 
-    Every returned box is verified: exactly normalized, nonsignaling, and
-    extremal (its tight nonnegativity constraints have full rank).
+    The pair is adjacent when its common tight set has at least dim - 2
+    rows and no other ray is tight on all of them.  Before each row's
+    pairing, every processed row gets the bitset of the rays tight on it,
+    transposed from the masks in one pass; the rays tight on the whole
+    common set are the AND of its rows' bitsets (all rays when it is
+    empty), and the pair is adjacent exactly when that AND is the pair
+    itself.
+
+    Every vertex is verified on its integer ray (s, t): s > 0, every
+    cell's integer value const*s + sum(coef*t) is >= 0, the cells at 0
+    are exactly the carried mask, and their linear parts have full rank
+    (extremality).  Only then is its box built, once, through
+    `make_box`'s range and normalization checks, and checked to be
+    nonsignaling.
     """
     rows = _inequality_rows(h_rep)
     dim = h_rep.dimension + 1  # homogenized
     order, initial_rays = _initial_basis(rows, dim)
     basis = sum(1 << row_idx for row_idx in order)
     rays = [(ray, basis & ~(1 << row_idx)) for row_idx, ray in zip(order, initial_rays)]
+    width = len(rows)
 
     for row_idx, row in enumerate(rows):
         if basis >> row_idx & 1:
             continue
-        vals = [sum(r * v for r, v in zip(row, ray)) for ray, _ in rays]
+        vals = [sum(map(mul, row, ray)) for ray, _ in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
@@ -205,6 +226,12 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
             ray, mask = rays[i]
             kept.append((ray, mask | (1 << row_idx)))
 
+        # tight_on[b]: bit k set when ray k is tight on row b.  Each mask
+        # is written once as a binary string, last ray and highest row
+        # first, and the strings' columns read back as integers.
+        digits = [format(mask, f"0{width}b") for _, mask in reversed(rays)]
+        tight_on = [int("".join(column), 2) for column in zip(*digits)][::-1]
+        every_ray = (1 << len(rays)) - 1
         created = []
         min_common = dim - 2
         for i in pos:
@@ -215,14 +242,14 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
                 common = mask_p & mask_n
                 if common.bit_count() < min_common:
                     continue
-                adjacent = True
-                for k, (_, mask_k) in enumerate(rays):
-                    if k == i or k == j:
-                        continue
-                    if common & ~mask_k == 0:
-                        adjacent = False
-                        break
-                if not adjacent:
+                pair = 1 << i | 1 << j
+                tight = every_ray
+                rest = common
+                while rest and tight != pair:
+                    low = rest & -rest
+                    tight &= tight_on[low.bit_length() - 1]
+                    rest ^= low
+                if tight != pair:
                     continue
                 vn = vals[j]
                 new = [vp * ray_n[c] - vn * ray_p[c] for c in range(dim)]
@@ -237,32 +264,49 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
 
     # the rays are distinct primitive integer vectors, so no two give one point
     boxes = []
-    for ray, _ in rays:
+    for ray, mask in rays:
         s = ray[0]
         if not s > 0:
             raise VerificationFailed("unbounded direction found in a bounded polytope")
-        box = h_rep.box_from_point([Fraction(v, s) for v in ray[1:]])
-        verdict = check_no_signaling(box)
-        if not verdict.ok:
-            raise VerificationFailed("enumerated vertex signals")
-        if not is_vertex(box, h_rep):
+        values = h_rep._cell_values(s, ray[1:])
+        if min(values) < 0:
+            raise VerificationFailed("enumerated point violates a nonnegativity constraint")
+        zero_cells = [c for c, v in enumerate(values) if v == 0]
+        if sum(1 << c for c in zero_cells) != mask:
+            raise VerificationFailed("enumerated point's zero cells differ from its carried tight set")
+        if not _pins_point(h_rep, zero_cells):
             raise VerificationFailed("enumerated point is not extremal")
+        box = h_rep._box_on_ray(s, values)
+        if not check_no_signaling(box).ok:
+            raise VerificationFailed("enumerated vertex signals")
         boxes.append(box)
     return boxes
 
 
+def _pins_point(h_rep: HRepresentation, zero_cells: Sequence[int]) -> bool:
+    """Extremality: the linear parts of the cells at 0 have full rank, so
+    those cells alone pin the point down."""
+    tight_rows = [_linear_row(h_rep.cell_exprs[c][1], h_rep.dimension) for c in zero_cells]
+    return exact_rank(tight_rows) == h_rep.dimension
+
+
 def is_vertex(box: Box, h_rep: Optional[HRepresentation] = None) -> bool:
-    """Extremality test: the cells at 0 must pin the point down completely."""
+    """Extremality test: the cells at 0 must pin the point down completely.
+
+    Raises ShapeMismatch when the box's shape is not the polytope's."""
     if h_rep is None:
         h_rep = build_h_rep(box.input_sizes, box.output_sizes, dimension_cap=RANK_CHECK_DIMENSION_CAP)
-    tight_rows = [
-        _linear_row(terms, h_rep.dimension)
-        for cell, (_, terms) in zip(h_rep.cells, h_rep.cell_exprs)
-        if box.prob(*cell) == 0
-    ]
-    if not tight_rows:
-        return h_rep.dimension == 0
-    return exact_rank(tight_rows) == h_rep.dimension
+    _require_shape(box, h_rep, "polytope")
+    return _pins_point(h_rep, [c for c, cell in enumerate(h_rep.cells) if box.prob(*cell) == 0])
+
+
+def _require_shape(box: Box, other, name: str) -> None:
+    """ShapeMismatch unless `other` (a polytope or a box) has the box's shape."""
+    if (box.input_sizes, box.output_sizes) != (other.input_sizes, other.output_sizes):
+        raise ShapeMismatch(
+            f"shapes differ: box {box.input_sizes}/{box.output_sizes}"
+            f" vs {name} {other.input_sizes}/{other.output_sizes}"
+        )
 
 
 @dataclass(frozen=True)
@@ -341,10 +385,12 @@ def classify_vertex(box: Box, h_rep: Optional[HRepresentation] = None, check: bo
     Order of tests: local-deterministic; genuine-two-output; for genuine
     nonlocal vertices, exact parity form (with a relabeling witness onto
     the canonical PR box in the 2-input binary case); non-genuine vertices
-    get the input-removal reduction.
+    get the input-removal reduction.  Raises ShapeMismatch when the box's
+    shape is not the polytope's.
     """
     if h_rep is None:
         h_rep = build_h_rep(box.input_sizes, box.output_sizes, dimension_cap=RANK_CHECK_DIMENSION_CAP)
+    _require_shape(box, h_rep, "polytope")
     if check:
         verdict = check_no_signaling(box)
         if not verdict.ok or not is_vertex(box, h_rep):
@@ -386,8 +432,11 @@ def decompose(box: Box, vertex_list: Sequence[Box]) -> list[Fraction]:
     """Exact convex weights over `vertex_list` reproducing `box`.
 
     Raises Infeasible (with a Farkas certificate) when the box lies outside
-    the convex hull, e.g. when its table signals or is not normalized.
+    the convex hull, e.g. when its table signals or is not normalized,
+    and ShapeMismatch when a vertex's shape is not the box's.
     """
+    for j, v in enumerate(vertex_list):
+        _require_shape(box, v, f"vertex {j}")
     cells = [(x, a) for x in box.inputs() for a in box.outputs()]
     row_of = {cell: r for r, cell in enumerate(cells)}
     A = [[0] * len(vertex_list) for _ in cells]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,99 @@ def test_signaling_box_detected():
     verdict = bw.check_no_signaling(box)
     assert not verdict.ok
     assert verdict.party == 1  # the party whose input choice signals
+
+
+def reference_check_no_signaling(box):
+    """Independent reference: every marginal summed by `prob` lookups over
+    all outputs, per party, others' inputs and own input."""
+    n = box.n_parties
+    for i in range(n):
+        others = [p for p in range(n) if p != i]
+        for x_others in itertools.product(*(range(box.input_sizes[p]) for p in others)):
+            reference = None
+            for x_i in range(box.input_sizes[i]):
+                x = [0] * n
+                for p, v in zip(others, x_others):
+                    x[p] = v
+                x[i] = x_i
+                x = tuple(x)
+                marg = {}
+                for a in box.outputs():
+                    a_others = tuple(a[p] for p in others)
+                    if box.prob(x, a) != 0:
+                        marg[a_others] = marg.get(a_others, Fraction(0)) + box.prob(x, a)
+                if reference is None:
+                    reference = marg
+                elif marg != reference:
+                    diff = next(
+                        k for k in set(marg) | set(reference) if marg.get(k, Fraction(0)) != reference.get(k, Fraction(0))
+                    )
+                    return bw.NoSignalingVerdict(
+                        ok=False,
+                        party=i,
+                        inputs_pair=(0, x_i),
+                        context={
+                            "others_inputs": dict(zip(others, x_others)),
+                            "others_outputs": diff,
+                            "probabilities": (reference.get(diff, Fraction(0)), marg.get(diff, Fraction(0))),
+                        },
+                    )
+    return bw.NoSignalingVerdict(ok=True)
+
+
+def _signaling_boxes():
+    """Seeded signaling boxes of several shapes: random tables, uniform
+    boxes with one input row replaced, and a box that signals only from
+    its last party."""
+    rng = random.Random(14)
+    shapes = [((2, 2), (2, 2)), ((3, 2), (2, 3)), ((2, 2, 2), (2, 2, 2)), ((1, 3), (3, 2)), ((2, 1, 2), (2, 2, 3))]
+    for inputs, outputs in shapes:
+        n = len(inputs)
+        all_outputs = list(itertools.product(*(range(d) for d in outputs)))
+        for _ in range(4):
+            table = {}
+            for x in itertools.product(*(range(m) for m in inputs)):
+                weights = [rng.choice((0, 0, 1, 2, 3)) for _ in all_outputs]
+                weights[rng.randrange(len(weights))] += 1
+                for a, w in zip(all_outputs, weights):
+                    if w:
+                        table[(x, a)] = Fraction(w, sum(weights))
+            yield bw.make_box(n, inputs, outputs, table, sparse=True)
+        base = bw.uniform_box(inputs, outputs)
+        x = tuple(rng.randrange(m) for m in inputs)
+        table = {k: v for k, v in base.table.items() if k[0] != x}
+        table[(x, all_outputs[rng.randrange(len(all_outputs))])] = Fraction(1)
+        yield bw.make_box(n, inputs, outputs, table, sparse=True)
+    # party 0 outputs the last party's input: only the last party signals
+    table = {((x0, x1, x2), (x2, 0, 0)): Fraction(1) for x0 in (0, 1) for x1 in (0, 1) for x2 in (0, 1)}
+    yield bw.make_box(3, (2, 2, 2), (2, 2, 2), table, sparse=True)
+
+
+def test_check_no_signaling_matches_the_reference_witness():
+    rng = random.Random(7)
+    signaling = 0
+    for box in _signaling_boxes():
+        items = list(box.table.items())
+        rng.shuffle(items)
+        shuffled = bw.Box(box.n_parties, box.input_sizes, box.output_sizes, dict(items))
+        expected = reference_check_no_signaling(box)
+        assert bw.check_no_signaling(box) == expected
+        assert bw.check_no_signaling(shuffled) == expected
+        signaling += not expected.ok
+    assert signaling >= 20
+    for box in (bw.pr_box(), bw.cluster_box(), bw.uniform_box((2, 3), (3, 2))):
+        assert bw.check_no_signaling(box) == reference_check_no_signaling(box) == bw.NoSignalingVerdict(ok=True)
+
+
+def test_check_no_signaling_witness_is_pinned():
+    table = {((x0, x1, x2), (x2, 0, 0)): Fraction(1) for x0 in (0, 1) for x1 in (0, 1) for x2 in (0, 1)}
+    verdict = bw.check_no_signaling(bw.make_box(3, (2, 2, 2), (2, 2, 2), table, sparse=True))
+    assert verdict == bw.NoSignalingVerdict(
+        ok=False,
+        party=2,
+        inputs_pair=(0, 1),
+        context={"others_inputs": {0: 0, 1: 0}, "others_outputs": (1, 0), "probabilities": (Fraction(0), Fraction(1))},
+    )
 
 
 def test_full_correlation_box_is_pr_for_and():

@@ -143,6 +143,30 @@ def test_exact_rank_matches_numpy():
         assert exact_rank(M) == np.linalg.matrix_rank(np.array(M, dtype=float))
 
 
+def test_exact_rank_mixed_entry_types_match_numpy():
+    # int rows take the no-coercion path; bools and Fractions are coerced,
+    # and a row of each kind is dropped into otherwise-int matrices
+    rng = random.Random(11)
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        mixed = []
+        for row in M:
+            kind = rng.choice(("int", "bool", "fraction", "scaled"))
+            if kind == "bool":
+                row = [bool(v % 2) for v in row]
+            elif kind == "fraction":
+                row = [Fraction(v) for v in row]
+            elif kind == "scaled":
+                row = [Fraction(v, 3) if j % 2 else v for j, v in enumerate(row)]
+            mixed.append(row)
+        dense = np.array([[float(v) for v in row] for row in mixed])
+        assert exact_rank(mixed) == np.linalg.matrix_rank(dense), mixed
+        ints = [[int(v * 3) for v in row] for row in mixed]
+        assert exact_rank(ints) == exact_rank([[Fraction(v) for v in row] for row in ints])
+
+
 def test_exact_rank_fractions():
     assert exact_rank([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]]) == 1
 

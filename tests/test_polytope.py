@@ -1,13 +1,25 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
 import boxworld as bw
-from boxworld.errors import DimensionMismatch, Infeasible, NotAVertex, TooLarge
+from boxworld.errors import (
+    DimensionMismatch,
+    Infeasible,
+    NotAVertex,
+    NotNormalized,
+    ShapeMismatch,
+    TooLarge,
+    VerificationFailed,
+)
 from boxworld.exactlp import exact_rank, solve_linear_system
 from boxworld.locality import all_deterministic_boxes
 from boxworld.polytope import (
+    _gcd_reduce,
+    _inequality_rows,
+    _initial_basis,
     build_h_rep,
     classify_vertex,
     decompose,
@@ -55,6 +67,44 @@ def brute_force_vertices(h_rep):
         if ok:
             points.add(tuple(sol))
     return {h_rep.box_from_point(list(p)) for p in points}
+
+
+def reference_double_description(h_rep):
+    """Reference for `enumerate_vertices`' adjacency test: the same double
+    description, but each candidate pair scans every other ray for one
+    tight on the pair's whole common set.  Returns the vertices in order."""
+    rows = _inequality_rows(h_rep)
+    dim = h_rep.dimension + 1
+    order, initial_rays = _initial_basis(rows, dim)
+    basis = sum(1 << row_idx for row_idx in order)
+    rays = [(ray, basis & ~(1 << row_idx)) for row_idx, ray in zip(order, initial_rays)]
+    for row_idx, row in enumerate(rows):
+        if basis >> row_idx & 1:
+            continue
+        vals = [sum(r * v for r, v in zip(row, ray)) for ray, _ in rays]
+        if all(v >= 0 for v in vals):
+            rays = [(ray, mask | (1 << row_idx) if v == 0 else mask) for (ray, mask), v in zip(rays, vals)]
+            continue
+        kept = [rays[i] for i, v in enumerate(vals) if v > 0]
+        kept += [(rays[i][0], rays[i][1] | (1 << row_idx)) for i, v in enumerate(vals) if v == 0]
+        seen = {ray for ray, _ in kept}
+        for i, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for j, vn in enumerate(vals):
+                if vn >= 0:
+                    continue
+                common = rays[i][1] & rays[j][1]
+                if common.bit_count() < dim - 2:
+                    continue
+                if any(common & ~mask_k == 0 for k, (_, mask_k) in enumerate(rays) if k not in (i, j)):
+                    continue
+                new = _gcd_reduce([vp * b - vn * a for a, b in zip(rays[i][0], rays[j][0])])
+                if new not in seen:
+                    seen.add(new)
+                    kept.append((new, common | (1 << row_idx)))
+        rays = kept
+    return [h_rep.box_from_point([Fraction(v, ray[0]) for v in ray[1:]]) for ray, _ in rays]
 
 
 def reference_equalities(input_sizes, output_sizes):
@@ -219,6 +269,70 @@ class TestEnumeration:
         for v in enumerate_vertices(h):
             assert bw.check_no_signaling(v).ok
             assert is_vertex(v, h)
+
+
+REFERENCE_DD_SHAPES = [
+    ((1,), (2,)),
+    ((2,), (2,)),
+    ((3,), (3,)),
+    ((1, 1), (2, 2)),
+    ((2, 2), (1, 2)),
+    ((2, 2), (2, 2)),
+    ((3, 3), (2, 2)),
+    ((2, 3), (2, 2)),
+    ((2, 2), (2, 3)),
+    ((1, 1, 1), (2, 2, 2)),
+    ((2, 1, 1), (2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "input_sizes, output_sizes",
+    REFERENCE_DD_SHAPES,
+    ids=[f"{ins}-{outs}".replace(" ", "") for ins, outs in REFERENCE_DD_SHAPES],
+)
+def test_bitset_adjacency_matches_the_all_rays_scan(input_sizes, output_sizes):
+    # (1,)/(2,) is 1-dimensional: its only pair has an empty common set
+    h = build_h_rep(input_sizes, output_sizes)
+    assert enumerate_vertices(h) == reference_double_description(h)
+
+
+def test_enumeration_verifies_the_h_representation():
+    # the double description runs on whatever cell expressions it is given;
+    # a wrong one must raise, not return boxes
+    h = build_h_rep((2, 2), (2, 2))
+    exprs = list(h.cell_exprs)
+    const, terms = exprs[1]
+    exprs[1] = (const + 1, terms)
+    with pytest.raises(NotNormalized):
+        enumerate_vertices(dataclasses.replace(h, cell_exprs=tuple(exprs)))
+    # two cells of one input swapped: still normalized, but it signals
+    exprs = list(h.cell_exprs)
+    exprs[0], exprs[1] = exprs[1], exprs[0]
+    with pytest.raises(VerificationFailed, match="signals"):
+        enumerate_vertices(dataclasses.replace(h, cell_exprs=tuple(exprs)))
+
+
+class TestShapeMismatch:
+    def test_is_vertex(self):
+        with pytest.raises(ShapeMismatch):
+            is_vertex(bw.pr_box(), build_h_rep((3, 3), (2, 2)))
+        with pytest.raises(ShapeMismatch):
+            is_vertex(bw.pr_box(), build_h_rep((2, 2), (2, 3)))
+
+    def test_classify_vertex(self):
+        h33 = build_h_rep((3, 3), (2, 2))
+        for check in (True, False):
+            with pytest.raises(ShapeMismatch):
+                classify_vertex(bw.pr_box(), h33, check=check)
+
+    def test_decompose(self):
+        vertices = enumerate_vertices(build_h_rep((2, 3), (2, 2)))
+        with pytest.raises(ShapeMismatch, match="vertex 0 "):
+            decompose(bw.pr_box(), vertices)
+        h = build_h_rep((2, 2), (2, 2))
+        with pytest.raises(ShapeMismatch, match="vertex 24 "):
+            decompose(bw.pr_box(), enumerate_vertices(h) + vertices[:1])
 
 
 class TestClassification:
