@@ -45,6 +45,7 @@ from .wiring import (
     _walk,
     count_strategies,
     execute_exact,
+    induced_box,
     pr_instance,
 )
 
@@ -126,6 +127,9 @@ def box_source(box: Box) -> Callable[[tuple[int, ...]], OutcomeDistribution]:
 
 
 def protocol_source(protocol: WiringProtocol) -> Callable[[tuple[int, ...]], OutcomeDistribution]:
+    """x -> `execute_exact(protocol, x)`; each call validates the whole
+    protocol, so a caller asking for many inputs should read them off
+    `box_source(induced_box(protocol))` instead."""
     return lambda x: execute_exact(protocol, x)
 
 
@@ -477,9 +481,11 @@ def _owner_support(bank: BoxBank, n: int, owners, used, trees) -> set:
 
 
 def _counterexample(bank: BoxBank, cs: ConstraintSet, owners, trees, outputs) -> dict:
-    """Materialize a found profile as a table protocol, re-verify it with
-    the generic executor, and describe it.  trees[2j + s] is owner j's tree
-    at setting s; `outputs` holds each non-owner's output per setting."""
+    """Materialize a found profile as a table protocol, re-verify it on the
+    box the generic executor induces (one validating walk per input, then
+    the no-signaling post-check), and describe it.  trees[2j + s] is owner
+    j's tree at setting s; `outputs` holds each non-owner's output per
+    setting."""
     n = cs.n_parties
     strategies = []
     for p in range(n):
@@ -496,7 +502,8 @@ def _counterexample(bank: BoxBank, cs: ConstraintSet, owners, trees, outputs) ->
     protocol = WiringProtocol(
         n, SharedRandomness.singleton(0), bank, tuple(strategies), (2,) * n, (2,) * n
     )
-    if not all(satisfies(protocol_source(protocol), c, n) for c in cs.constraints):
+    source = box_source(induced_box(protocol))
+    if not all(satisfies(source, c, n) for c in cs.constraints):
         raise VerificationFailed("a counterexample of the factorized search violates a constraint")
     found = {}
     if len(bank.instances) == 1:

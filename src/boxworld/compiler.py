@@ -55,6 +55,7 @@ from .wiring import (
     checked_inputs,
     induced_box,
     pr_instance,
+    validate_protocol,
 )
 
 
@@ -228,7 +229,10 @@ def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequenc
     constants consume none.  Degenerate circuits (no live gate) get their
     output shares re-randomized by uniform even-parity shared randomness so
     the induced marginals are uniform; otherwise the randomness is a
-    singleton.
+    singleton.  The protocol is validated once, here (the bank check and
+    the size checks of `validate_protocol`; the executors then trust
+    every protocol `compiled_owner` recognizes), and a failure raises
+    VerificationFailed.
     """
     if n_parties < 2:
         raise ShapeMismatch("compilation needs at least 2 parties")
@@ -273,6 +277,9 @@ def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequenc
     expected_boxes = gate_count(circuit) * n_parties * (n_parties - 1)
     if compiled.pr_box_count != expected_boxes:
         raise VerificationFailed(f"{compiled.pr_box_count} PR boxes compiled, expected {expected_boxes}")
+    verdict = validate_protocol(protocol)
+    if not verdict:
+        raise VerificationFailed(f"compiled protocol failed validation: {verdict.violation}")
     return compiled
 
 

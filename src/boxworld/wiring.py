@@ -19,6 +19,15 @@ most once, any scheduling of the parties yields the same distribution;
 the engine canonically runs parties in index order.  Branch weights are
 computed per call, in a table that lives as long as one walk or one
 sampling call; nothing is cached at module level.
+
+Validation happens where a protocol's parts are fixed.  A walked protocol
+is validated by every executor call, over every (lam, x) branch, since its
+strategies are mutable objects: `execute_exact` and `induced_box` validate
+and accumulate in the same walks, and `execute_sample` validates before it
+draws.  A compiled protocol is validated once, by `compiler.compile_circuit`,
+which builds its bank, randomness and strategies; `compiled_owner` proves a
+protocol kept exactly those parts, so its executors go straight to the
+affine core.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -66,12 +74,17 @@ class BoxBank:
 
 @dataclass(frozen=True)
 class SharedRandomness:
-    """Finite shared-randomness source with exact rational weights."""
+    """Finite shared-randomness source with exact rational weights (each an
+    int or a Fraction; a float is refused, as it would make every
+    probability computed from it inexact)."""
 
     support: tuple
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        inexact = [w for w in self.weights if not isinstance(w, (int, Fraction))]
+        if inexact:
+            raise DimensionMismatch(f"shared-randomness weights must be int or Fraction, got {inexact[0]!r}")
         if len(self.support) != len(self.weights):
             raise DimensionMismatch("support and weights differ in length")
         if sum(self.weights, Fraction(0)) != 1:
@@ -297,17 +310,24 @@ def _walk(protocol: WiringProtocol, lam, x, on_leaf, weight=Fraction(1)):
                 raise Unvalidated(
                     f"party {i} has no move defined at lam={lam}, x={x[i]}, history={history}"
                 )
-            if move == STOP or move[0] == "stop":
+            if move == STOP:
                 try:
                     out = strat.final_output(lam, x[i], history)
                 except KeyError:
                     raise Unvalidated(
                         f"party {i} has no output defined at lam={lam}, x={x[i]}, history={history}"
                     )
+                if type(out) is not int:
+                    raise Unvalidated(f"party {i} output {out!r} is not an int")
                 if not (0 <= out < protocol.output_sizes[i]):
                     raise Unvalidated(f"party {i} output {out} out of range")
                 run_party(i + 1, records, w, outputs + (out,))
                 return
+            if not (
+                type(move) is tuple and len(move) == 3 and move[0] == "use"
+                and type(move[1]) is int and type(move[2]) is int
+            ):
+                raise Unvalidated(f"party {i} move {move!r} is neither STOP nor ('use', int, int)")
             _, inst_idx, y = move
             if not (0 <= inst_idx < len(bank)):
                 raise Unvalidated(f"party {i} referenced unknown instance {inst_idx}")
@@ -346,16 +366,17 @@ def _compiled_of(protocol: WiringProtocol):
     return None if compiled is None else (compiler, compiled)
 
 
-_validated_protocols: "weakref.WeakSet" = weakref.WeakSet()
-
-
 def validate_protocol(protocol: WiringProtocol) -> ProtocolVerdict:
-    """Symbolically walk every (lam, x) branch; report the first violation.
+    """Check the bank and the sizes, symbolically walk every (lam, x)
+    branch, and report the first violation.
 
-    A compiled protocol's own protocol (`compiler.compiled_owner`) is
-    correct by construction, so the walk, exponential in the bank size,
-    is skipped for it alone; a copy with a swapped bank, randomness or
-    strategy tuple is walked like any other protocol.
+    Every move must be STOP or ("use", instance, input) with int instance
+    and input, every output an int in range, every box side used at most
+    once.  The walk, exponential in the bank size, is skipped for a
+    compiled protocol's own protocol (`compiler.compiled_owner`), whose
+    strategies follow the compiler's block plan; `compile_circuit` runs
+    this check once on each protocol it builds.  A copy with a swapped
+    bank, randomness or strategy tuple is walked like any other protocol.
     """
     return _validate(protocol)
 
@@ -383,7 +404,6 @@ def _validate(protocol: WiringProtocol, leaves: Optional[dict] = None) -> Protoc
                     _walk(protocol, lam, x, _no_leaf if outcomes is None else _accumulator(outcomes), weight=w_lam)
                 except Unvalidated as err:
                     return ProtocolVerdict(False, {"lam": lam, "x": x, "reason": str(err)})
-    _validated_protocols.add(protocol)
     return ProtocolVerdict(True)
 
 
@@ -401,31 +421,17 @@ def _accumulator(outcomes: dict):
     return on_leaf
 
 
-def _require_valid(protocol: WiringProtocol):
-    if protocol in _validated_protocols:
-        return
-    verdict = validate_protocol(protocol)
+def _require_ok(verdict: ProtocolVerdict):
     if not verdict:
         raise Unvalidated(f"protocol failed validation: {verdict.violation}")
 
 
 def _walked_outcomes(protocol: WiringProtocol, xs) -> dict:
-    """x -> {outputs: exact weight} for each input tuple in xs, by the walk.
-
-    A protocol not validated yet is validated by the same walks: one per
-    (lam, x) over every lam and every x, raising Unvalidated on the first
-    violation.  A validated one walks only xs under lam of nonzero weight.
-    """
+    """x -> {outputs: exact weight} for each input tuple in xs, by the walks
+    that validate the protocol: one per (lam, x) over every lam and every
+    x, raising Unvalidated on the first violation."""
     leaves: dict = {x: {} for x in xs}
-    if protocol not in _validated_protocols:
-        verdict = _validate(protocol, leaves)
-        if not verdict:
-            raise Unvalidated(f"protocol failed validation: {verdict.violation}")
-        return leaves
-    for x, outcomes in leaves.items():
-        for lam, w_lam in zip(protocol.randomness.support, protocol.randomness.weights):
-            if w_lam != 0:
-                _walk(protocol, lam, x, _accumulator(outcomes), weight=w_lam)
+    _require_ok(_validate(protocol, leaves))
     return leaves
 
 
@@ -452,14 +458,14 @@ def execute_exact(protocol: WiringProtocol, x) -> OutcomeDistribution:
     A compiled protocol's own protocol (or a `dataclasses.replace` copy
     that keeps its parts) is read off the compiler's affine share forms
     (`compiler.compiled_distribution`), at any gate count; every other
-    protocol is computed by full branch enumeration, which validates it on
-    the first call.  Either way the weights must sum to exactly 1.
+    protocol is computed by full branch enumeration, in the walks that
+    validate it on every call.  Either way the weights must sum to
+    exactly 1.
     """
     x = checked_inputs(protocol.input_sizes, x)
     owner = _compiled_of(protocol)
     if owner is None:
         return _summing_to_one(OutcomeDistribution(x=x, outcomes=_walked_outcomes(protocol, [x])[x]))
-    _require_valid(protocol)
     compiler, compiled = owner
     return _summing_to_one(compiler.compiled_distribution(compiled, x))
 
@@ -470,7 +476,7 @@ def induced_box(protocol: WiringProtocol) -> Box:
     A compiled protocol's own protocol is read off the affine share forms
     in one pass (`compiler.induced_box_fast`); any other protocol is
     assembled from the branch walk on every input tuple, the same walks
-    that validate it on the first call.  Each input's weights must sum to
+    that validate it on every call.  Each input's weights must sum to
     exactly 1, and the result is post-verified to be nonsignaling: a
     communication-free protocol cannot signal, so a failure here means an
     executor bug.
@@ -483,7 +489,6 @@ def induced_box(protocol: WiringProtocol) -> Box:
             table.update(((x, a), p) for a, p in outcomes.items())
         box = make_box(protocol.n_parties, protocol.input_sizes, protocol.output_sizes, table, sparse=True)
     else:
-        _require_valid(protocol)
         compiler, compiled = owner
         box = compiler.induced_box_fast(compiled)
     verdict = check_no_signaling(box)
@@ -528,23 +533,25 @@ def execute_sample(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[
     Sampling walks the same branch tree as `execute_exact`'s generic walk
     and draws each branch with its exact rational weight, so outcomes of
     exact probability zero can never appear, and identical seeds give
-    identical counts.  A compiled protocol's own protocol (or a
+    identical counts.  Every other protocol is validated by a full walk
+    before each call draws.  A compiled protocol's own protocol (or a
     `dataclasses.replace` copy of it) is sampled from the compiler's affine
     share forms instead: one uniform branch vector per run, the same
     distribution.
     """
     x = checked_inputs(protocol.input_sizes, x)
-    _require_valid(protocol)
     owner = _compiled_of(protocol)
     if owner is not None:
         compiler, compiled = owner
         return compiler.sample_compiled(compiled, x, seed, n_runs)
+    _require_ok(validate_protocol(protocol))
     return _sample_walk(protocol, x, seed, n_runs)
 
 
 def _sample_walk(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[tuple[int, ...], int]:
-    """execute_sample by the generic branch walk: one draw per box side,
-    each strategy asked for its move on the history it has observed."""
+    """execute_sample by the generic branch walk on a validated protocol:
+    one draw per box side, each strategy asked for its move on the history
+    it has observed."""
     rng = random.Random(seed)
     lam_sampler = _sampler(dict(zip(protocol.randomness.support, protocol.randomness.weights)))
     samplers: dict = {}  # (instance index, slot, y, other side's record) -> _sampler triple
@@ -559,7 +566,7 @@ def _sample_walk(protocol: WiringProtocol, x, seed: int, n_runs: int) -> dict[tu
             history: tuple[int, ...] = ()
             while True:
                 move = strategy.next_move(lam, x[i], history)
-                if move == STOP or move[0] == "stop":
+                if move == STOP:
                     outputs.append(strategy.final_output(lam, x[i], history))
                     break
                 _, inst_idx, y = move

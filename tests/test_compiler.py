@@ -335,11 +335,16 @@ class TestExecutorChoice:
         compiled, target = self.majority3()
         assert compiled.pr_box_count == 54
         self.forbid(monkeypatch, wiring, "_walk")
+        # compile_circuit validated the protocol; the executors check nothing again
+        check_bank = wiring._check_bank
+        self.forbid(monkeypatch, wiring, "_check_bank")
         for proto in (compiled.protocol, dataclasses.replace(compiled.protocol)):
             assert induced_box(proto) == target
             for x in target.inputs():
                 expected = {a: target.prob(x, a) for a in target.outputs() if target.prob(x, a)}
                 assert bw.execute_exact(proto, x).outcomes == expected
+                assert set(bw.execute_sample(proto, x, seed=1, n_runs=20)) <= set(expected)
+        monkeypatch.setattr(wiring, "_check_bank", check_bank)
         fresh = walked_copy(compiled.protocol)
         with pytest.raises(RuntimeError, match="_walk was called"):
             bw.execute_exact(fresh, (0, 0, 0))

@@ -1,14 +1,13 @@
 import ast
 import dataclasses
-import gc
 import itertools
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -223,11 +222,10 @@ class TestSampling:
         execute_sample(proto, (1, 1), seed=0, n_runs=10)
 
         def sizes():
-            gc.collect()  # the walk's closures form cycles that hold their protocol
             return {
                 name: len(value)
                 for name, value in vars(wiring).items()
-                if not name.startswith("__") and isinstance(value, (dict, set, list, weakref.WeakSet))
+                if not name.startswith("__") and isinstance(value, (dict, set, list))
             }
 
         before = sizes()
@@ -389,10 +387,10 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-# The one module-level container the package may hold, with its reason:
-# repeated executor calls on one protocol validate it once, and the weak
-# references hold nothing a caller dropped.
-MODULE_STATE_ALLOWED = {"wiring._validated_protocols"}
+# Module-level containers the package may hold, each with its reason.  There
+# are none: every executor call validates what it walks, and a compiled
+# protocol is validated once, when compile_circuit builds it.
+MODULE_STATE_ALLOWED: set = set()
 _CONTAINER_NODES = (ast.Set, ast.Dict, ast.List, ast.SetComp, ast.DictComp, ast.ListComp)
 _CONTAINER_CALLS = {
     "set", "dict", "list", "defaultdict", "OrderedDict", "Counter", "deque",
@@ -505,13 +503,13 @@ def test_first_induced_box_walks_each_branch_once(monkeypatch):
     first = induced_box(proto)  # validates and executes in one walk per (lam, x)
     assert sorted(walks) == sorted(itertools.product((0, 1, 2), proto.inputs()))
     walks.clear()
-    again = induced_box(proto)  # validated: only lam of nonzero weight
-    assert sorted(walks) == sorted(itertools.product((0, 2), proto.inputs()))
+    again = induced_box(proto)  # every call validates again, in the same walks
+    assert sorted(walks) == sorted(itertools.product((0, 1, 2), proto.inputs()))
     assert first == again == bw.uniform_box((2, 2), (2, 2))
     walks.clear()
     fresh = _flipping_pr_protocol()
     assert execute_exact(fresh, (1, 1)) == execute_exact(fresh, (1, 1))
-    assert len(walks) == 3 * 4 + 2  # the first call validates, the second walks (1, 1) only
+    assert len(walks) == 2 * 3 * 4  # each call walks every (lam, x) once
 
 
 def test_zero_weight_lam_is_still_validated():
@@ -522,6 +520,105 @@ def test_zero_weight_lam_is_still_validated():
         with pytest.raises(Unvalidated) as err:
             run(proto)
         assert str(err.value) == f"protocol failed validation: {verdict.violation}"
+
+
+def _identity_with(party, moves=None, outputs=None):
+    """The PR identity wiring with some of party's table entries replaced."""
+    proto = identity_wiring(bw.pr_box())
+    strategy = proto.strategies[party]
+    strategy.moves.update(moves or {})
+    strategy.outputs.update(outputs or {})
+    return proto
+
+
+@pytest.mark.parametrize(
+    "moves, reason",
+    [
+        ({(0, 1, ()): ("usee", 0, 1)}, "party 0 move ('usee', 0, 1) is neither STOP nor ('use', int, int)"),
+        ({(0, 1, ()): ("use", 0)}, "party 0 move ('use', 0) is neither STOP nor ('use', int, int)"),
+        ({(0, 1, ()): ["use", 0, 1]}, "party 0 move ['use', 0, 1] is neither STOP nor ('use', int, int)"),
+        ({(0, 1, ()): ("stop", 1)}, "party 0 move ('stop', 1) is neither STOP nor ('use', int, int)"),
+        ({(0, 1, ()): ("use", 0, 0.5)}, "party 0 move ('use', 0, 0.5) is neither STOP nor ('use', int, int)"),
+        ({(0, 1, ()): ("use", 0.0, 1)}, "party 0 move ('use', 0.0, 1) is neither STOP nor ('use', int, int)"),
+    ],
+    ids=["misspelled tag", "short tuple", "list", "stop with an argument", "float input", "float instance"],
+)
+def test_malformed_moves_are_violations(moves, reason):
+    proto = _identity_with(0, moves=moves)
+    verdict = validate_protocol(proto)
+    assert verdict.violation == {"lam": 0, "x": (1, 0), "reason": reason}
+    for run in (
+        induced_box,
+        lambda p: execute_exact(p, (1, 1)),
+        lambda p: execute_sample(p, (1, 1), seed=0, n_runs=10),
+    ):
+        with pytest.raises(Unvalidated) as err:
+            run(proto)
+        assert str(err.value) == f"protocol failed validation: {verdict.violation}"
+
+
+@pytest.mark.parametrize(
+    "output, reason",
+    [
+        (0.5, "party 1 output 0.5 is not an int"),
+        (Fraction(1), "party 1 output Fraction(1, 1) is not an int"),
+        (True, "party 1 output True is not an int"),
+        (2, "party 1 output 2 out of range"),
+    ],
+    ids=["float", "Fraction", "bool", "out of range"],
+)
+def test_non_integer_or_out_of_range_outputs_are_violations(output, reason):
+    proto = _identity_with(1, outputs={(0, 0, (0,)): output})
+    verdict = validate_protocol(proto)
+    assert verdict.violation == {"lam": 0, "x": (0, 0), "reason": reason}
+    for run in (
+        induced_box,
+        lambda p: execute_exact(p, (0, 0)),
+        lambda p: execute_sample(p, (0, 0), seed=0, n_runs=10),
+    ):
+        with pytest.raises(Unvalidated, match="protocol failed validation"):
+            run(proto)
+
+
+def test_shared_randomness_weights_must_be_exact():
+    # float weights would make every executor's probabilities floats
+    with pytest.raises(bw.DimensionMismatch, match="must be int or Fraction, got 0.1$"):
+        SharedRandomness((0, 1), (0.1, 0.9))
+    for weight in (0.5, "1/2", None):
+        with pytest.raises(bw.DimensionMismatch, match="must be int or Fraction"):
+            SharedRandomness((0, 1), (weight, HALF))
+    exact = dataclasses.replace(_shared_coin_protocol(), randomness=SharedRandomness((0, 1), (0, 1)))
+    assert execute_exact(exact, (0, 0)).outcomes == {(1, 1): 1}
+
+
+@pytest.mark.parametrize(
+    "first_call",
+    [
+        lambda p: execute_sample(p, (1, 1), seed=0, n_runs=10),
+        lambda p: execute_exact(p, (1, 1)),
+        induced_box,
+    ],
+    ids=["execute_sample", "execute_exact", "induced_box"],
+)
+def test_protocol_edited_after_a_call_is_refused(first_call):
+    # strategies are mutable: a table edited after a first call must be
+    # validated again on the next call, not run unchecked
+    edits = [
+        ({}, {(0, 1, (0,)): 5}, "party 0 output 5 out of range"),  # an output out of range
+        ({(0, 1, (0,)): ("use", 0, 1)}, {}, "party 0 used instance 0 twice"),  # a box used twice
+    ]
+    for moves, outputs, reason in edits:
+        proto = identity_wiring(bw.pr_box())
+        first_call(proto)
+        proto.strategies[0].moves.update(moves)
+        proto.strategies[0].outputs.update(outputs)
+        for run in (
+            lambda p: execute_sample(p, (1, 1), seed=0, n_runs=10),
+            lambda p: execute_exact(p, (1, 1)),
+            induced_box,
+        ):
+            with pytest.raises(Unvalidated, match=re.escape(reason)):
+                run(proto)
 
 
 def test_table_strategy_json_round_trip():
