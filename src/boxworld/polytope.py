@@ -26,13 +26,21 @@ from .boxes import (
     all_relabelings,
     cell_expressions,
     check_no_signaling,
-    make_box,
     marginal_coordinates,
     marginal_point,
     pr_box,
     relabel,
 )
-from .errors import DimensionMismatch, Infeasible, NotAVertex, ShapeMismatch, TooLarge, VerificationFailed
+from .errors import (
+    DimensionMismatch,
+    Infeasible,
+    NegativeProbability,
+    NotAVertex,
+    NotNormalized,
+    ShapeMismatch,
+    TooLarge,
+    VerificationFailed,
+)
 from .exactlp import exact_rank, solve_equality_feasibility, solve_linear_system
 
 DEFAULT_DIMENSION_CAP = 15  # covers 3 inputs x 2 outputs per party
@@ -64,17 +72,71 @@ class HRepresentation:
         which is s times the cell at the point t/s."""
         return [const * s + sum(coef * t[idx] for idx, coef in terms) for const, terms in self.cell_exprs]
 
-    def _box_on_ray(self, s: int, values: Sequence[int]) -> Box:
-        """The box whose cells are values/s, through `make_box`'s range and
-        normalization checks."""
+    def _sum_groups(self):
+        """The cell index groups that `_box_on_ray` sums: (rows, signaling).
+
+        `rows` pairs each joint input x with the indices of its cells.
+        `signaling` holds, for each party i and each setting (x, a) of
+        the other parties' inputs and outputs (party i's own entries at
+        0), the entry (i, x, a, groups), where groups[x_i] lists the
+        indices of the cells at input x_i over party i's outputs."""
+        index = {cell: c for c, cell in enumerate(self.cells)}
+        rows = {}
+        for c, (x, _) in enumerate(self.cells):
+            rows.setdefault(x, []).append(c)
+        signaling = []
+        for i, (m, d) in enumerate(zip(self.input_sizes, self.output_sizes)):
+            for x, a in self.cells:
+                if x[i] == 0 and a[i] == 0:
+                    groups = [
+                        [index[(x[:i] + (x_i,) + x[i + 1:], a[:i] + (a_i,) + a[i + 1:])] for a_i in range(d)]
+                        for x_i in range(m)
+                    ]
+                    signaling.append((i, x, a, groups))
+        return list(rows.items()), signaling
+
+    def _box_on_ray(self, s: int, values: Sequence[int], sum_groups) -> Box:
+        """The box whose cells are values/s, for s > 0, checked on the
+        integers before any Fraction is made, with `sum_groups` from
+        `_sum_groups`:
+
+        - range: 0 <= v <= s for every cell, else NegativeProbability
+          for the first cell outside;
+        - normalization: each joint input's cells sum to s, else
+          NotNormalized(x, total/s);
+        - no-signaling: for each party, each setting of the other
+          parties' inputs and outputs sums to the same integer over the
+          party's outputs at every input of the party, else
+          VerificationFailed.
+
+        Only then is the box built, one Fraction(v, s) per nonzero cell.
+        """
+        if min(values) < 0 or max(values) > s:
+            cell, v = next((cell, v) for cell, v in zip(self.cells, values) if not 0 <= v <= s)
+            raise NegativeProbability(cell, Fraction(v, s))
+        rows, signaling = sum_groups
+        value = values.__getitem__
+        for x, cells in rows:
+            total = sum(map(value, cells))
+            if total != s:
+                raise NotNormalized(x, Fraction(total, s))
+        for i, x, a, groups in signaling:
+            reference = sum(map(value, groups[0]))
+            for x_i, group in enumerate(groups[1:], 1):
+                if sum(map(value, group)) != reference:
+                    raise VerificationFailed(
+                        f"box signals: party {i}'s input 0 vs {x_i} moves the others'"
+                        f" outputs {a[:i] + a[i + 1:]} at their inputs {x[:i] + x[i + 1:]}"
+                    )
         table = {cell: Fraction(v, s) for cell, v in zip(self.cells, values) if v}
-        return make_box(len(self.input_sizes), self.input_sizes, self.output_sizes, table, sparse=True)
+        return Box(len(self.input_sizes), self.input_sizes, self.output_sizes, table)
 
     def box_from_point(self, t: Sequence[Fraction]) -> Box:
         """The box at point t, evaluated on the integer ray (s, s*t) with s
         the common denominator of t."""
         s = lcm(*(v.denominator for v in t))
-        return self._box_on_ray(s, self._cell_values(s, [v.numerator * (s // v.denominator) for v in t]))
+        values = self._cell_values(s, [v.numerator * (s // v.denominator) for v in t])
+        return self._box_on_ray(s, values, self._sum_groups())
 
     def point_from_box(self, box: Box) -> list[Fraction]:
         return marginal_point(box, self.coords)
@@ -191,12 +253,15 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
     empty), and the pair is adjacent exactly when that AND is the pair
     itself.
 
-    Every vertex is verified on its integer ray (s, t): s > 0, every
-    cell's integer value const*s + sum(coef*t) is >= 0, the cells at 0
-    are exactly the carried mask, and their linear parts have full rank
-    (extremality).  Only then is its box built, once, through
-    `make_box`'s range and normalization checks, and checked to be
-    nonsignaling.
+    Every vertex is verified on its integer ray (s, t), and each check
+    raises its own error.  VerificationFailed: s > 0, every cell's
+    integer value const*s + sum(coef*t) is >= 0, the cells at 0 are
+    exactly the carried mask, and their linear parts have full rank
+    (extremality).  Then `HRepresentation._box_on_ray` checks, still on
+    the integers, that every value is at most s (NegativeProbability),
+    that each joint input's values sum to s (NotNormalized) and that
+    every no-signaling sum agrees (VerificationFailed, "signals"); only
+    then is the box built, one Fraction per nonzero cell.
     """
     rows = _inequality_rows(h_rep)
     dim = h_rep.dimension + 1  # homogenized
@@ -263,31 +328,29 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
         rays = kept
 
     # the rays are distinct primitive integer vectors, so no two give one point
-    boxes = []
-    for ray, mask in rays:
-        s = ray[0]
-        if not s > 0:
-            raise VerificationFailed("unbounded direction found in a bounded polytope")
-        values = h_rep._cell_values(s, ray[1:])
-        if min(values) < 0:
-            raise VerificationFailed("enumerated point violates a nonnegativity constraint")
-        zero_cells = [c for c, v in enumerate(values) if v == 0]
-        if sum(1 << c for c in zero_cells) != mask:
-            raise VerificationFailed("enumerated point's zero cells differ from its carried tight set")
-        if not _pins_point(h_rep, zero_cells):
-            raise VerificationFailed("enumerated point is not extremal")
-        box = h_rep._box_on_ray(s, values)
-        if not check_no_signaling(box).ok:
-            raise VerificationFailed("enumerated vertex signals")
-        boxes.append(box)
-    return boxes
+    linear = [row[1:] for row in rows[:-1]]  # each cell's linear part
+    sum_groups = h_rep._sum_groups()
+    return [_verified_vertex(h_rep, ray, mask, linear, sum_groups) for ray, mask in rays]
 
 
-def _pins_point(h_rep: HRepresentation, zero_cells: Sequence[int]) -> bool:
-    """Extremality: the linear parts of the cells at 0 have full rank, so
-    those cells alone pin the point down."""
-    tight_rows = [_linear_row(h_rep.cell_exprs[c][1], h_rep.dimension) for c in zero_cells]
-    return exact_rank(tight_rows) == h_rep.dimension
+def _verified_vertex(h_rep: HRepresentation, ray, mask: int, linear, sum_groups) -> Box:
+    """The box at a final double-description ray (s, t) with its carried
+    tight-set mask, through every check of `enumerate_vertices`; `linear`
+    holds each cell's dense linear part and `sum_groups` is
+    `h_rep._sum_groups()`."""
+    s = ray[0]
+    if not s > 0:
+        raise VerificationFailed("unbounded direction found in a bounded polytope")
+    values = h_rep._cell_values(s, ray[1:])
+    if min(values) < 0:
+        raise VerificationFailed("enumerated point violates a nonnegativity constraint")
+    zero_cells = [c for c, v in enumerate(values) if v == 0]
+    if sum(1 << c for c in zero_cells) != mask:
+        raise VerificationFailed("enumerated point's zero cells differ from its carried tight set")
+    # extremality: the cells at 0 alone pin the point down
+    if exact_rank([linear[c] for c in zero_cells]) != h_rep.dimension:
+        raise VerificationFailed("enumerated point is not extremal")
+    return h_rep._box_on_ray(s, values, sum_groups)
 
 
 def is_vertex(box: Box, h_rep: Optional[HRepresentation] = None) -> bool:
@@ -297,7 +360,12 @@ def is_vertex(box: Box, h_rep: Optional[HRepresentation] = None) -> bool:
     if h_rep is None:
         h_rep = build_h_rep(box.input_sizes, box.output_sizes, dimension_cap=RANK_CHECK_DIMENSION_CAP)
     _require_shape(box, h_rep, "polytope")
-    return _pins_point(h_rep, [c for c, cell in enumerate(h_rep.cells) if box.prob(*cell) == 0])
+    tight_rows = [
+        _linear_row(terms, h_rep.dimension)
+        for cell, (_, terms) in zip(h_rep.cells, h_rep.cell_exprs)
+        if box.prob(*cell) == 0
+    ]
+    return exact_rank(tight_rows) == h_rep.dimension
 
 
 def _require_shape(box: Box, other, name: str) -> None:
@@ -337,11 +405,13 @@ def _impossible_output(box: Box):
     Each party's marginal is read with the other parties at input 0; one
     completion suffices because the box is nonsignaling."""
     seen = set()
+    others_at_zero = box.n_parties - 1
     for (x, a), v in box.table.items():
-        if v != 0:
-            for p in range(box.n_parties):
-                if not any(x[:p] + x[p + 1:]):
-                    seen.add((p, x[p], a[p]))
+        # all inputs at 0 complete every party's marginal; one nonzero
+        # input completes only its own party's
+        if x.count(0) >= others_at_zero and v:
+            parties = [p for p, x_p in enumerate(x) if x_p] or range(box.n_parties)
+            seen.update((p, x[p], a[p]) for p in parties)
     return next(
         (
             (p, x_p, a_p)
@@ -365,17 +435,19 @@ def parity_form_of(box: Box):
     if box.output_sizes != (2,) * n:
         return None
     weight = Fraction(1, 2 ** (n - 1))
+    support = {}  # x -> [(a, p), ...] over the nonzero cells, in one pass
+    for (x, a), p in box.table.items():
+        if p:
+            support.setdefault(x, []).append((a, p))
     g = {}
     for x in box.inputs():
-        support = {a for a in box.outputs() if box.prob(x, a) != 0}
-        if len(support) != 2 ** (n - 1):
+        row = support.get(x, ())
+        if len(row) != 2 ** (n - 1):
             return None
-        if {box.prob(x, a) for a in support} != {weight}:
+        parity = sum(row[0][0]) % 2
+        if any(p != weight or sum(a) % 2 != parity for a, p in row):
             return None
-        parities = {sum(a) % 2 for a in support}
-        if len(parities) != 1:
-            return None
-        g[x] = parities.pop()
+        g[x] = parity
     return g
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,6 +9,7 @@ import boxworld as bw
 from boxworld.errors import (
     DimensionMismatch,
     Infeasible,
+    NegativeProbability,
     NotAVertex,
     NotNormalized,
     ShapeMismatch,
@@ -20,6 +22,7 @@ from boxworld.polytope import (
     _gcd_reduce,
     _inequality_rows,
     _initial_basis,
+    _verified_vertex,
     build_h_rep,
     classify_vertex,
     decompose,
@@ -311,6 +314,109 @@ def test_enumeration_verifies_the_h_representation():
     exprs[0], exprs[1] = exprs[1], exprs[0]
     with pytest.raises(VerificationFailed, match="signals"):
         enumerate_vertices(dataclasses.replace(h, cell_exprs=tuple(exprs)))
+
+
+def integer_ray(h_rep, box):
+    """The box's integer ray (s, *s*t): t its point, s the common
+    denominator of t."""
+    t = h_rep.point_from_box(box)
+    s = lcm(*(v.denominator for v in t))
+    return (s, *(int(v * s) for v in t))
+
+
+@pytest.mark.parametrize("input_sizes", [(2, 2), (2, 3), (3, 3)])
+def test_integer_checks_build_the_make_box_box(input_sizes):
+    # make_box and check_no_signaling stay the reference for the checks
+    # that the enumeration now runs on the integers
+    h = build_h_rep(input_sizes, (2, 2))
+    sum_groups = h._sum_groups()
+    for vertex in enumerate_vertices(h):
+        s, *t = integer_ray(h, vertex)
+        values = h._cell_values(s, t)
+        box = h._box_on_ray(s, values, sum_groups)
+        table = {cell: Fraction(v, s) for cell, v in zip(h.cells, values) if v}
+        reference = bw.make_box(2, input_sizes, (2, 2), table, sparse=True)
+        assert box == reference == vertex
+        assert box.table == reference.table
+        assert bw.check_no_signaling(box).ok
+
+
+class TestIntegerChecks:
+    """Each corrupted value vector on the PR box's ray raises its own error."""
+
+    h = build_h_rep((2, 2), (2, 2))
+    s, *t = integer_ray(h, bw.pr_box())  # s = 2
+    values = h._cell_values(s, t)  # cell 1, ((0, 0), (0, 1)), is at 0
+
+    def box_on(self, values):
+        return self.h._box_on_ray(self.s, values, self.h._sum_groups())
+
+    def test_the_uncorrupted_ray_is_the_pr_box(self):
+        assert self.s == 2
+        assert self.box_on(self.values) == bw.pr_box()
+
+    @pytest.mark.parametrize("value", [-1, 3])
+    def test_cell_out_of_range(self, value):
+        values = list(self.values)
+        values[5] = value
+        with pytest.raises(NegativeProbability) as err:
+            self.box_on(values)
+        assert err.value.key == self.h.cells[5]
+        assert err.value.value == Fraction(value, 2)
+
+    def test_row_not_summing_to_s(self):
+        values = list(self.values)
+        values[1] = 1
+        with pytest.raises(NotNormalized) as err:
+            self.box_on(values)
+        assert (err.value.x, err.value.total) == ((0, 0), Fraction(3, 2))
+
+    def test_normalized_but_signaling(self):
+        values = list(self.values)
+        values[0], values[1] = values[1], values[0]
+        with pytest.raises(VerificationFailed, match="signals"):
+            self.box_on(values)
+
+    def test_box_from_point_checks_no_signaling(self):
+        exprs = list(self.h.cell_exprs)
+        exprs[0], exprs[1] = exprs[1], exprs[0]
+        swapped = dataclasses.replace(self.h, cell_exprs=tuple(exprs))
+        with pytest.raises(VerificationFailed, match="signals"):
+            swapped.box_from_point(self.h.point_from_box(bw.pr_box()))
+
+
+def test_each_vertex_check_raises_on_its_own_corruption():
+    h = build_h_rep((2, 2), (2, 2))
+    linear = [row[1:] for row in _inequality_rows(h)[:-1]]
+
+    def verify(box, corrupt_ray=lambda ray: ray, corrupt_mask=lambda mask: mask):
+        ray = integer_ray(h, box)
+        values = h._cell_values(ray[0], ray[1:])
+        mask = sum(1 << c for c, v in enumerate(values) if v == 0)
+        return _verified_vertex(h, corrupt_ray(ray), corrupt_mask(mask), linear, h._sum_groups())
+
+    assert verify(bw.pr_box()) == bw.pr_box()
+    with pytest.raises(VerificationFailed, match="unbounded"):
+        verify(bw.pr_box(), corrupt_ray=lambda ray: (0,) + ray[1:])
+    with pytest.raises(VerificationFailed, match="nonnegativity"):
+        verify(bw.pr_box(), corrupt_ray=lambda ray: ray[:1] + (ray[1] + 5,) + ray[2:])
+    with pytest.raises(VerificationFailed, match="carried tight set"):
+        verify(bw.pr_box(), corrupt_mask=lambda mask: mask ^ 1)
+    with pytest.raises(VerificationFailed, match="not extremal"):
+        verify(bw.uniform_box((2, 2), (2, 2)))
+
+
+def test_enumeration_builds_no_box_through_make_box_or_check_no_signaling(monkeypatch):
+    h = build_h_rep((2, 3), (2, 2))
+    expected = enumerate_vertices(h)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called during enumeration")
+
+    monkeypatch.setattr(bw.boxes, "make_box", refuse)
+    monkeypatch.setattr(bw.boxes, "check_no_signaling", refuse)
+    monkeypatch.setattr(bw.polytope, "check_no_signaling", refuse)
+    assert enumerate_vertices(h) == expected
 
 
 class TestShapeMismatch:
