@@ -6,27 +6,42 @@ y.b > 0, proving infeasibility.  Both answers are verified exactly
 before being returned, so callers can rely on them regardless of any
 pivoting subtleties.
 
-Phase 1 adds one artificial column per row (the starting basis) and
-minimizes their sum.  The simplex is revised: it never builds the m x n
-tableau.  It keeps one (m+1) x (m+1) integer matrix: the scaled basis
-inverse with the rhs beside it, and the objective row restricted to the
-artificial columns (u) with the scaled objective value beside it.  Every
-entry is an integer equal to d times the true rational value, where d is
-the previous pivot element (integer pivoting).  A pivot performs the
+The system is made integer without growing its own integers.  Row i of
+A is multiplied by den_i, the lcm of the denominators of that row's
+coefficients, so the 0/1 rows of the locality and decomposition LPs stay
+0/1.  All of b is multiplied by one common denominator D, so the solver
+finds z' = D * z and reads z back with one more division.  Phase 1 adds
+one artificial column per row (the starting basis) and minimizes
+sum_i c_i * a_i with the integer cost c_i = lcm(den_i, den(b_i)) // den_i.
+That is D times the sum of the artificials of the system whose row i is
+scaled by lcm(den_i, den(b_i)) (see `_integerize`), so every reduced-cost
+sign and every ratio-test comparison, ties included, is the same as
+there: Bland's rule picks the same pivots, and the solution and the
+Farkas vector are the same rationals.  Only the integers are smaller: a
+basis determinant is a minor of the rows' own integers, not of rows
+scaled by rhs denominators.
+
+The simplex is revised: it never builds the m x n tableau.  It keeps one
+(m+1) x (m+1) integer matrix: the scaled basis inverse with the rhs
+beside it, and the objective row restricted to the artificial columns
+(u) with the scaled objective value beside it.  Every entry is an
+integer equal to d times the true rational value, where d is the
+previous pivot element (integer pivoting).  A pivot performs the
 two-term update (a*p - c*r) / d on that matrix alone; the division is
 exact (the entries are minors of the original integer system), so no gcd
 normalization or fraction arithmetic appears in the hot loop.
 
 Each original column is kept as the sparse list of its nonzero integer
-entries.  Its scaled reduced cost is sum_i (u_i - d) * a_ij and its
+entries.  Its scaled reduced cost is sum_i (u_i - c_i * d) * a_ij and its
 scaled tableau column is the scaled basis inverse times a_j; an
-artificial column's reduced cost is u_i itself.  These are exactly the entries the full integer tableau
-would hold, since both are d times the same rationals.  Bland's rule
-picks the same pivots: the first column with a negative reduced cost
-enters (original columns, then artificial ones), and ratio-test ties go
-to the lower basis index.  So the pivots, the solution and the Farkas
-vector are those of the full-tableau form, which the tests keep as the
-reference, and Bland's rule still guarantees termination.
+artificial column's reduced cost is u_i itself.  These are exactly the
+entries the full integer tableau would hold, since both are d times the
+same rationals.  Bland's rule picks the same pivots: the first column
+with a negative reduced cost enters (original columns, then artificial
+ones), and ratio-test ties go to the lower basis index.  So the pivots,
+the solution and the Farkas vector are those of the full-tableau form,
+which the tests keep as the reference, and Bland's rule still guarantees
+termination.
 """
 
 from __future__ import annotations
@@ -48,21 +63,38 @@ class FeasibilityResult:
 
 
 def _integerize(A: Sequence[Sequence], b: Sequence):
-    """Scale each row of [A | b] to integers with rhs >= 0.
+    """Scale [A | b] to integers with rhs >= 0, keeping each row's own integers.
 
-    Returns (columns, rhs, scales, flipped).  Column j is a pair of
+    Row i of A is multiplied by den_i, the lcm of the denominators of its
+    coefficients alone, so a 0/1 row stays 0/1.  All of b is multiplied by
+    one common D, the lcm of b's denominators, so the integer system is
+    solved for z' = D * z.  Row i is negated where b_i < 0.
+
+    The phase-1 cost of artificial i is c_i = lcm(den_i, den(b_i)) // den_i.
+    Scaling row i of [A | b] by s_i = lcm(den_i, den(b_i)) and minimizing
+    the plain sum of artificials is the same objective: in these units each
+    artificial is D * den_i / s_i = D / c_i times that one, so the cost
+    sum_i c_i * a'_i is D times the sum of those artificials.  A reduced
+    cost changes by a positive factor (c_i for artificial i, 1 for an
+    original column), and the ratios of one ratio test by a common positive
+    factor, so every sign and every comparison, ties included, is unchanged:
+    Bland's rule picks the same pivots, and the solution and the Farkas
+    vector are the same rationals.
+
+    Returns (columns, rhs, D, scales, costs).  Column j is a pair of
     tuples: the rows of its nonzero entries and those integer entries.
-    Row i was multiplied by scales[i], and by -1 as well where flipped[i]."""
+    scales[i] is den_i, negated where row i was, and costs[i] is c_i."""
     n = len(A[0]) if A else 0
+    beta = [Fraction(v) for v in b]
+    D = lcm(*(v.denominator for v in beta))
     rows = [[] for _ in range(n)]
     entries = [[] for _ in range(n)]
     rhs = []
     scales = []
-    flipped = []
+    costs = []
     for i, row in enumerate(A):
-        beta = Fraction(b[i])
-        sign = -1 if beta < 0 else 1
-        den = beta.denominator
+        sign = -1 if beta[i] < 0 else 1
+        den = 1
         nonzero = []
         for j, v in enumerate(row):
             if not isinstance(v, (int, Fraction)):
@@ -73,11 +105,11 @@ def _integerize(A: Sequence[Sequence], b: Sequence):
         for j, v in nonzero:
             rows[j].append(i)
             entries[j].append(sign * v.numerator * (den // v.denominator))
-        rhs.append(sign * beta.numerator * (den // beta.denominator))
-        scales.append(den)
-        flipped.append(sign < 0)
+        rhs.append(sign * den * beta[i].numerator * (D // beta[i].denominator))
+        scales.append(sign * den)
+        costs.append(lcm(den, beta[i].denominator) // den)
     columns = [(tuple(idx), tuple(vals)) for idx, vals in zip(rows, entries)]
-    return columns, rhs, scales, flipped
+    return columns, rhs, D, scales, costs
 
 
 def _dot(vector, column) -> int:
@@ -90,23 +122,23 @@ def solve_equality_feasibility(A: Sequence[Sequence], b: Sequence) -> Feasibilit
     """Decide {z >= 0 : A z = b}; every answer is re-verified exactly."""
     m = len(A)
     n = len(A[0]) if m else 0
-    columns, int_rhs, scales, flipped = _integerize(A, b)
+    columns, int_rhs, D, scales, costs = _integerize(A, b)
 
     # T[i] = [d * (B^-1)_i | d * (B^-1 b)_i] for i < m; T[m] = [u | -d * w],
     # u_i being the scaled reduced cost of artificial i and w the phase-1
-    # objective.  Start: the artificial basis, d = 1, u = 0, w = sum(b).
+    # objective.  Start: the artificial basis, d = 1, u = 0, w = sum(c * b).
     T = [[0] * m + [r] for r in int_rhs]
     for i in range(m):
         T[i][i] = 1
-    T.append([0] * m + [-sum(int_rhs)])
+    T.append([0] * m + [-sum(map(mul, costs, int_rhs))])
     basis = [n + i for i in range(m)]
     d = 1  # current integer-pivoting scale
 
     while True:
         u = T[m]
         # Bland: the first column with a negative reduced cost enters,
-        # original columns first; cost_j = sum_i (u_i - d) * a_ij
-        shifted = [v - d for v in u]
+        # original columns first; cost_j = sum_i (u_i - c_i * d) * a_ij
+        shifted = [v - c * d for v, c in zip(u, costs)]
         enter = -1
         for j, col in enumerate(columns):
             cost = _dot(shifted, col)
@@ -164,7 +196,7 @@ def solve_equality_feasibility(A: Sequence[Sequence], b: Sequence) -> Feasibilit
         solution = [Fraction(0)] * n
         for i, col in enumerate(basis):
             if col < n:
-                solution[col] = Fraction(T[i][m], d)
+                solution[col] = Fraction(T[i][m], d * D)
         for i in range(m):
             total = sum(Fraction(A[i][j]) * solution[j] for j in range(n) if solution[j])
             if total != Fraction(b[i]):
@@ -173,13 +205,9 @@ def solve_equality_feasibility(A: Sequence[Sequence], b: Sequence) -> Feasibilit
             raise VerificationFailed("feasibility solution has a negative entry")
         return FeasibilityResult(True, solution=solution)
 
-    # Farkas: y_i = 1 - reduced cost of artificial i, mapped back to the
+    # Farkas: y_i = c_i - reduced cost of artificial i, mapped back to the
     # original rows (undo the integer row scaling and any sign flip)
-    y = []
-    for i in range(m):
-        red_cost = Fraction(T[m][i], d)
-        yi = (Fraction(1) - red_cost) * scales[i]
-        y.append(-yi if flipped[i] else yi)
+    y = [s * (c - Fraction(t, d)) for s, c, t in zip(scales, costs, T[m])]
     for j in range(n):
         total = sum(y[i] * Fraction(A[i][j]) for i in range(m) if y[i])
         if total > 0:

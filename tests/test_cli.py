@@ -62,6 +62,17 @@ def test_box_check_and_local():
     assert payload["local"] is False
 
 
+def test_box_local_pr_witness_is_pinned():
+    # the Farkas vector's scale fixes these values: a change of pivots or of
+    # the row scaling would change what is printed
+    box = run_cli(["box", "make", "pr"]).stdout
+    local = run_cli(["box", "local"], stdin=box)
+    assert local.returncode == 1
+    payload = json.loads(local.stdout)
+    assert payload["witness"]["box_value"] == "1/1"
+    assert payload["witness"]["local_max"] == "0/1"
+
+
 def test_box_local_positive_with_weights():
     import boxworld as bw
 

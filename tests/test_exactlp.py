@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -8,7 +8,13 @@ from scipy.optimize import linprog
 
 import boxworld as bw
 from boxworld import locality, polytope
-from boxworld.exactlp import FeasibilityResult, exact_rank, solve_equality_feasibility, solve_linear_system
+from boxworld.exactlp import (
+    FeasibilityResult,
+    _integerize,
+    exact_rank,
+    solve_equality_feasibility,
+    solve_linear_system,
+)
 
 
 def _full_tableau_feasibility(A, b) -> FeasibilityResult:
@@ -281,6 +287,69 @@ def test_revised_equals_full_tableau_on_decompose_lps(monkeypatch):
     assert len(seen) == 2
     for A, b, result in seen:
         assert result.feasible
+        assert result == _full_tableau_feasibility(A, b)
+
+
+LARGE_PRIMES = (2**31 - 1, 10**9 + 7, 998244353)
+
+
+def test_integerize_keeps_row_integers_and_moves_rhs_scales_into_costs():
+    rng = random.Random(17)
+    for _ in range(300):
+        A, b = _random_lp(rng)
+        if rng.random() < 0.5:
+            A.append([rng.randint(0, 1) for _ in A[0]])
+            b.append(rng.choice((1, -1)) * Fraction(rng.randint(0, 9), rng.choice(LARGE_PRIMES)))
+        b = [Fraction(v, rng.choice((1, 2, 3) + LARGE_PRIMES)) for v in b]
+        columns, rhs, D, scales, costs = _integerize(A, b)
+        assert D == lcm(*(Fraction(v).denominator for v in b))
+        dense = [[0] * len(columns) for _ in A]
+        for j, (idx, vals) in enumerate(columns):
+            for i, v in zip(idx, vals):
+                dense[i][j] = v
+        for i, row in enumerate(A):
+            den = lcm(*(Fraction(v).denominator for v in row))
+            sign = -1 if b[i] < 0 else 1
+            assert scales[i] == sign * den
+            assert dense[i] == [sign * den * v for v in row]
+            assert rhs[i] == sign * den * D * b[i] >= 0
+            assert costs[i] * den == lcm(den, Fraction(b[i]).denominator)
+            if set(row) <= {0, 1}:
+                assert dense[i] == [sign * v for v in row]  # a 0/1 row keeps its integers
+
+
+def test_revised_equals_full_tableau_with_large_coprime_rhs_denominators():
+    # each row's rhs over its own large prime: the costs c_i differ from 1
+    # and from row to row
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(600):
+        A, b = _random_lp(rng)
+        b = [Fraction(v, rng.choice(LARGE_PRIMES)) * rng.randint(1, 5) for v in b]
+        result = solve_equality_feasibility(A, b)
+        assert result == _full_tableau_feasibility(A, b), (A, b)
+        verdicts.append(result.feasible)
+    assert 100 < sum(verdicts) < 500
+
+
+def test_revised_equals_full_tableau_on_is_local_lps_with_large_denominators(monkeypatch):
+    pr = bw.pr_box()
+    noise2 = bw.uniform_box((2, 2), (2, 2))
+    deterministic = bw.deterministic_box((2, 2), (2, 2), ((0, 1), (1, 1)))
+    p, q = 2**31 - 1, 10**9 + 7
+    boxes = [
+        bw.mix_boxes([(Fraction(1, p), pr), (1 - Fraction(1, p), noise2)]),
+        bw.mix_boxes([(1 - Fraction(1, p), pr), (Fraction(1, p), noise2)]),
+        bw.mix_boxes([(Fraction(1, p), pr), (Fraction(1, q), deterministic), (1 - Fraction(1, p) - Fraction(1, q), noise2)]),
+    ]
+    noise3 = bw.uniform_box((2, 2, 2), (2, 2, 2))
+    bits = (0, 0, 0, 1, 0, 1, 1, 1)
+    parity = bw.full_correlation_box(3, 1, lambda x: bits[x[0] + 2 * x[1] + 4 * x[2]])
+    boxes += [bw.mix_boxes([(lam, parity), (1 - lam, noise3)]) for lam in (Fraction(7, q), 1 - Fraction(7, q))]
+    seen = _recorded_lps(monkeypatch, locality, lambda: [locality.is_local(box) for box in boxes])
+    assert len(seen) == len(boxes)
+    assert [result.feasible for _, _, result in seen] == [True, False, True, True, False]
+    for A, b, result in seen:
         assert result == _full_tableau_feasibility(A, b)
 
 
