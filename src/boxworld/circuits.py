@@ -134,7 +134,7 @@ class NandCircuit:
 
 
 def eval_circuit(circuit: NandCircuit, assignment) -> int:
-    """Evaluate gate by gate with NAND(q, r) = (q AND r) XOR 1.
+    """Evaluate the circuit on one assignment: `wire_bitsets` on one row.
 
     `assignment` maps input names to bits, or is a sequence aligned with
     `circuit.inputs`.
@@ -151,11 +151,7 @@ def eval_circuit(circuit: NandCircuit, assignment) -> int:
         if b.name not in assignment:
             raise MissingAssignment(f"no value for input {b.name!r}")
         values[b.name] = assignment[b.name] & 1
-    for c in circuit.constants:
-        values[c.name] = c.value & 1
-    for i, (left, right) in enumerate(circuit.gates):
-        values[f"g{i}"] = (values[left] & values[right]) ^ 1
-    return values[circuit.output]
+    return wire_bitsets(circuit, values, 1)[circuit.output]
 
 
 def circuit_function(circuit: NandCircuit, n_vars: Optional[int] = None) -> Callable[[tuple[int, ...]], int]:
@@ -172,18 +168,13 @@ def circuit_function(circuit: NandCircuit, n_vars: Optional[int] = None) -> Call
 
 
 def live_nodes(circuit: NandCircuit) -> set[str]:
-    """Names of all nodes reachable from the output."""
-    stack = [circuit.output]
-    seen = set()
-    gate_ops = {f"g{i}": ops for i, ops in enumerate(circuit.gates)}
-    while stack:
-        ref = stack.pop()
-        if ref in seen:
-            continue
-        seen.add(ref)
-        if ref in gate_ops:
-            stack.extend(gate_ops[ref])
-    return seen
+    """Names of all nodes reachable from the output, in one backward pass:
+    a gate's operands always come before it."""
+    live = {circuit.output}
+    for i in range(len(circuit.gates) - 1, -1, -1):
+        if f"g{i}" in live:
+            live.update(circuit.gates[i])
+    return live
 
 
 def prune(circuit: NandCircuit) -> NandCircuit:

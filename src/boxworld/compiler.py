@@ -16,31 +16,31 @@ the parity-correlated box of the circuit's function.
 
 Compiled protocols execute through one affine core: every party's output
 share is an affine form over the blocks' uniform branch bits, built once
-per row table (`_output_forms`).  Exact counts (`affine_outcome_counts`,
-`induced_box_fast`, `compiled_distribution`) follow from GF(2) span
-arithmetic on those forms, and a sampled branch (`cc_values`, `solve_cc`,
-`sample_compiled`) is one random bit vector.  `wiring`'s executors
-(`execute_exact`, `induced_box`, `execute_sample`) run a compiled
-protocol's own protocol (`compiled_owner`) through this core, so callers
-never choose.  The independent references are the generic branch-tree
-executor in `wiring` (the strategies below implement its interface),
-reached through a copy with a fresh strategy tuple, and the honest block
-enumeration `nand_block_branches`.  The core rests on one fixed block
-identity (see `_output_forms`) that no input can change, so it is checked
-by the tests, not per process: `tests/test_compiler.py` compares
-`nand_block` with the identity for every share pair at 2 and 3 parties,
-and the core with the generic walk at 2 to 4 parties.
+for all the input rows a call reads: whole input tables in a sweep, one
+row for a single input (`_output_forms`).  Exact counts
+(`affine_outcome_counts`, `induced_box_fast`, `compiled_distribution`)
+follow from GF(2) span arithmetic on those forms, and a sampled branch
+(`cc_values`, `solve_cc`, `sample_compiled`) is one random bit vector.
+`wiring`'s executors (`execute_exact`, `induced_box`, `execute_sample`)
+run a compiled protocol's own protocol (`compiled_owner`) through this
+core, so callers never choose.  The independent references are the
+generic branch-tree executor in `wiring` (the strategies below implement
+its interface), reached through a copy with a fresh strategy tuple, and
+the honest block enumeration `nand_block_branches`.  The core rests on
+one fixed block identity (see `_output_forms`) that no input can change,
+so it is checked by the tests, not per process: `tests/test_compiler.py`
+compares `nand_block` with the identity for every share pair at 2 and 3
+parties, and the core with the generic walk at 2 to 4 parties.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import and_, itemgetter, xor
+from operator import and_, xor
 from typing import Optional, Sequence
 
 from .boxes import Box, make_box, parity_box
@@ -315,45 +315,8 @@ def _row_codes(bitsets, n_rows: int) -> list[int]:
     return codes
 
 
-def _sweep_rows(circuit: NandCircuit, n_parties: int, bit_maps):
-    """Row table for a multi-ownership sweep: one row per (map, joint input).
-
-    Returns a list of (map_idx, x), the joint inputs of each map in
-    `_x_tuples` order.  The maps of a sweep mostly share their input
-    sizes, so the joint inputs are listed once per distinct size tuple.
-    """
-    joint_inputs: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    rows = []
-    for map_idx, bit_map in enumerate(bit_maps):
-        sizes = tuple(2 ** len(names) for names in bit_map)
-        if sizes not in joint_inputs:
-            joint_inputs[sizes] = _x_tuples(sizes)
-        rows += zip(itertools.repeat(map_idx), joint_inputs[sizes])
-    return rows
-
-
-def _map_blocks(bit_maps, rows):
-    """(map_idx, first row, table index of that row, row count) for each
-    map in `rows`: its rows must be consecutive rows of its `_x_tuples`
-    table, and the maps must come in ascending order.  x's table index
-    puts bit `slot` of x[p] at its position in the flattened map."""
-    blocks = []
-    start = 0
-    while start < len(rows):
-        map_idx, x = rows[start]
-        stop = bisect.bisect_right(rows, map_idx, start, key=itemgetter(0))
-        offset = 0
-        lo = 0
-        for x_p, names in zip(x, bit_maps[map_idx]):
-            lo |= x_p << offset
-            offset += len(names)
-        blocks.append((map_idx, start, lo, stop - start))
-        start = stop
-    return blocks
-
-
-def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
-    """Affine form of every party's output share on every row.
+def _output_forms(circuit: NandCircuit, n: int, bit_maps, blocks):
+    """Affine form of every party's output share on every row of `blocks`.
 
     Each gate's block contributes a fresh even-parity branch vector s (the
     per-party XORs of its PR outputs; variables g*(n-1) .. g*(n-1)+n-2,
@@ -369,16 +332,17 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
 
     Wire values are row bitsets (`wire_bitsets`: bit r is the value on
     row r), so a gate costs one big-int operation for all rows.  The
-    leaves cost one per map: in `_x_tuples` order, party 0 fastest, the
+    leaves cost one per block: in `_x_tuples` order, party 0 fastest, the
     column of bit `slot` of x[p] is a run pattern, run = 2^slot *
     prod(sizes[:p]) zeros then `run` ones, repeated, so a leaf's bitset
-    is one `run_window` per map, built once per (run, window) in the call
-    and shifted to the map's first row.  The holder of an input leaf owns
-    every row of a map.
+    is one `run_window` per block, built once per (run, window) in the call
+    and shifted to the block's first row.  The holder of an input leaf owns
+    every row of a block.
 
-    `rows` lists (map_idx, x) pairs as `_sweep_rows` does: each map's rows
-    consecutive in its `_x_tuples` table (the whole table in a sweep, one
-    input in a single-input call), maps ascending.
+    `blocks` lists (map_idx, lo, count) triples: rows lo .. lo+count-1 of
+    that map's `_x_tuples` table (the whole table in a sweep, one input in
+    a single-input call).  Blocks stack in list order, so a block's first
+    row is the sum of the counts before it.
 
     Returns (width, masks, consts): the joint branch vector has `width`
     uniform bits, masks[i] is a list of Python-int masks over them, one
@@ -388,7 +352,9 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
     """
     gates = circuit.gates
     width = (n - 1) * max(len(gates), 1)
-    full = (1 << len(rows)) - 1
+    firsts = list(itertools.accumulate([count for _, _, count in blocks], initial=0))
+    n_rows = firsts.pop()
+    full = (1 << n_rows) - 1
     # owner and position of every bit of each map: bit `slot` of x[p]
     # follows the bits of parties 0..p-1 in the flattened map, so its run
     # is 2^position
@@ -396,19 +362,18 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
     for bit_map in bit_maps:
         owned = [(party, name) for party, names in enumerate(bit_map) for name in names]
         places.append({name: (party, position) for position, (party, name) in enumerate(owned)})
-    blocks = _map_blocks(bit_maps, rows)
     windows: dict[tuple[int, int, int], int] = {}
     leaves: dict[str, int] = {}
     for b in circuit.inputs:
         column = 0
-        for map_idx, first, lo, count in blocks:
+        for (map_idx, lo, count), first in zip(blocks, firsts):
             position = places[map_idx][b.name][1]
             key = (position, lo, count)
             if key not in windows:
                 windows[key] = run_window(1 << position, lo, count)
             column |= windows[key] << first
         leaves[b.name] = column
-    values = wire_bitsets(circuit, leaves, len(rows))
+    values = wire_bitsets(circuit, leaves, n_rows)
 
     chain = []
     leaf = circuit.output
@@ -421,7 +386,7 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
     # constants are public parity carried by party 0
     if leaf in circuit.input_names:
         held = [0] * n
-        for map_idx, first, _, count in blocks:
+        for (map_idx, _, count), first in zip(blocks, firsts):
             held[places[map_idx][leaf][0]] |= ((1 << count) - 1) << first
         consts = [values[leaf] & rows_held for rows_held in held]
     else:
@@ -439,7 +404,7 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, rows):
     for g_idx in chain or [0]:
         lows |= 1 << (g_idx * (n - 1))
         levels.append([lows << i for i in range(n - 1)] + [lows * ((1 << (n - 1)) - 1)])
-    level = [len(levels) - 1] * len(rows)
+    level = [len(levels) - 1] * n_rows
     remaining = full
     for depth, g_idx in enumerate(chain[:-1]):
         vu = values[gates[g_idx][0]]
@@ -488,10 +453,17 @@ def _span_counts(n: int, width: int, masks, consts) -> list[list[int]]:
     return out
 
 
-def _compiled_forms(compiled: CompiledProtocol, xs):
-    """`_output_forms` of a compiled protocol, one row per joint input in xs."""
-    rows = [(0, x) for x in xs]
-    return _output_forms(compiled.circuit, compiled.n_parties, [compiled.party_bit_map], rows)
+def _compiled_forms(compiled: CompiledProtocol, x=None):
+    """`_output_forms` of a compiled protocol on its whole `_x_tuples`
+    table, or on the one row of joint input x: bit `slot` of x[p] sits at
+    its position in the flattened map."""
+    bit_map = compiled.party_bit_map
+    if x is None:
+        block = (0, 0, 1 << sum(map(len, bit_map)))
+    else:
+        offsets = itertools.accumulate(map(len, bit_map), initial=0)
+        block = (0, sum(x_p << offset for x_p, offset in zip(x, offsets)), 1)
+    return _output_forms(compiled.circuit, compiled.n_parties, [bit_map], [block])
 
 
 def _probabilities(n: int, width: int, counts) -> dict[tuple[int, ...], Fraction]:
@@ -504,11 +476,10 @@ def _probabilities(n: int, width: int, counts) -> dict[tuple[int, ...], Fraction
 
 
 def _sweep_forms(circuit: NandCircuit, n_parties: int, bit_maps):
-    """The affine forms of a sweep: the pruned circuit on one row per
-    (ownership map, joint input) of `_sweep_rows`."""
-    circuit = prune(circuit)
-    rows = _sweep_rows(circuit, n_parties, bit_maps)
-    return _output_forms(circuit, n_parties, bit_maps, rows)
+    """The affine forms of a sweep: the pruned circuit on every row of
+    each ownership map's `_x_tuples` table, one whole-table block per map."""
+    blocks = [(map_idx, 0, 1 << sum(map(len, bit_map))) for map_idx, bit_map in enumerate(bit_maps)]
+    return _output_forms(prune(circuit), n_parties, bit_maps, blocks)
 
 
 def affine_outcome_counts(circuit: NandCircuit, n_parties: int, bit_maps):
@@ -582,7 +553,7 @@ def sample_compiled(compiled: CompiledProtocol, x, seed: int, n_runs: int) -> di
     operations per run, whatever the gate count.
     """
     x = checked_inputs(compiled.input_sizes, x)
-    width, masks, consts = _compiled_forms(compiled, [x])
+    width, masks, consts = _compiled_forms(compiled, x)
     forms = [(mask[0], const & 1) for mask, const in zip(masks, consts)]
     draw = random.Random(seed).getrandbits
     counts: dict[tuple[int, ...], int] = {}
@@ -596,7 +567,7 @@ def sample_compiled(compiled: CompiledProtocol, x, seed: int, n_runs: int) -> di
 def compiled_distribution(compiled: CompiledProtocol, x) -> OutcomeDistribution:
     """Exact outcome distribution of a compiled protocol on one input tuple."""
     x = checked_inputs(compiled.input_sizes, x)
-    width, masks, consts = _compiled_forms(compiled, [x])
+    width, masks, consts = _compiled_forms(compiled, x)
     (counts,) = _span_counts(compiled.n_parties, width, masks, consts)
     return OutcomeDistribution(x=x, outcomes=_probabilities(compiled.n_parties, width, counts))
 
@@ -605,7 +576,7 @@ def induced_box_fast(compiled: CompiledProtocol) -> Box:
     """Exact induced box of a compiled protocol from the affine share forms."""
     n = compiled.n_parties
     xs = _x_tuples(compiled.input_sizes)
-    width, masks, consts = _compiled_forms(compiled, xs)
+    width, masks, consts = _compiled_forms(compiled)
     table = {
         (x, a): p
         for x, counts in zip(xs, _span_counts(n, width, masks, consts))

@@ -259,7 +259,7 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
                 continue
             row = mat[i]
             prow = mat[rank]
-            for j in range(n):
+            for j in range(col, n):
                 row[j] = (row[j] * p - f * prow[j]) // prev
         prev = p
         rank += 1

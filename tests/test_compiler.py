@@ -431,14 +431,30 @@ class TestAffineCoreAgainstParity:
         majority = TruthTable.from_function(3, lambda b: int(sum(b) >= 2))
         circuit = prune(synthesize_nand(majority, ["b0", "b1", "b2"]))
         splits = ownership_splits(3, 1)
-        rows = compiler._sweep_rows(circuit, 3, splits)
-        width, masks, consts = compiler._output_forms(circuit, 3, splits, rows)
+        blocks = whole_tables(splits)
+        rows = table_rows(splits, blocks)
+        width, masks, consts = compiler._output_forms(circuit, 3, splits, blocks)
+        assert len(masks[0]) == len(rows)
         assert 1 < len(set(zip(*masks))) < len(rows)
         one_at_a_time = [
             compiler._span_counts(3, width, [[mask[r]] for mask in masks], [(c >> r) & 1 for c in consts])[0]
             for r in range(len(rows))
         ]
         assert compiler._span_counts(3, width, masks, consts) == one_at_a_time
+
+
+def whole_tables(bit_maps):
+    """One block per map covering its whole `_x_tuples` table, as a sweep passes them."""
+    return [(map_idx, 0, 2 ** sum(map(len, bit_map))) for map_idx, bit_map in enumerate(bit_maps)]
+
+
+def table_rows(bit_maps, blocks):
+    """The (map_idx, x) rows of `blocks`, read from each map's `_x_tuples` table."""
+    rows = []
+    for map_idx, lo, count in blocks:
+        sizes = tuple(2 ** len(names) for names in bit_maps[map_idx])
+        rows += [(map_idx, x) for x in _x_tuples(sizes)[lo:lo + count]]
+    return rows
 
 
 def per_row_leaf(bit_maps, rows, name):
@@ -485,27 +501,52 @@ class TestRunPatternForms:
     scattered row codes, against a per-row reference."""
 
     @staticmethod
-    def check_forms(circuit, n, splits, rows):
-        """`_output_forms` on every row against `per_row_forms`; returns the consts."""
-        width, masks, consts = compiler._output_forms(circuit, n, splits, rows)
+    def check_forms(circuit, n, splits, blocks):
+        """`_output_forms` on every row of `blocks` against `per_row_forms`;
+        returns the rows and the forms."""
+        rows = table_rows(splits, blocks)
+        width, masks, consts = compiler._output_forms(circuit, n, splits, blocks)
         assert width == (n - 1) * max(len(circuit.gates), 1)
+        assert len(masks[0]) == len(rows)
         for r, (map_idx, x) in enumerate(rows):
             want_consts, want_masks = per_row_forms(circuit, n, splits[map_idx], x)
             assert [(c >> r) & 1 for c in consts] == want_consts, (r, x)
             assert [mask[r] for mask in masks] == want_masks, (r, x)
-        return consts
+        return rows, masks, consts
 
     def check_sweep(self, circuit, n, splits):
         circuit = prune(circuit)
-        rows = compiler._sweep_rows(circuit, n, splits)
-        assert len(rows) == len(splits) * 2 ** len(circuit.inputs)
+        blocks = whole_tables(splits)
         # a circuit whose output is an input leaf shows that leaf's bitset,
         # each row's bit held by the leaf's owner alone
         for name in circuit.input_names:
             leaf_only = NandCircuit(inputs=circuit.inputs, gates=(), output=name)
-            consts = self.check_forms(leaf_only, n, splits, rows)
+            rows, _, consts = self.check_forms(leaf_only, n, splits, blocks)
+            assert len(rows) == len(splits) * 2 ** len(circuit.inputs)
             assert sum(consts) == per_row_leaf(splits, rows, name), name
-        self.check_forms(circuit, n, splits, rows)
+        self.check_forms(circuit, n, splits, blocks)
+
+    def test_partial_unaligned_blocks_equal_whole_table_rows(self):
+        # blocks that start inside a table and stop short of its end, over
+        # maps of different sizes, out of map order: each block's rows are
+        # the matching rows of the whole-table forms
+        names = [f"b{i}" for i in range(6)]
+        uneven = [[["b0"], ["b1", "b2"], ["b3", "b4", "b5"]], [["b5", "b3", "b1", "b0"], ["b2"], ["b4"]]]
+        bit_maps = ownership_splits(3, 2)[:3] + uneven
+        blocks = [(0, 3, 5), (2, 7, 6), (4, 1, 30), (3, 0, 1), (1, 63, 1), (2, 60, 4)]
+        whole = whole_tables(bit_maps)
+        starts = [sum(count for _, _, count in whole[:map_idx]) for map_idx in range(len(bit_maps))]
+        picked = [starts[map_idx] + lo + j for map_idx, lo, count in blocks for j in range(count)]
+        rng = random.Random(43)
+        circuits = [prune(synthesize_nand(TruthTable.from_int(6, rng.getrandbits(64)), names)) for _ in range(3)]
+        circuits += [prune(circuit) for circuit, _ in random_circuits(rng, 3, 2, 6, 7)]
+        for circuit in circuits:
+            _, part_masks, part_consts = self.check_forms(circuit, 3, bit_maps, blocks)
+            _, masks, consts = compiler._output_forms(circuit, 3, bit_maps, whole)
+            for r, row in enumerate(picked):
+                assert [mask[r] for mask in part_masks] == [mask[row] for mask in masks], r
+                assert [(c >> r) & 1 for c in part_consts] == [(c >> row) & 1 for c in consts], r
+            assert all(c >> len(picked) == 0 for c in part_consts)
 
     @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (2, 2)])
     def test_every_split_equals_per_row_reference(self, n, m):
