@@ -114,14 +114,16 @@ def inverted_cluster_constraints() -> ConstraintSet:
 
 
 def box_source(box: Box) -> Callable[[tuple[int, ...]], OutcomeDistribution]:
+    """x -> the box's outcome distribution at x (its nonzero entries).  The
+    table is grouped by input once, not read per joint output per call."""
+    by_input = {}
+    for (x, a), p in box.table.items():
+        if p != 0:
+            by_input.setdefault(x, {})[a] = p
+
     def source(x):
         x = tuple(x)
-        outcomes = {}
-        for a in box.outputs():
-            p = box.prob(x, a)
-            if p != 0:
-                outcomes[a] = p
-        return OutcomeDistribution(x=x, outcomes=outcomes)
+        return OutcomeDistribution(x=x, outcomes=dict(by_input.get(x, ())))
 
     return source
 

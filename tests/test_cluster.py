@@ -22,6 +22,7 @@ from boxworld.errors import BoxworldError, TooLarge
 from boxworld.wiring import (
     STOP,
     BoxBank,
+    OutcomeDistribution,
     SharedRandomness,
     TableStrategy,
     WiringProtocol,
@@ -183,6 +184,19 @@ class TestSatisfies:
     def test_cluster_box_satisfies_all(self):
         src = box_source(cluster_box())
         assert all(satisfies(src, c) for c in cluster_constraints().constraints)
+
+    def test_box_source_matches_per_output_reads(self):
+        # box_source groups the table once; the definition reads box.prob
+        # for every joint output of every input
+        pr_side = (OWNER_OPTIONS[3], OWNER_OPTIONS[7])  # output the box bit, box input x
+        owners = {0: pr_side, 1: pr_side}
+        outputs = {k: (k & 1, 1) for k in range(2, 5)}
+        wired = bw.induced_box(_one_box_protocol((0, 1), owners, outputs))
+        for box in (cluster_box(), wired):
+            src = box_source(box)
+            for x in box.inputs():
+                expected = {a: box.prob(x, a) for a in box.outputs() if box.prob(x, a) != 0}
+                assert src(x) == OutcomeDistribution(x=x, outcomes=expected)
 
 
 class TestGhz:

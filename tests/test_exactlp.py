@@ -17,11 +17,15 @@ from boxworld.exactlp import (
 )
 
 
-def _full_tableau_feasibility(A, b) -> FeasibilityResult:
+def _full_tableau_feasibility(A, b) -> tuple[FeasibilityResult, int]:
     """Reference: phase 1 on the full (m+1) x (n+m+1) integer tableau.
 
-    The same integer pivoting and the same Bland rule as the package's
-    revised solver, which must return an equal FeasibilityResult."""
+    Row i is scaled by the lcm of all its denominators, rhs included, and
+    every artificial costs 1.  The entering column is the original one with
+    the most negative reduced cost (lowest index on ties), else the first
+    artificial that prices negative; the leaving row wins the lexicographic
+    ratio test on [rhs | artificial columns].  The package's revised solver
+    must return an equal FeasibilityResult.  Returns (result, pivots)."""
     m = len(A)
     n = len(A[0]) if m else 0
     M = []
@@ -48,22 +52,21 @@ def _full_tableau_feasibility(A, b) -> FeasibilityResult:
     M.append(obj)
     basis = [n + i for i in range(m)]
     d = 1
+    pivots = 0
     while True:
-        enter = next((j for j in range(n + m) if M[m][j] < 0), -1)
-        if enter < 0:
-            break
-        best_i = -1
-        for i in range(m):
-            a = M[i][enter]
-            if a > 0:
-                if best_i < 0:
-                    best_i = i
-                    continue
-                lhs = M[i][width - 1] * M[best_i][enter]
-                rhs = M[best_i][width - 1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[best_i]):
-                    best_i = i
-        assert best_i >= 0
+        cost = min(M[m][:n], default=0)
+        if cost < 0:
+            enter = M[m].index(cost)
+        else:
+            enter = next((j for j in range(n, n + m) if M[m][j] < 0), -1)
+            if enter < 0:
+                break
+        rows = [i for i in range(m) if M[i][enter] > 0]
+        for k in [width - 1, *range(n, n + m)]:
+            ratios = {i: Fraction(M[i][k], M[i][enter]) for i in rows}
+            least = min(ratios.values())
+            rows = [i for i in rows if ratios[i] == least]
+        (best_i,) = rows
         p = M[best_i][enter]
         prow = M[best_i]
         for i in range(m + 1):
@@ -72,14 +75,15 @@ def _full_tableau_feasibility(A, b) -> FeasibilityResult:
                 M[i] = [(M[i][j] * p - f * prow[j]) // d for j in range(width)]
         d = p
         basis[best_i] = enter
+        pivots += 1
     if M[m][width - 1] == 0:
         solution = [Fraction(0)] * n
         for i, col in enumerate(basis):
             if col < n:
                 solution[col] = Fraction(M[i][width - 1], d)
-        return FeasibilityResult(True, solution=solution)
+        return FeasibilityResult(True, solution=solution), pivots
     y = [(1 - Fraction(M[m][n + i], d)) * scales[i] for i in range(m)]
-    return FeasibilityResult(False, farkas=[-v if f else v for v, f in zip(y, flipped)])
+    return FeasibilityResult(False, farkas=[-v if f else v for v, f in zip(y, flipped)]), pivots
 
 
 def test_feasible_simple():
@@ -232,7 +236,7 @@ def test_revised_equals_full_tableau_on_random_lps():
     for _ in range(2500):
         A, b = _random_lp(rng)
         result = solve_equality_feasibility(A, b)
-        assert result == _full_tableau_feasibility(A, b), (A, b)
+        assert result == _full_tableau_feasibility(A, b)[0], (A, b)
         verdicts.append(result.feasible)
     assert 500 < sum(verdicts) < 2000  # both answers are well represented
 
@@ -272,7 +276,20 @@ def test_revised_equals_full_tableau_on_is_local_lps(monkeypatch):
     assert len(seen) == len(boxes)
     assert {result.feasible for _, _, result in seen} == {True, False}
     for A, b, result in seen:
-        assert result == _full_tableau_feasibility(A, b)
+        assert result == _full_tableau_feasibility(A, b)[0]
+
+
+def test_census_four_party_lp_takes_few_pivots(monkeypatch):
+    # the census benchmark's 4-party box: majority parity mixed 1/16 with
+    # noise.  Bland's rule takes 893 pivots on its LP, Dantzig's rule 162.
+    bits = [int(bin(row).count("1") >= 2) for row in range(16)]
+    majority = bw.full_correlation_box(4, 1, lambda x: bits[sum(v << i for i, v in enumerate(x))])
+    box = bw.mix_boxes([(Fraction(1, 16), majority), (Fraction(15, 16), bw.uniform_box((2,) * 4, (2,) * 4))])
+    ((A, b, result),) = _recorded_lps(monkeypatch, locality, lambda: locality.is_local(box))
+    reference, pivots = _full_tableau_feasibility(A, b)
+    assert result.feasible
+    assert result == reference
+    assert pivots <= 200
 
 
 def test_revised_equals_full_tableau_on_decompose_lps(monkeypatch):
@@ -287,7 +304,47 @@ def test_revised_equals_full_tableau_on_decompose_lps(monkeypatch):
     assert len(seen) == 2
     for A, b, result in seen:
         assert result.feasible
-        assert result == _full_tableau_feasibility(A, b)
+        assert result == _full_tableau_feasibility(A, b)[0]
+
+
+def _degenerate_lp(rng):
+    """A small seeded system with entries in {-1, 0, 1}, mostly 0, and a
+    mostly zero rhs; repeated and negated rows make ties in the ratio test."""
+    m = rng.randint(2, 7)
+    n = rng.randint(2, 10)
+    A = [[rng.choice((-1, 0, 0, 0, 1)) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:  # a feasible rhs by construction
+        z = [rng.choice((0, 0, 0, 1)) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, z)) for row in A]
+    else:
+        b = [rng.choice((0, 0, 0, 0, 1, -1)) for _ in range(m)]
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(m)
+        k = rng.choice((1, -1))
+        A.append([k * v for v in A[i]])
+        b.append(k * b[i])
+    return A, b
+
+
+def test_degenerate_lps_terminate_and_verify():
+    # the lexicographic ratio test guarantees termination whatever column
+    # enters; every answer must still pass the exact checks
+    rng = random.Random(20261019)
+    verdicts = []
+    for _ in range(1500):
+        A, b = _degenerate_lp(rng)
+        result = solve_equality_feasibility(A, b)
+        assert result == _full_tableau_feasibility(A, b)[0], (A, b)
+        if result.feasible:
+            z = result.solution
+            assert all(v >= 0 for v in z)
+            assert all(sum(a * v for a, v in zip(row, z)) == rhs for row, rhs in zip(A, b))
+        else:
+            y = result.farkas
+            assert all(sum(y[i] * A[i][j] for i in range(len(A))) <= 0 for j in range(len(A[0])))
+            assert sum(v * rhs for v, rhs in zip(y, b)) > 0
+        verdicts.append(result.feasible)
+    assert 300 < sum(verdicts) < 1200  # both answers are well represented
 
 
 LARGE_PRIMES = (2**31 - 1, 10**9 + 7, 998244353)
@@ -327,7 +384,7 @@ def test_revised_equals_full_tableau_with_large_coprime_rhs_denominators():
         A, b = _random_lp(rng)
         b = [Fraction(v, rng.choice(LARGE_PRIMES)) * rng.randint(1, 5) for v in b]
         result = solve_equality_feasibility(A, b)
-        assert result == _full_tableau_feasibility(A, b), (A, b)
+        assert result == _full_tableau_feasibility(A, b)[0], (A, b)
         verdicts.append(result.feasible)
     assert 100 < sum(verdicts) < 500
 
@@ -350,7 +407,7 @@ def test_revised_equals_full_tableau_on_is_local_lps_with_large_denominators(mon
     assert len(seen) == len(boxes)
     assert [result.feasible for _, _, result in seen] == [True, False, True, True, False]
     for A, b, result in seen:
-        assert result == _full_tableau_feasibility(A, b)
+        assert result == _full_tableau_feasibility(A, b)[0]
 
 
 def _beale(objective_value):
@@ -371,15 +428,15 @@ def test_beale_cycling_example_terminates():
     result = solve_equality_feasibility(A, b)
     assert result.feasible
     assert result.solution == [Fraction(3, 100), 0, 0, Fraction(1, 25), 0, 1, 0]
-    assert result == _full_tableau_feasibility(A, b)
+    assert result == _full_tableau_feasibility(A, b)[0]
     A, b = _beale(Fraction(-1, 10))  # below the minimum
     result = solve_equality_feasibility(A, b)
     assert not result.feasible
-    assert result == _full_tableau_feasibility(A, b)
+    assert result == _full_tableau_feasibility(A, b)[0]
 
 
 def test_no_column_means_no_pivot():
     assert solve_equality_feasibility([], []) == FeasibilityResult(True, solution=[])
     assert solve_equality_feasibility([[], []], [0, 0]) == FeasibilityResult(True, solution=[])
     result = solve_equality_feasibility([[], []], [0, Fraction(-1, 2)])
-    assert result == FeasibilityResult(False, farkas=[1, -2]) == _full_tableau_feasibility([[], []], [0, Fraction(-1, 2)])
+    assert result == FeasibilityResult(False, farkas=[1, -2]) == _full_tableau_feasibility([[], []], [0, Fraction(-1, 2)])[0]
