@@ -9,8 +9,18 @@ at setting 1:
     a'_0 + a'_1 + a'_2 + a'_3 + a'_4 = 1 (mod 2).
 
 No fixed assignment of the ten bits can win: XOR all six equations and
-each variable cancels against its second appearance, leaving 0 = 1.  The
-module verifies that exhaustively (ghz_local_search) and then exhausts
+each variable cancels against its second appearance, leaving 0 = 1.
+
+Quantum mechanics meets all six.  They are elements of the stabilizer
+group of the 5-ring graph state measured in Z (setting 0) or X (setting
+1).  `stabilizer_box` builds the exact box of Pauli measurements on any
+stabilizer state by the Gottesman-Knill rule, `graph_state` gives a
+graph's generators, and `cluster_box` is the ring's box.  That box meets
+all six constraints with probability 1, while no local assignment meets
+more than five (`max_simultaneous`): the six events' probability sum is a
+nonlocality certificate that needs no locality LP.
+
+The module verifies the paradox exhaustively (ghz_local_search) and exhausts
 the deterministic adaptive wiring protocols over k shared PR boxes
 (simulation_search), one search for every k: each assignment of the boxes
 to party pairs is one bank, whose box owners range over all their decision
@@ -26,12 +36,13 @@ in its support does.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .boxes import Box, make_box
+from .boxes import BOX_CELL_CAP, Box, check_no_signaling, make_box
 from .errors import DimensionMismatch, ShapeMismatch, TooLarge, VerificationFailed
 from .wiring import (
     DEFAULT_STRATEGY_CAP,
@@ -65,14 +76,20 @@ class ParityConstraint:
         if len(set(parties)) != len(parties):
             raise ShapeMismatch(f"duplicate party in constraint terms {self.terms}")
 
-    def parties(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.terms)
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
     constraints: tuple[ParityConstraint, ...]
     n_parties: int
+
+    def __post_init__(self):
+        # the searches read party p's setting s as variable 2p + s
+        for c in self.constraints:
+            if c.target not in (0, 1) or not all(0 <= p < self.n_parties and s in (0, 1) for p, s in c.terms):
+                raise DimensionMismatch(
+                    f"constraint {c.terms} -> {c.target} is not over parties 0..{self.n_parties - 1}"
+                    " with settings and target 0 or 1"
+                )
 
     def cyclically_shifted(self, shift: int) -> "ConstraintSet":
         moved = []
@@ -180,10 +197,14 @@ def ghz_local_search(constraints: Optional[ConstraintSet] = None) -> GhzReport:
 
     For the cluster constraints the count of assignments satisfying all six
     is zero; the report also carries the maximum simultaneously satisfiable.
+    TooLarge is raised before the loop when the 2^(2n) assignments exceed
+    DEFAULT_STRATEGY_CAP, the cap `simulation_search(0)` applies to them.
     """
     cs = constraints or cluster_constraints()
     n = cs.n_parties
     space = 2 ** (2 * n)
+    if space > DEFAULT_STRATEGY_CAP:
+        raise TooLarge(space, DEFAULT_STRATEGY_CAP)
     best = 0
     satisfying = 0
     for code in range(space):
@@ -202,101 +223,108 @@ def ghz_local_search(constraints: Optional[ConstraintSet] = None) -> GhzReport:
     return GhzReport(satisfying_assignments=satisfying, max_simultaneous=best, space=space)
 
 
-def _closed_constraint_family() -> tuple[ParityConstraint, ...]:
-    """Close the five ring constraints under signed parity products.
+def _parse_pauli(string: str, n: int) -> tuple[int, int, int]:
+    """A signed Pauli string such as "+XZI", "-YY" or "ZZ" as (phase, x, z):
+    the operator i^phase X^x Z^z, bit p of x and z acting on party p.  As
+    Y = iXZ, each Y adds 1 to the phase."""
+    sign, letters = (string[0], string[1:]) if string[:1] in ("+", "-") else ("+", string)
+    if len(letters) != n or not set(letters) <= set("IXYZ"):
+        raise DimensionMismatch(f"generator {string!r} is not a signed string of {n} letters I, X, Y, Z")
+    phase, x, z = (2 if sign == "-" else 0), 0, 0
+    for p, letter in enumerate(letters):
+        xb, zb = int(letter in "XY"), int(letter in "YZ")
+        phase += xb & zb
+        x |= xb << p
+        z |= zb << p
+    return phase % 4, x, z
 
-    Each base constraint is a parity observable assigning every involved
-    party one of two anticommuting binary observables (setting 0 or 1).
-    Products of base constraints where every shared party appears at the
-    same setting (so its factors cancel) yield further perfect parity
-    constraints; the sign flip from reordering anticommuting factors is
-    tracked exactly and becomes the target bit.  Products leaving some
-    party with both settings impose nothing on this measurement scenario
-    and are skipped.  The six published constraints reappear inside the
-    closed family (the five generators, and the all-parties product with a
-    net sign flip), which is asserted.
-    """
-    n = N_PARTIES
-    # generator i: setting-1 observable at party i+1, setting-0 at i and i+2
-    gens = []
-    for i in range(n):
-        string = {p: (0, 0) for p in range(n)}
-        string[(i + 1) % n] = (1, 0)
-        string[i] = (0, 1)
-        string[(i + 2) % n] = (0, 1)
-        gens.append(string)
 
-    family = {}
-    for mask in range(1, 2 ** n):
-        acc = {p: (0, 0) for p in range(n)}
-        sign = 0
-        for i in range(n):
-            if not (mask >> i) & 1:
-                continue
-            for p in range(n):
-                xa, za = acc[p]
-                xn, zn = gens[i][p]
-                sign ^= za & xn  # reordering anticommuting factors flips sign
-                acc[p] = (xa ^ xn, za ^ zn)
-        if any(x and z for x, z in acc.values()):
-            continue  # mixed-setting party: not a constraint at these settings
-        terms = []
-        for p in range(n):
-            x, z = acc[p]
-            if x:
-                terms.append((p, 1))
-            elif z:
-                terms.append((p, 0))
-        if not terms:
-            continue
-        key = tuple(sorted(terms))
-        target = sign
-        if family.get(key, target) != target:
-            raise VerificationFailed("inconsistent constraint product")
-        family[key] = target
-    constraints = tuple(
-        ParityConstraint(terms, target) for terms, target in sorted(family.items())
+def _times(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The product ab in (phase, x, z) form: moving b's X factors left past
+    a's Z factors flips the sign once per party where both act."""
+    return (a[0] + b[0] + 2 * (a[2] & b[1]).bit_count()) % 4, a[1] ^ b[1], a[2] ^ b[2]
+
+
+def _stabilizer_group(generators: Sequence[str]) -> list[tuple[int, int, int]]:
+    """The 2^n products of n signed Pauli strings on n parties, identity
+    first, in (phase, x, z) form.  DimensionMismatch unless every string
+    has n letters, the strings commute pairwise and they are independent
+    (no product is the identity up to sign)."""
+    n = len(generators)
+    gens = [_parse_pauli(g, n) for g in generators]
+    for (i, (_, xa, za)), (j, (_, xb, zb)) in itertools.combinations(enumerate(gens), 2):
+        if ((xa & zb).bit_count() + (za & xb).bit_count()) & 1:
+            raise DimensionMismatch(f"generators {generators[i]!r} and {generators[j]!r} anticommute")
+    group = [(0, 0, 0)]
+    for g in gens:
+        group += [_times(e, g) for e in group]
+    if any(x == z == 0 for _, x, z in group[1:]):
+        raise DimensionMismatch(f"generators {tuple(generators)} are dependent: a product is +-I")
+    return group
+
+
+def graph_state(n: int, edges: Sequence[tuple[int, int]]) -> tuple[str, ...]:
+    """The stabilizer generators K_i = X_i prod_{j~i} Z_j of the graph state
+    on parties 0..n-1; `edges` must be distinct pairs of distinct parties,
+    else DimensionMismatch."""
+    pairs = {frozenset(e) for e in edges if _is_pair(e, n)}
+    if len(pairs) != len(edges):
+        raise DimensionMismatch(f"edges {edges} are not distinct pairs of distinct parties 0..{n - 1}")
+    return tuple(
+        "".join("X" if p == i else "Z" if frozenset((i, p)) in pairs else "I" for p in range(n)) for i in range(n)
     )
-    base_keys = {
-        (tuple(sorted(c.terms)), c.target) for c in cluster_constraints().constraints
-    }
-    derived_keys = {(tuple(sorted(c.terms)), c.target) for c in constraints}
-    if not base_keys <= derived_keys:
-        raise VerificationFailed("closure lost a base constraint")
-    return constraints
+
+
+def stabilizer_box(generators: Sequence[str], settings: Sequence[str]) -> Box:
+    """The exact box of Pauli measurements on the stabilizer state of n
+    independent, commuting signed Pauli strings on n parties (Gottesman-Knill).
+
+    Party p measures the Pauli settings[p][s] at setting s, and output bit
+    b stands for eigenvalue (-1)^b.  A group element made only of the
+    measured Paulis fixes the product of their eigenvalues to its sign, so
+    the XOR of its parties' outputs is 1 exactly when the sign is -1.  No
+    other element constrains the outcomes, and the box is uniform over the
+    outcome strings that meet every such parity.  Bad generators or
+    settings raise DimensionMismatch, a shape past BOX_CELL_CAP TooLarge;
+    an element whose phase is not a sign, or a built box that signals,
+    raises VerificationFailed.
+    """
+    n = len(generators)
+    if len(settings) != n or not all(s and set(s) <= set("XYZ") for s in settings):
+        raise DimensionMismatch(f"settings {settings} do not give each of {n} parties a string of X, Y, Z")
+    cells = math.prod(len(s) for s in settings) << n
+    if cells > BOX_CELL_CAP:
+        raise TooLarge(cells, BOX_CELL_CAP)
+    elements = []  # (x, z, parity target) of each element but the identity
+    for phase, x, z in _stabilizer_group(generators)[1:]:
+        sign = (phase - (x & z).bit_count()) % 4  # Y = iXZ
+        if sign % 2:
+            raise VerificationFailed(f"a stabilizer element has phase i^{sign}, not a sign")
+        elements.append((x, z, sign // 2))
+    table = {}
+    for inputs in itertools.product(*(range(len(s)) for s in settings)):
+        _, mx, mz = _parse_pauli("".join(settings[p][s] for p, s in enumerate(inputs)), n)
+        active = [(x | z, t) for x, z, t in elements if ((x ^ mx) | (z ^ mz)) & (x | z) == 0]
+        support = [a for a in range(1 << n) if all((a & m).bit_count() & 1 == t for m, t in active)]
+        w = Fraction(1, len(support))
+        for a in support:
+            table[inputs, tuple(a >> p & 1 for p in range(n))] = w
+    box = make_box(n, tuple(len(s) for s in settings), (2,) * n, table, sparse=True)
+    if not check_no_signaling(box):
+        raise VerificationFailed("the stabilizer box signals")
+    return box
 
 
 def cluster_box() -> Box:
-    """Five-party box: uniform over outcomes satisfying every constraint of
-    the closed family whose settings match the measurement choices.
-
-    Closing under products is what makes the completion nonsignaling: a
-    product constraint not involving some party persists when that party's
-    setting changes, so marginals cannot depend on remote settings.  The
-    test suite verifies no-signaling exactly, checks all six published
-    constraints hold with probability 1, and certifies nonlocality.
-    """
-    constraints = _closed_constraint_family()
-    n = N_PARTIES
-    table = {}
-    for x in itertools.product((0, 1), repeat=n):
-        active = [c for c in constraints if all(x[p] == s for p, s in c.terms)]
-        support = []
-        for a in itertools.product((0, 1), repeat=n):
-            ok = True
-            for c in active:
-                parity = 0
-                for p, _ in c.terms:
-                    parity ^= a[p]
-                if parity != c.target:
-                    ok = False
-                    break
-            if ok:
-                support.append(a)
-        w = Fraction(1, len(support))
-        for a in support:
-            table[(x, a)] = w
-    return make_box(n, (2,) * n, (2,) * n, table, sparse=True)
+    """The five-party ring-cluster box: Z at setting 0 and X at setting 1
+    on the 5-ring graph state.  It meets the six published constraints
+    with probability 1, which is checked before it is returned."""
+    ring = [(i, (i + 1) % N_PARTIES) for i in range(N_PARTIES)]
+    box = stabilizer_box(graph_state(N_PARTIES, ring), ["ZX"] * N_PARTIES)
+    source = box_source(box)
+    if not all(satisfies(source, c) for c in cluster_constraints().constraints):
+        raise VerificationFailed("the ring graph state's box misses a published constraint")
+    return box
 
 
 @dataclass(frozen=True)

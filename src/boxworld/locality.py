@@ -11,6 +11,10 @@ witness as certificate.
 Verdicts are self-verifying: local verdicts re-expand the returned
 weights and compare tables exactly; nonlocal verdicts carry a separating
 linear functional checked exactly against every deterministic strategy.
+The witness kind is "signaling" or "linear".  Every nonsignaling box goes
+through the one LP, whose size is the strategy count; a functional known
+in advance, such as the cluster box's six-event sum, is checked where it
+is known (`cluster`), not passed in as a hint.
 """
 
 from __future__ import annotations
@@ -80,40 +84,7 @@ def expand_weights(box_shape: Box, weights: dict) -> Box:
     )
 
 
-def event_witness_value(box: Box, events) -> Fraction:
-    """Value of a sum-of-parity-events functional on a box.
-
-    Each event is (x, parties, target): the probability that the XOR of
-    the named parties' (binary) outputs equals target on input tuple x.
-    """
-    total = Fraction(0)
-    for x, parties, target in events:
-        for a in box.outputs():
-            parity = 0
-            for p in parties:
-                parity ^= a[p]
-            if parity == target:
-                total += box.prob(tuple(x), a)
-    return total
-
-
-def event_witness_local_max(box: Box, events) -> Fraction:
-    """Exact maximum of the same functional over deterministic strategies."""
-    best = None
-    for responses in deterministic_responses(box.input_sizes, box.output_sizes):
-        value = 0
-        for x, parties, target in events:
-            parity = 0
-            for p in parties:
-                parity ^= responses[p][x[p]]
-            if parity == target:
-                value += 1
-        if best is None or value > best:
-            best = value
-    return Fraction(best)
-
-
-def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP, event_witnesses=None) -> LocalityVerdict:
+def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP) -> LocalityVerdict:
     """Decide locality with an exact certificate either way.
 
     Local: returns nonnegative rational weights over deterministic
@@ -121,11 +92,6 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP, event_witnesses=None) ->
     Nonlocal: returns either the no-signaling violation or a linear witness
     whose value on the box exceeds its exact maximum over all deterministic
     strategies (re-verified).
-
-    `event_witnesses` optionally supplies candidate sum-of-parity-events
-    functionals (lists of (x, parties, target)); any candidate that
-    separates the box from the local set exactly short-circuits the
-    feasibility solve.  Candidates that fail to separate are ignored.
     """
     count = strategy_count(box)
     if count > cap:
@@ -142,20 +108,6 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP, event_witnesses=None) ->
                 "context": ns.context,
             },
         )
-
-    for events in event_witnesses or ():
-        box_value = event_witness_value(box, events)
-        local_max = event_witness_local_max(box, events)
-        if box_value > local_max:
-            return LocalityVerdict(
-                local=False,
-                witness={
-                    "kind": "event-sum",
-                    "events": tuple(events),
-                    "box_value": box_value,
-                    "local_max": local_max,
-                },
-            )
 
     coords = marginal_coordinates(box.input_sizes, box.output_sizes)
     strategies = list(deterministic_responses(box.input_sizes, box.output_sizes))

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,17 +12,22 @@ from boxworld.cluster import (
     ConstraintSet,
     ParityConstraint,
     _one_box_option,
+    _parse_pauli,
+    _stabilizer_group,
     box_source,
     cluster_box,
     cluster_constraints,
     ghz_local_search,
+    graph_state,
     inverted_cluster_constraints,
     protocol_source,
     satisfies,
     simulation_search,
+    stabilizer_box,
 )
-from boxworld.errors import BoxworldError, TooLarge
+from boxworld.errors import BoxworldError, DimensionMismatch, TooLarge
 from boxworld.wiring import (
+    DEFAULT_STRATEGY_CAP,
     STOP,
     BoxBank,
     OutcomeDistribution,
@@ -121,6 +129,25 @@ class TestConstraints:
     def test_duplicate_terms_rejected(self):
         with pytest.raises(Exception):
             ParityConstraint(terms=((0, 0), (0, 1)), target=0)
+
+    @pytest.mark.parametrize(
+        "terms, target, n",
+        [
+            (((0, 2), (1, 0)), 1, 2),  # setting 2 would alias party 1's setting 0
+            (((0, 0), (5, 1)), 0, 2),  # no party 5 among 2
+            (((-1, 0), (1, 0)), 0, 2),
+            (((0, 0), (1, 1)), 2, 2),  # a parity target is a bit
+        ],
+        ids=["setting-2", "party-5", "party-minus-1", "target-2"],
+    )
+    def test_out_of_range_terms_rejected(self, terms, target, n):
+        with pytest.raises(DimensionMismatch):
+            ConstraintSet((ParityConstraint(terms, target),), n)
+
+    def test_built_in_sets_construct(self):
+        cs = cluster_constraints()
+        built = [cs, inverted_cluster_constraints()] + [cs.cyclically_shifted(k) for k in range(1, 5)]
+        assert all(len(b.constraints) == 6 and b.n_parties == 5 for b in built)
 
 
 class TestSatisfies:
@@ -225,26 +252,99 @@ class TestGhz:
         report = ghz_local_search(inverted_cluster_constraints())
         assert report.satisfying_assignments > 0
 
+    def test_space_is_capped(self):
+        # 12 parties span 2^24 assignments, past the cap; 11 span 2^22
+        refused = ConstraintSet((ParityConstraint(((0, 0), (11, 1)), 1),), 12)
+        start = time.monotonic()
+        with pytest.raises(TooLarge):
+            ghz_local_search(refused)
+        assert time.monotonic() - start < 1
+        assert 2 ** 22 <= DEFAULT_STRATEGY_CAP < 2 ** 24
+        report = ghz_local_search(ConstraintSet((ParityConstraint(((0, 0), (10, 1)), 1),), 11))
+        assert report.space == 2 ** 22
+        assert report.satisfying_assignments == 2 ** 21
+
 
 class TestClusterBox:
     def test_nonsignaling(self):
         assert bw.check_no_signaling(cluster_box()).ok
 
     def test_nonlocal(self):
-        cs = cluster_constraints()
-        events = []
-        for c in cs.constraints:
-            x = [0] * 5
-            for p, s in c.terms:
-                x[p] = s
-            events.append((tuple(x), c.parties(), c.target))
-        verdict = bw.is_local(cluster_box(), event_witnesses=[events])
-        assert not verdict.local
+        # the box meets all six constraints with probability 1 (value 6),
+        # a local assignment at most 5 of them, so no mixture reaches 6
+        src = box_source(cluster_box())
+        value = sum(satisfies(src, c) for c in cluster_constraints().constraints)
+        assert value == 6 > ghz_local_search().max_simultaneous
 
     def test_normalized(self):
         box = cluster_box()
         for x in box.inputs():
             assert sum(box.prob(x, a) for a in box.outputs()) == 1
+
+    def test_json_is_pinned(self):
+        text = json.dumps(cluster_box().to_json_dict(), indent=2)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "5b691a9489da51ddc1b0d0e0e79d6f62de1c3ec4b277dea0dffec6d1afe419c4"
+
+
+def _ring(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+class TestStabilizerBox:
+    def test_ghz_box_is_nonsignaling_and_nonlocal(self):
+        # Mermin: XXX = +1 and XYY = YXY = YYX = -1 on the GHZ state
+        box = stabilizer_box(["XXX", "ZZI", "IZZ"], ["XY"] * 3)
+        assert bw.check_no_signaling(box).ok
+        assert not bw.is_local(box).local
+        src = box_source(box)
+        for x, target in [((0, 0, 0), 0), ((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)]:
+            terms = tuple(enumerate(x))
+            assert satisfies(src, ParityConstraint(terms, target), 3)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_ring_boxes_are_nonsignaling(self, n):
+        box = stabilizer_box(graph_state(n, _ring(n)), ["ZX"] * n)
+        assert bw.check_no_signaling(box).ok
+        for x in box.inputs():
+            assert sum(box.prob(x, a) for a in box.outputs()) == 1
+
+    def test_graph_state_generators(self):
+        assert graph_state(5, _ring(5)) == ("XZIIZ", "ZXZII", "IZXZI", "IIZXZ", "ZIIZX")
+        assert graph_state(3, [(0, 1)]) == ("XZI", "ZXI", "IIX")
+
+    @pytest.mark.parametrize("edges", [[(0, 0)], [(0, 3)], [(0, 1), (1, 0)], [(0,)]])
+    def test_graph_state_refuses_bad_edges(self, edges):
+        with pytest.raises(DimensionMismatch):
+            graph_state(3, edges)
+
+    @pytest.mark.parametrize(
+        "generators, settings",
+        [
+            (["XI", "ZI"], ["ZX"] * 2),  # X and Z on party 0 anticommute
+            (["XX", "XX"], ["ZX"] * 2),  # product is I
+            (["ZZ", "-ZZ"], ["ZX"] * 2),  # product is -I
+            (["XZ", "ZXI"], ["ZX"] * 2),  # wrong length
+            (["XZ", "ZQ"], ["ZX"] * 2),  # bad letter
+            (["XZ", "ZX"], ["ZX"] * 3),  # settings for three parties
+            (["XZ", "ZX"], ["ZX", "ZI"]),  # I is not a measurement
+            (["XZ", "ZX"], ["ZX", ""]),  # a party with no setting
+        ],
+        ids=["anticommute", "dependent-I", "dependent-minus-I", "length", "letter",
+             "settings-length", "settings-I", "settings-empty"],
+    )
+    def test_bad_generator_sets_refused(self, generators, settings):
+        with pytest.raises(DimensionMismatch):
+            stabilizer_box(generators, settings)
+
+    def test_published_constraints_are_group_elements(self):
+        group = set(_stabilizer_group(graph_state(5, _ring(5))))
+        assert len(group) == 32
+        for c in cluster_constraints().constraints:
+            letters = ["I"] * 5
+            for p, s in c.terms:
+                letters[p] = "ZX"[s]
+            assert _parse_pauli("+-"[c.target] + "".join(letters), 5) in group
 
 
 class TestSearch:
@@ -449,11 +549,3 @@ class TestSearch:
         strategies = cex["protocol"]["strategies"]
         assert strategies[2]["moves"]["0,0,"] == ["use", 1, 0]
         assert strategies[3]["moves"]["0,1,"] == ["use", 1, 1]
-
-
-def test_closed_family_contains_published_constraints():
-    from boxworld.cluster import _closed_constraint_family
-
-    family = {(tuple(sorted(c.terms)), c.target) for c in _closed_constraint_family()}
-    for c in cluster_constraints().constraints:
-        assert (tuple(sorted(c.terms)), c.target) in family

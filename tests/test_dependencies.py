@@ -106,6 +106,12 @@ def test_pyproject_declares_no_runtime_dependency():
     assert any(req.startswith("numpy") for req in project["optional-dependencies"]["test"])
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_sources_parse_as_the_oldest_supported_python(path):
+    # requires-python >= 3.10: no newer syntax, checked without a 3.10 interpreter
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def _python_3_10():
     """A python3.10 on PATH that starts and is 3.10, else None."""
     exe = shutil.which("python3.10")

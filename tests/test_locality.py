@@ -69,22 +69,6 @@ def test_strategy_cap():
         is_local(box, cap=3)
 
 
-def test_cluster_box_nonlocal_via_event_witness():
-    cb = bw.cluster_box()
-    cs = bw.cluster_constraints()
-    events = []
-    for c in cs.constraints:
-        x = [0] * 5
-        for p, s in c.terms:
-            x[p] = s
-        events.append((tuple(x), c.parties(), c.target))
-    verdict = is_local(cb, event_witnesses=[events])
-    assert not verdict.local
-    assert verdict.witness["kind"] == "event-sum"
-    assert verdict.witness["box_value"] == 6
-    assert verdict.witness["local_max"] == 5
-
-
 def test_four_party_majority_parity_box_with_noise_local():
     # 81 marginal rows x 256 strategies: the largest LP the census solves
     majority = bw.full_correlation_box(4, 1, lambda b: int(sum(b) >= 2))
