@@ -132,7 +132,9 @@ def inverted_cluster_constraints() -> ConstraintSet:
 
 def box_source(box: Box) -> Callable[[tuple[int, ...]], OutcomeDistribution]:
     """x -> the box's outcome distribution at x (its nonzero entries).  The
-    table is grouped by input once, not read per joint output per call."""
+    table is grouped by input once, not read per joint output per call.
+    An input the box does not have (wrong arity, or a setting out of
+    range) raises DimensionMismatch."""
     by_input = {}
     for (x, a), p in box.table.items():
         if p != 0:
@@ -140,6 +142,8 @@ def box_source(box: Box) -> Callable[[tuple[int, ...]], OutcomeDistribution]:
 
     def source(x):
         x = tuple(x)
+        if len(x) != box.n_parties or not all(0 <= v < s for v, s in zip(x, box.input_sizes)):
+            raise DimensionMismatch(f"input {x} is not one of the box's inputs {box.input_sizes}")
         return OutcomeDistribution(x=x, outcomes=dict(by_input.get(x, ())))
 
     return source

@@ -35,8 +35,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .boxes import Box, check_no_signaling, make_box, pr_box
@@ -47,7 +48,12 @@ STOP = ("stop",)
 
 DEFAULT_STRATEGY_CAP = 10 ** 7
 
-_PR_TEMPLATE = pr_box()  # the one template every `pr_instance` shares
+# the one template every `pr_instance` shares; its table is read-only, so
+# checking it here once, not per bank (`_check_bank`), stays sound
+_PR_TEMPLATE = pr_box()
+_PR_TEMPLATE = replace(_PR_TEMPLATE, table=MappingProxyType(_PR_TEMPLATE.table))
+if not check_no_signaling(_PR_TEMPLATE):
+    raise VerificationFailed("the PR-box template signals")
 
 
 @dataclass(frozen=True)
@@ -271,17 +277,20 @@ def _side_weights(template: Box, slot: int, y: int, other) -> dict[int, Fraction
 def _check_bank(bank: BoxBank) -> Optional[dict]:
     """First instance whose template signals, or None.
 
-    Each distinct template object is checked once: boxes are frozen, so
-    one object has one verdict, and banks often share a template (every
-    compiled bank uses one PR box object)."""
+    `_PR_TEMPLATE`, the one PR box every `pr_instance` and compiled bank
+    shares, was checked when the module built it and its table is
+    read-only, so it is skipped and a bank of PR instances costs no check.
+    Any other distinct template object is checked once: boxes are frozen,
+    so one object has one verdict."""
     checked: set[int] = set()
     for k, inst in enumerate(bank.instances):
-        if id(inst.template) in checked:
+        template = inst.template
+        if template is _PR_TEMPLATE or id(template) in checked:
             continue
-        verdict = check_no_signaling(inst.template)
+        verdict = check_no_signaling(template)
         if not verdict:
             return {"instance": k, "reason": "signaling template", "party": verdict.party}
-        checked.add(id(inst.template))
+        checked.add(id(template))
     return None
 
 
@@ -688,7 +697,8 @@ def enumerate_strategies(
 
 def pr_instance(owners: tuple[int, int]) -> BoxInstance:
     """PR-box instance; all instances share one immutable template object,
-    so a bank of them is checked for no-signaling once (`_check_bank`)."""
+    checked for no-signaling once, when the module builds it, so
+    `_check_bank` skips them."""
     return BoxInstance(template=_PR_TEMPLATE, owners=tuple(owners))
 
 

@@ -482,7 +482,9 @@ def test_table_protocol_checks_its_pr_template_once(monkeypatch):
     code, out, _ = _main_in_process(["simulate", "--exact", "--x", "1,1"], _table_protocol(bank=bank))
     assert code == 0
     assert len(json.loads(out)["distribution"]["outcomes"]) == 2
-    assert len(calls) == 1  # one per instance when each had its own PR box
+    # none per call: wiring checked its shared PR template once, when it
+    # built it (one per instance when each had its own PR box)
+    assert len(calls) == 0
 
 
 def _pr_box_dict():

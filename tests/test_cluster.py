@@ -275,6 +275,11 @@ class TestClusterBox:
         src = box_source(cluster_box())
         value = sum(satisfies(src, c) for c in cluster_constraints().constraints)
         assert value == 6 > ghz_local_search().max_simultaneous
+        # the locality LP decides it too, on the box's symmetry orbits
+        verdict = bw.is_local(cluster_box())
+        assert not verdict.local
+        assert verdict.witness["kind"] == "linear"
+        assert verdict.witness["box_value"] == 1 > 0 >= verdict.witness["local_max"]
 
     def test_normalized(self):
         box = cluster_box()
@@ -301,6 +306,18 @@ class TestStabilizerBox:
         for x, target in [((0, 0, 0), 0), ((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)]:
             terms = tuple(enumerate(x))
             assert satisfies(src, ParityConstraint(terms, target), 3)
+
+    def test_box_source_refuses_an_input_the_box_does_not_have(self):
+        # read at satisfies' default of five parties, the 3-party GHZ box
+        # used to give an empty distribution, so "not satisfied"
+        src = box_source(stabilizer_box(["XXX", "ZZI", "IZZ"], ["XY"] * 3))
+        constraint = ParityConstraint(((0, 0), (1, 0), (2, 0)), 0)
+        with pytest.raises(DimensionMismatch):
+            satisfies(src, constraint)
+        for x in ((0, 2, 0), (0, -1, 0), (0, 0)):
+            with pytest.raises(DimensionMismatch):
+                src(x)
+        assert satisfies(src, constraint, 3)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_ring_boxes_are_nonsignaling(self, n):

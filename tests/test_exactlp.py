@@ -8,6 +8,8 @@ from scipy.optimize import linprog
 
 import boxworld as bw
 from boxworld import locality, polytope
+from boxworld.boxes import marginal_coordinates, marginal_point
+from boxworld.cluster import cluster_box
 from boxworld.exactlp import (
     FeasibilityResult,
     _integerize,
@@ -277,14 +279,83 @@ def test_revised_equals_full_tableau_on_is_local_lps(monkeypatch):
     assert {result.feasible for _, _, result in seen} == {True, False}
     for A, b, result in seen:
         assert result == _full_tableau_feasibility(A, b)[0]
+    # and on the unreduced marginal LPs of the same boxes
+    for box in boxes:
+        A, b = _marginal_lp(box)
+        assert solve_equality_feasibility(A, b) == _full_tableau_feasibility(A, b)[0]
+
+
+def _census_four_party_box():
+    """The census benchmark's 4-party box: majority parity mixed 1/16 with noise."""
+    bits = [int(bin(row).count("1") >= 2) for row in range(16)]
+    majority = bw.full_correlation_box(4, 1, lambda x: bits[sum(v << i for i, v in enumerate(x))])
+    return bw.mix_boxes([(Fraction(1, 16), majority), (Fraction(15, 16), bw.uniform_box((2,) * 4, (2,) * 4))])
+
+
+def _marginal_lp(box):
+    """(A, b) of the reference locality LP: one column per deterministic
+    strategy, one row per marginal coordinate plus the normalization row,
+    and no symmetry reduction."""
+    coords = marginal_coordinates(box.input_sizes, box.output_sizes)
+    columns = [
+        [int(all(s[p][x] == a for p, x, a in zip(subset, x_s, a_s))) for subset, x_s, a_s in coords] + [1]
+        for s in locality.deterministic_responses(box.input_sizes, box.output_sizes)
+    ]
+    return [list(row) for row in zip(*columns)], marginal_point(box, coords) + [1]
+
+
+def test_is_local_verdicts_match_the_marginal_lp_reference():
+    boxes = _census_ladder() + [_census_four_party_box()]
+    verdicts = [locality.is_local(box).local for box in boxes]
+    assert verdicts == [solve_equality_feasibility(*_marginal_lp(box)).feasible for box in boxes]
+    assert set(verdicts) == {True, False}
+
+
+def test_census_four_party_marginal_lp_takes_few_pivots():
+    # the unreduced LP, 81 rows (80 marginal coordinates and the
+    # normalization) x 256 strategies, is large and degenerate: Bland's
+    # rule took 893 pivots on it, Dantzig's rule 162
+    A, b = _marginal_lp(_census_four_party_box())
+    assert (len(A), len(A[0])) == (81, 256)
+    result = solve_equality_feasibility(A, b)
+    reference, pivots = _full_tableau_feasibility(A, b)
+    assert result.feasible
+    assert result == reference
+    assert pivots <= 200
+
+
+def test_census_four_party_box_reduces_to_ten_orbits(monkeypatch):
+    ((A, b, result),) = _recorded_lps(monkeypatch, locality, lambda: locality.is_local(_census_four_party_box()))
+    assert result.feasible
+    assert len(A) - 1 <= 10  # cell orbits, then the normalization row
+    assert len(A[0]) <= 10  # strategy orbits
+
+
+def test_cluster_box_reduces_to_few_orbits(monkeypatch):
+    ((A, b, result),) = _recorded_lps(monkeypatch, locality, lambda: locality.is_local(cluster_box()))
+    assert not result.feasible
+    assert len(A) - 1 <= 14
+    assert len(A[0]) <= 8
+
+
+def test_trivial_group_lp_has_one_row_per_spanning_cell(monkeypatch):
+    # three outputs give the trivial group: of the 81 cells of a (3,3)
+    # inputs, (3,3) outputs box, the (3 * 2 + 1)^2 = 49 spanning cells are
+    # rows, as many as the unreduced LP's marginal coordinates and constant
+    noise = bw.uniform_box((3, 3), (3, 3))
+    deterministic = bw.deterministic_box((3, 3), (3, 3), ((0, 2, 1), (1, 1, 0)))
+    box = bw.mix_boxes([(Fraction(1, 3), deterministic), (Fraction(2, 3), noise)])
+    ((A, b, result),) = _recorded_lps(monkeypatch, locality, lambda: locality.is_local(box))
+    assert result.feasible
+    assert (len(A), len(A[0])) == (49 + 1, 729)
+    assert len(_marginal_lp(box)[0]) == 49
 
 
 def test_census_four_party_lp_takes_few_pivots(monkeypatch):
-    # the census benchmark's 4-party box: majority parity mixed 1/16 with
-    # noise.  Bland's rule takes 893 pivots on its LP, Dantzig's rule 162.
-    bits = [int(bin(row).count("1") >= 2) for row in range(16)]
-    majority = bw.full_correlation_box(4, 1, lambda x: bits[sum(v << i for i, v in enumerate(x))])
-    box = bw.mix_boxes([(Fraction(1, 16), majority), (Fraction(15, 16), bw.uniform_box((2,) * 4, (2,) * 4))])
+    # the LP `is_local` solves, on the box's symmetry orbits: at most 10
+    # columns, so few pivots; the unreduced LP's pivot guard is
+    # `test_census_four_party_marginal_lp_takes_few_pivots`
+    box = _census_four_party_box()
     ((A, b, result),) = _recorded_lps(monkeypatch, locality, lambda: locality.is_local(box))
     reference, pivots = _full_tableau_feasibility(A, b)
     assert result.feasible
@@ -408,6 +479,9 @@ def test_revised_equals_full_tableau_on_is_local_lps_with_large_denominators(mon
     assert [result.feasible for _, _, result in seen] == [True, False, True, True, False]
     for A, b, result in seen:
         assert result == _full_tableau_feasibility(A, b)[0]
+    for box in boxes:
+        A, b = _marginal_lp(box)
+        assert solve_equality_feasibility(A, b) == _full_tableau_feasibility(A, b)[0]
 
 
 def _beale(objective_value):

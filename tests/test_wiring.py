@@ -340,6 +340,38 @@ def test_bank_checks_each_template_object_once(monkeypatch):
     assert calls == [pr, signaling]
 
 
+def test_pr_template_is_checked_once_when_wiring_builds_it():
+    # check_no_signaling is wrapped before wiring imports it: building the
+    # module checks its shared template once, validation never again
+    script = """
+import boxworld.boxes as boxes
+calls = []
+check = boxes.check_no_signaling
+boxes.check_no_signaling = lambda box: calls.append(box) or check(box)
+import boxworld as bw
+from boxworld import wiring
+assert calls == [wiring._PR_TEMPLATE], calls
+bank = bw.BoxBank(tuple(bw.pr_instance((0, 1)) for _ in range(3)))
+proto = bw.WiringProtocol(2, bw.SharedRandomness.singleton(), bank, bw.identity_wiring(bw.pr_box()).strategies, (2, 2), (2, 2))
+assert bw.validate_protocol(proto).ok
+print(len(calls))
+"""
+    src = os.path.dirname(os.path.dirname(bw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
+def test_shared_pr_template_is_read_only():
+    # validation skips the shared template, so no instance may edit it
+    template = bw.pr_instance((0, 1)).template
+    assert template is wiring._PR_TEMPLATE and template == bw.pr_box()
+    with pytest.raises(TypeError):
+        template.table[((0, 0), (0, 1))] = Fraction(1, 2)
+    assert template == bw.pr_box()
+
+
 def test_checks_survive_python_O():
     # the exact checks raise VerificationFailed, which -O cannot strip: one
     # in the executor, one in the locality LP's re-expansion
@@ -356,10 +388,12 @@ try:
     bw.execute_exact(proto, (0, 0))
 except bw.VerificationFailed as err:
     print(sys.flags.optimize, err)
-# all weight on the first deterministic strategy: not a decomposition of the uniform box
+# all weight on the first strategy orbit, the 8 strategies at CHSH 2: not a
+# decomposition of a box at CHSH 1 (the uniform box is one orbit, whose
+# average it is)
 locality.solve_equality_feasibility = lambda A, b: FeasibilityResult(True, [1] + [0] * (len(A[0]) - 1))
 try:
-    bw.is_local(bw.uniform_box((2, 2), (2, 2)))
+    bw.is_local(bw.mix_boxes([(Fraction(1, 4), bw.pr_box()), (Fraction(3, 4), bw.uniform_box((2, 2), (2, 2)))]))
 except bw.VerificationFailed as err:
     print(sys.flags.optimize, err)
 """
