@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -44,15 +45,23 @@ BOX_CELL_CAP = 2 ** 20
 class Box:
     """An n-party conditional distribution with exact rational entries.
 
-    `table` maps (x_tuple, a_tuple) -> Fraction and is dense over the
-    support; missing keys mean probability zero.  Instances are immutable:
-    every operation returns a new Box.
+    `table` maps (x_tuple, a_tuple) -> Fraction over exactly the nonzero
+    entries; missing keys mean probability zero.  It is a read-only copy
+    of the table the Box was built with, zeros dropped, made once in
+    `__post_init__`, so boxes are immutable: every operation returns a new
+    Box.
     """
 
     n_parties: int
     input_sizes: tuple[int, ...]
     output_sizes: tuple[int, ...]
     table: Mapping[tuple[tuple[int, ...], tuple[int, ...]], Fraction]
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", MappingProxyType({key: p for key, p in self.table.items() if p}))
+
+    def __reduce__(self):
+        return Box, (self.n_parties, self.input_sizes, self.output_sizes, dict(self.table))
 
     def inputs(self):
         """Iterate over all joint input tuples."""
@@ -68,48 +77,34 @@ class Box:
     def __eq__(self, other):
         if not isinstance(other, Box):
             return NotImplemented
-        if (self.n_parties, self.input_sizes, self.output_sizes) != (
+        return (self.n_parties, self.input_sizes, self.output_sizes, self.table) == (
             other.n_parties,
             other.input_sizes,
             other.output_sizes,
-        ):
-            return False
-        for x in self.inputs():
-            for a in self.outputs():
-                if self.prob(x, a) != other.prob(x, a):
-                    return False
-        return True
+            other.table,
+        )
 
     def __hash__(self):
-        return hash(
-            (
-                self.n_parties,
-                self.input_sizes,
-                self.output_sizes,
-                frozenset((k, v) for k, v in self.table.items() if v != 0),
-            )
-        )
+        return hash((self.n_parties, self.input_sizes, self.output_sizes, frozenset(self.table.items())))
 
     def to_json_dict(self) -> dict:
         """Serialize in the interchange format (rationals as "num/den")."""
-        entries = []
-        for x in self.inputs():
-            for a in self.outputs():
-                p = self.prob(x, a)
-                if p != 0:
-                    entries.append({"x": list(x), "a": list(a), "p": format_rational(p)})
         return {
             "parties": self.n_parties,
             "inputs": list(self.input_sizes),
             "outputs": list(self.output_sizes),
-            "table": entries,
+            "table": [
+                {"x": list(x), "a": list(a), "p": format_rational(p)} for (x, a), p in sorted(self.table.items())
+            ],
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "Box":
         table = {}
         for entry in data["table"]:
-            key = (tuple(entry["x"]), tuple(entry["a"]))
+            key = (tuple(int(v) for v in entry["x"]), tuple(int(v) for v in entry["a"]))
+            if key in table:
+                raise DimensionMismatch(f"the table lists x={list(key[0])}, a={list(key[1])} twice")
             table[key] = parse_rational(entry["p"])
         return make_box(
             data["parties"],
@@ -182,8 +177,9 @@ def make_box(n, input_sizes, output_sizes, table, sparse=False) -> Box:
 
     Unless `sparse` is set, the table must carry an entry for every
     (x, a) pair.  Entries must be rationals in [0, 1] and each conditional
-    distribution must sum to exactly 1.  A shape with more than
-    BOX_CELL_CAP (x, a) pairs raises TooLarge before any row is built.
+    distribution must sum to exactly 1; the Box keeps only the nonzero
+    ones.  A shape with more than BOX_CELL_CAP (x, a) pairs raises
+    TooLarge before any row is built.
     """
     input_sizes = tuple(int(s) for s in input_sizes)
     output_sizes = tuple(int(s) for s in output_sizes)
@@ -327,8 +323,7 @@ def mix_boxes(weighted: Sequence[tuple[Fraction, Box]]) -> Box:
         if (box.input_sizes, box.output_sizes) != (first.input_sizes, first.output_sizes):
             raise ShapeMismatch("mixture components differ in shape")
         for key, p in box.table.items():
-            if p != 0:
-                table[key] = table.get(key, ZERO) + Fraction(w) * p
+            table[key] = table.get(key, ZERO) + Fraction(w) * p
     return make_box(first.n_parties, first.input_sizes, first.output_sizes, table, sparse=True)
 
 
@@ -348,11 +343,10 @@ def check_no_signaling(box: Box) -> NoSignalingVerdict:
     # per party: (others' inputs, own input) -> {others' outputs: probability}
     margs = [{} for _ in range(n)]
     for (x, a), p_val in box.table.items():
-        if p_val != 0:
-            for i, marg_i in enumerate(margs):
-                marg = marg_i.setdefault((x[:i] + x[i + 1:], x[i]), {})
-                a_others = a[:i] + a[i + 1:]
-                marg[a_others] = marg.get(a_others, ZERO) + p_val
+        for i, marg_i in enumerate(margs):
+            marg = marg_i.setdefault((x[:i] + x[i + 1:], x[i]), {})
+            a_others = a[:i] + a[i + 1:]
+            marg[a_others] = marg.get(a_others, ZERO) + p_val
     for i, marg_i in enumerate(margs):
         others = [p for p in range(n) if p != i]
         for x_others in itertools.product(*(range(box.input_sizes[p]) for p in others)):
@@ -552,8 +546,6 @@ def relabel(box: Box, rel: Relabeling) -> Box:
     new_output_sizes = tuple(box.output_sizes[rel.party_perm[i]] for i in range(n))
     table = {}
     for (x, a), p in box.table.items():
-        if p == 0:
-            continue
         new_x = tuple(rel.input_perms[rel.party_perm[i]][x[rel.party_perm[i]]] for i in range(n))
         new_a = tuple(
             rel.output_perms[rel.party_perm[i]][x[rel.party_perm[i]]][a[rel.party_perm[i]]]

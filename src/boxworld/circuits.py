@@ -260,9 +260,16 @@ def truth_table(circuit: NandCircuit, _cap: int = TRUTH_TABLE_CAP) -> TruthTable
 
 
 class _Builder:
-    """Hash-consing NAND-circuit builder with double-negation peephole."""
+    """Hash-consing NAND-circuit builder with double-negation peephole.
+
+    Gate ids are reserved, so no input is taken for a gate; a constant is
+    named const0 or const1 unless an input has that name, in which case
+    underscores are appended until the name is free."""
 
     def __init__(self, input_names: Sequence[str]):
+        for name in input_names:
+            if _is_gate_id(name):
+                raise DimensionMismatch(f"leaf name {name!r} is reserved for gate ids")
         self.inputs = tuple(InputBit(name) for name in input_names)
         self.gates: list[tuple[str, str]] = []
         self._cache: dict[tuple[str, str], str] = {}
@@ -271,7 +278,11 @@ class _Builder:
     def const(self, value: int) -> str:
         value &= 1
         if value not in self._constants:
-            self._constants[value] = f"const{value}"
+            taken = {b.name for b in self.inputs}
+            name = f"const{value}"
+            while name in taken:
+                name += "_"
+            self._constants[value] = name
         return self._constants[value]
 
     def is_const(self, ref: str):
@@ -299,7 +310,7 @@ class _Builder:
         if c is not None:
             return self.const(c ^ 1)
         # peephole: NOT(NOT(x)) -> x when ref is already a NAND(x, x) gate
-        if ref.startswith("g"):
+        if _is_gate_id(ref):
             left, right = self.gates[int(ref[1:])]
             if left == right:
                 return left

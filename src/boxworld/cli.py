@@ -4,8 +4,9 @@ Every subcommand reads JSON (file or stdin), writes one JSON document to
 stdout, and uses the exit-code convention: 0 = computed and positive,
 1 = computed and negative (a verification mismatch, a signaling/nonlocal
 verdict, a search counterexample), 2 = usage or cap errors, malformed or
-wrongly shaped input included.  Exact modes are deterministic: identical
-inputs give byte-identical output; rationals are always "num/den" strings.
+wrongly shaped input included, and a stdout closed before the output was
+written.  Exact modes are deterministic: identical inputs give
+byte-identical output; rationals are always "num/den" strings.
 """
 
 from __future__ import annotations
@@ -559,6 +560,18 @@ def _schema_dir():
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at os.devnull, so the
+        # interpreter's final flush of what is left stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.schema:

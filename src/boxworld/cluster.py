@@ -43,6 +43,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .boxes import BOX_CELL_CAP, Box, check_no_signaling, make_box
+from .circuits import run_window
 from .errors import DimensionMismatch, ShapeMismatch, TooLarge, VerificationFailed
 from .wiring import (
     DEFAULT_STRATEGY_CAP,
@@ -137,8 +138,7 @@ def box_source(box: Box) -> Callable[[tuple[int, ...]], OutcomeDistribution]:
     range) raises DimensionMismatch."""
     by_input = {}
     for (x, a), p in box.table.items():
-        if p != 0:
-            by_input.setdefault(x, {})[a] = p
+        by_input.setdefault(x, {})[a] = p
 
     def source(x):
         x = tuple(x)
@@ -453,12 +453,12 @@ def _search_bank(bank: BoxBank, cs: ConstraintSet) -> Optional[dict]:
     for c in cs.constraints:
         pinned = dict(c.terms)
         free = [p for p in owners if p not in pinned]
-        mask = 0
+        # the tables of odd non-owner parity: the XOR of the pinned bits' columns
+        odd = 0
         for k, s in c.terms:
             if k not in owners:
-                mask |= 1 << var_index[(k, s)]
-        even = sum(1 << v for v in range(n_tables) if not (v & mask).bit_count() & 1)
-        by_parity = (even, every_table ^ even)
+                odd ^= run_window(1 << var_index[(k, s)], 0, n_tables)
+        by_parity = (every_table ^ odd, odd)
         in_parity = [j for j, p in enumerate(owners) if p in pinned]
         for completion in itertools.product((0, 1), repeat=len(free)):
             settings = {**pinned, **dict(zip(free, completion))}

@@ -7,24 +7,26 @@ on the orbits of the box's own symmetry group; signaling boxes are
 nonlocal outright, with the signaling witness as certificate.
 
 The LP.  Say a group G of local relabelings fixes P and P = sum_s w_s D_s.
-Averaging the decomposition over G gives weights that are constant on
-strategy orbits, so P is local exactly when it is a mixture of the orbit
-averages of deterministic boxes; both sides are G-invariant, so comparing
-their sums over cell orbits is enough (Gatermann & Parrilo, J. Pure Appl.
-Algebra 192, 95 (2004); for Bell scenarios Rosset, Bancal & Gisin,
-J. Phys. A 47, 424022 (2014)).  Both sides are also nonsignaling, so the
-cells at which some party answers its last output at an input other than
-0 are linear combinations of the rest, the spanning cells; since a
-G-invariant table is its orbit sum over the orbit's size at every cell,
-the cell orbits that hold a spanning cell are enough.  The LP has one
-column per strategy orbit, whose variable is the orbit's total weight W_O,
-and one row per such cell orbit plus the normalization row.  Entry (cell
-orbit, strategy orbit) counts the cells of the orbit's first strategy that
-lie in the cell orbit (the (strategy, cell) hits of the whole orbit
-divided by its size), the rhs is the box's probability summed over the
-cell orbit, and every normalization coefficient is 1.  The trivial group
-makes every orbit one strategy or one cell: the LP over the
-prod(m_p(d_p - 1) + 1) spanning cells.
+Averaging the decomposition over G gives a G-invariant mixture, so P is
+local exactly when it is a G-invariant mixture of deterministic boxes;
+both sides are G-invariant, so comparing their sums over cell orbits is
+enough (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 95 (2004); for
+Bell scenarios Rosset, Bancal & Gisin, J. Phys. A 47, 424022 (2014)).
+Both sides are also nonsignaling, so the cells at which some party answers
+its last output at an input other than 0 are linear combinations of the
+rest, the spanning cells; since a G-invariant table is its orbit sum over
+the orbit's size at every cell, the cell orbits that hold a spanning cell
+are enough.  The LP has one row per such cell orbit, whose rhs is the
+box's probability summed over the orbit, plus the normalization row.  A
+strategy's column counts its cells in each row's orbit, then a 1, and
+strategies with equal columns share one column, whose variable is their
+total weight.  The rows are sums over G-stable cell orbits, so the
+strategies of one G-orbit share a column: each shared column stands for
+a union of strategy orbits, and spreading its weight evenly over its
+strategies gives a G-invariant mixture with the same row sums.  The
+trivial group makes every cell orbit one cell: the LP over the
+prod(m_p(d_p - 1) + 1) spanning cells, on which distinct strategies
+differ.
 
 The group.  G is found from the box alone, by linear algebra over GF(2),
 when every party has two outputs (any other box gets the trivial group).
@@ -45,7 +47,7 @@ one image.  Every generator is kept only if, as a permutation of the table's
 cells, it fixes the table.
 
 Verdicts are self-verifying, on the full problem, so a wrong group can
-only raise VerificationFailed.  Local: each orbit's weight is spread
+only raise VerificationFailed.  Local: each column's weight is spread
 evenly over its strategies, and the mixture is re-expanded and compared
 with the table exactly.  Nonlocal: the Farkas vector, constant on cell
 orbits, is a functional on cells; `boxes.cell_expressions` maps it onto
@@ -57,6 +59,7 @@ witness kind is "signaling" or "linear".
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -123,9 +126,8 @@ def expand_weights(box_shape: Box, weights: dict) -> Box:
     )
 
 
-# Cells and strategies are numbered in mixed radix over the parties, party 0
-# most significant: a cell by its local cells x_p * d_p + a_p, a strategy by
-# its responses in `deterministic_responses` order.
+# Cells are numbered in mixed radix over the parties, party 0 most
+# significant, by their local cells x_p * d_p + a_p.
 
 
 def _strides(sizes) -> list[int]:
@@ -170,22 +172,6 @@ def _cell_maps(rel: Relabeling, input_sizes, output_sizes):
     ]
 
 
-def _strategy_maps(rel: Relabeling, input_sizes, output_sizes):
-    maps = []
-    for q, (m, d) in enumerate(zip(input_sizes, output_sizes)):
-        local = []
-        for response in itertools.product(range(d), repeat=m):
-            image = [0] * m
-            for x, a in enumerate(response):
-                image[rel.input_perms[q][x]] = rel.output_perms[q][x][a]
-            index = 0
-            for a in image:
-                index = index * d + a
-            local.append(index)
-        maps.append(local)
-    return maps
-
-
 def _spanning_cells(box: Box) -> list[int]:
     """The cells at which every party answers below its last output or at
     input 0.  On a nonsignaling box, and on every mixture of strategies,
@@ -202,7 +188,7 @@ def _spanning_cells(box: Box) -> list[int]:
 def _correlators(box: Box) -> dict:
     """x -> {s: P^_x(s)} over the nonzero correlators, the table scaled by
     the lcm of its denominators; bit p of s is party p."""
-    scale = lcm(*(p.denominator for p in box.table.values() if p))
+    scale = lcm(*(p.denominator for p in box.table.values()))
     size = 1 << box.n_parties
     rows = {x: [0] * size for x in box.inputs()}
     for (x, a), p in box.table.items():
@@ -402,27 +388,21 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP) -> LocalityVerdict:
     for r, orbit in enumerate(kept):
         row_of[orbit] = r
     cell_row = [row_of[orbit] for orbit in cell_label]
-    strategy_images = [
-        _permutation(rel.party_perm, _strategy_maps(rel, input_sizes, output_sizes)) for rel, _ in generators
-    ]
-    strategy_label, strategy_firsts = _orbits(count, strategy_images)
-
-    responses = [list(itertools.product(range(d), repeat=m)) for m, d in zip(input_sizes, output_sizes)]
-    strategy_strides = _strides([len(r) for r in responses])
+    # columns: the strategies' distinct columns, in order of first appearance
     cell_strides = _cell_strides(box)
     n_rows = len(kept)
-    columns = []
-    for first in strategy_firsts:
+    classes: dict = {}  # column -> its index
+    label = []  # each strategy's column index
+    for strategy in deterministic_responses(input_sizes, output_sizes):
         cells = [0]
-        for q, stride in enumerate(strategy_strides):
-            response = responses[q][first // stride % len(responses[q])]
-            d, cell_stride = output_sizes[q], cell_strides[q]
-            cells = [c + cell_stride * (x * d + a) for c in cells for x, a in enumerate(response)]
+        for response, d, stride in zip(strategy, output_sizes, cell_strides):
+            cells = [c + stride * (x * d + a) for c in cells for x, a in enumerate(response)]
         column = [0] * n_rows + [1]
         for c in cells:
             if cell_row[c] >= 0:
                 column[cell_row[c]] += 1
-        columns.append(column)
+        label.append(classes.setdefault(tuple(column), len(classes)))
+    columns = list(classes)
     b = [0] * n_rows + [1]
     for c, p in enumerate(values):
         if cell_row[c] >= 0:
@@ -430,14 +410,11 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP) -> LocalityVerdict:
 
     result = solve_equality_feasibility([list(row) for row in zip(*columns)], b)
     if result.feasible:
-        orbit_sizes = [0] * len(strategy_firsts)
-        for orbit in strategy_label:
-            orbit_sizes[orbit] += 1
+        sizes = Counter(label)
         weights = {}
-        for s, strategy in enumerate(deterministic_responses(input_sizes, output_sizes)):
-            w = result.solution[strategy_label[s]]
-            if w:
-                weights[strategy] = Fraction(w, orbit_sizes[strategy_label[s]])
+        for strategy, k in zip(deterministic_responses(input_sizes, output_sizes), label):
+            if result.solution[k]:
+                weights[strategy] = Fraction(result.solution[k], sizes[k])
         rebuilt = expand_weights(box, weights)
         if rebuilt != box:
             raise VerificationFailed("local decomposition failed exact re-expansion")

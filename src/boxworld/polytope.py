@@ -388,14 +388,13 @@ class VertexReport:
 
 def _is_deterministic(box: Box) -> bool:
     """Whether every party answers by a fixed function of its own input."""
-    if any(p not in (0, 1) for p in box.table.values()):
+    if any(p != 1 for p in box.table.values()):
         return False
     responses = [{} for _ in range(box.n_parties)]
-    for (x, a), v in box.table.items():
-        if v == 1:
-            for resp, x_p, a_p in zip(responses, x, a):
-                if resp.setdefault(x_p, a_p) != a_p:
-                    return False
+    for x, a in box.table:
+        for resp, x_p, a_p in zip(responses, x, a):
+            if resp.setdefault(x_p, a_p) != a_p:
+                return False
     return all(len(resp) == m for resp, m in zip(responses, box.input_sizes))
 
 
@@ -406,10 +405,10 @@ def _impossible_output(box: Box):
     completion suffices because the box is nonsignaling."""
     seen = set()
     others_at_zero = box.n_parties - 1
-    for (x, a), v in box.table.items():
+    for x, a in box.table:
         # all inputs at 0 complete every party's marginal; one nonzero
         # input completes only its own party's
-        if x.count(0) >= others_at_zero and v:
+        if x.count(0) >= others_at_zero:
             parties = [p for p, x_p in enumerate(x) if x_p] or range(box.n_parties)
             seen.update((p, x[p], a[p]) for p in parties)
     return next(
@@ -437,8 +436,7 @@ def parity_form_of(box: Box):
     weight = Fraction(1, 2 ** (n - 1))
     support = {}  # x -> [(a, p), ...] over the nonzero cells, in one pass
     for (x, a), p in box.table.items():
-        if p:
-            support.setdefault(x, []).append((a, p))
+        support.setdefault(x, []).append((a, p))
     g = {}
     for x in box.inputs():
         row = support.get(x, ())
@@ -514,9 +512,7 @@ def decompose(box: Box, vertex_list: Sequence[Box]) -> list[Fraction]:
     A = [[0] * len(vertex_list) for _ in cells]
     for j, v in enumerate(vertex_list):
         for cell, p in v.table.items():
-            r = row_of.get(cell)
-            if r is not None and p:
-                A[r][j] = p
+            A[row_of[cell]][j] = p
     A.append([1] * len(vertex_list))
     b_vec = [box.prob(*cell) for cell in cells] + [1]
     result = solve_equality_feasibility(A, b_vec)

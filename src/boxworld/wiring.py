@@ -35,9 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .boxes import Box, check_no_signaling, make_box, pr_box
@@ -48,10 +47,9 @@ STOP = ("stop",)
 
 DEFAULT_STRATEGY_CAP = 10 ** 7
 
-# the one template every `pr_instance` shares; its table is read-only, so
+# the one template every `pr_instance` shares; boxes are immutable, so
 # checking it here once, not per bank (`_check_bank`), stays sound
 _PR_TEMPLATE = pr_box()
-_PR_TEMPLATE = replace(_PR_TEMPLATE, table=MappingProxyType(_PR_TEMPLATE.table))
 if not check_no_signaling(_PR_TEMPLATE):
     raise VerificationFailed("the PR-box template signals")
 
@@ -142,15 +140,19 @@ class TableStrategy:
 
     @staticmethod
     def from_json_dict(data: dict) -> "TableStrategy":
-        def parse_key(text):
-            lam, x, hist = text.split(",")
-            return (int(lam), int(x), tuple(int(c) for c in hist))
+        def parse(entries, value):
+            # distinct keys such as "0,0," and "00,0," may name one entry
+            table = {}
+            for text, v in entries.items():
+                lam, x, hist = text.split(",")
+                key = (int(lam), int(x), tuple(int(c) for c in hist))
+                if key in table:
+                    raise DimensionMismatch(f"strategy key {text!r} repeats (lam, x, history) = {key}")
+                table[key] = value(v)
+            return table
 
-        moves = {}
-        for key, mv in data["moves"].items():
-            moves[parse_key(key)] = STOP if mv[0] == "stop" else ("use", int(mv[1]), int(mv[2]))
-        outputs = {parse_key(key): int(out) for key, out in data["outputs"].items()}
-        return TableStrategy(data["party"], moves, outputs)
+        moves = parse(data["moves"], lambda mv: STOP if mv[0] == "stop" else ("use", int(mv[1]), int(mv[2])))
+        return TableStrategy(data["party"], moves, parse(data["outputs"], int))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,10 +280,10 @@ def _check_bank(bank: BoxBank) -> Optional[dict]:
     """First instance whose template signals, or None.
 
     `_PR_TEMPLATE`, the one PR box every `pr_instance` and compiled bank
-    shares, was checked when the module built it and its table is
-    read-only, so it is skipped and a bank of PR instances costs no check.
-    Any other distinct template object is checked once: boxes are frozen,
-    so one object has one verdict."""
+    shares, was checked when the module built it, so it is skipped and a
+    bank of PR instances costs no check.  Any other distinct template
+    object is checked once: boxes are immutable (`Box.table` is
+    read-only), so one object has one verdict."""
     checked: set[int] = set()
     for k, inst in enumerate(bank.instances):
         template = inst.template

@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import json
+import pickle
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -356,6 +359,60 @@ def test_mixture_and_json_round_trip():
     back = bw.Box.from_json_dict(data)
     assert back == iso
     assert all(entry["p"].count("/") == 1 for entry in data["table"])
+
+
+def test_make_box_keeps_only_the_nonzero_entries():
+    dense = {
+        ((x0, x1), (a0, a1)): HALF if a0 ^ a1 == x0 & x1 else Fraction(0)
+        for x0, x1, a0, a1 in itertools.product((0, 1), repeat=4)
+    }
+    box = bw.make_box(2, (2, 2), (2, 2), dense)
+    assert len(box.table) == 8 and 0 not in box.table.values()
+    assert box == bw.pr_box() and hash(box) == hash(bw.pr_box())
+    assert box.to_json_dict() == bw.pr_box().to_json_dict()
+
+
+def _assorted_boxes():
+    pr = bw.pr_box()
+    swap = bw.Relabeling((1, 0), ((0, 1), (0, 1)), (((1, 0), (0, 1)), ((0, 1), (0, 1))))
+    vertex = bw.enumerate_vertices(bw.build_h_rep((2, 2), (2, 2)))[0]
+    return [
+        pr,
+        bw.mix_boxes([(HALF, pr), (HALF, bw.uniform_box((2, 2), (2, 2)))]),
+        bw.relabel(pr, swap),
+        bw.Box.from_json_dict(pr.to_json_dict()),
+        vertex,
+        dataclasses.replace(pr, table={key: p for key, p in pr.table.items()}),
+        bw.pr_instance((0, 1)).template,
+    ]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_box_table_is_read_only(index):
+    box = _assorted_boxes()[index]
+    before = dict(box.table)
+    key = next(iter(box.table))
+    with pytest.raises(TypeError):
+        box.table[key] = Fraction(1)
+    with pytest.raises(TypeError):
+        del box.table[key]
+    assert box.table == before
+
+
+def test_box_copies_the_table_it_is_given():
+    table = {((0,), (0,)): HALF, ((0,), (1,)): HALF}
+    box = bw.Box(1, (1,), (2,), table)
+    table[((0,), (0,))] = Fraction(1)
+    assert box.prob((0,), (0,)) == HALF
+
+
+def test_boxes_and_pr_banks_pickle():
+    for box in (bw.pr_instance((0, 1)).template, bw.pr_box(), bw.cluster_box()):
+        back = pickle.loads(pickle.dumps(box))
+        assert back == box and hash(back) == hash(box)
+        assert isinstance(back.table, types.MappingProxyType)
+    bank = bw.BoxBank((bw.pr_instance((0, 1)), bw.pr_instance((1, 0))))
+    assert pickle.loads(pickle.dumps(bank)) == bank
 
 
 def test_normalization_exact_everywhere():

@@ -163,6 +163,25 @@ class TestSynthesis:
             tt = TruthTable.from_int(n_vars, rng.randrange(2 ** (2 ** n_vars)))
             assert truth_table(synthesize_nand(tt)) == tt
 
+    @pytest.mark.parametrize("names", [("const0", "const1"), ("const1_", "const1"), ("gamma", "g")])
+    def test_inputs_named_like_internal_names(self, names):
+        # constants take a free name, and only a true gate id is a gate
+        for tt in all_truth_tables(2):
+            circuit = synthesize_nand(tt, names)
+            assert truth_table(circuit) == tt
+            assert circuit.input_names == names
+
+    def test_constant_names_unchanged_when_free(self):
+        circuit = synthesize_nand(TruthTable.from_int(2, 0), ["a", "b"])
+        assert [c.name for c in circuit.constants] == ["const0"]
+        circuit = synthesize_nand(TruthTable.from_int(2, 0), ["const0", "b"])
+        assert [c.name for c in circuit.constants] == ["const0_"]
+
+    def test_gate_id_input_names_refused(self):
+        for mask in range(16):
+            with pytest.raises(DimensionMismatch, match="reserved for gate ids"):
+                synthesize_nand(TruthTable.from_int(2, mask), ["g5", "b"])
+
     def test_gate_count_stable_under_serialization(self):
         tt = TruthTable.from_int(4, 0xBEEF)
         circuit = synthesize_nand(tt)

@@ -678,6 +678,47 @@ except ImportError:  # pragma: no cover
     pass
 
 
+def test_circuit_synth_takes_names_like_its_constants():
+    synth = run_cli(["circuit", "synth", "--names", "const0,b"], stdin=json.dumps({"n_vars": 2, "bits": [0, 0, 0, 0]}))
+    assert synth.returncode == 0, synth.stderr
+    circuit = json.loads(synth.stdout)
+    validate(circuit, "circuit")
+    table = run_cli(["circuit", "table"], stdin=synth.stdout)
+    assert table.returncode == 0
+    assert json.loads(table.stdout)["bits"] == [0, 0, 0, 0]
+
+
+def test_box_with_a_repeated_entry_exits_two():
+    # the PR box with x=(0,0), a=(0,0) listed twice, first at p = 1
+    data = _pr_box_dict()
+    data["table"].insert(0, {"x": [0, 0], "a": [0, 0], "p": "1/1"})
+    proc = run_cli(["box", "check"], stdin=json.dumps(data))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "twice" in proc.stderr
+
+
+@pytest.mark.parametrize("alias", ["00,0,", "+0,0,"])
+def test_strategy_keys_naming_one_entry_exit_two(alias):
+    data = json.loads(_table_protocol())
+    moves = data["strategies"][0]["moves"]
+    moves[alias] = moves["0,0,"]
+    proc = run_cli(["simulate", "--exact", "--x", "0,0"], stdin=json.dumps(data))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and alias in proc.stderr
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boxworld", "polytope", "vertices", "--inputs", "2,2", "--outputs", "2,2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert stderr == b""
+
+
 def test_determinism_byte_identical():
     a = run_cli(["box", "make", "pr"])
     b = run_cli(["box", "make", "pr"])

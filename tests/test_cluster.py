@@ -376,6 +376,21 @@ class TestSearch:
         assert report.success
         assert report.counterexample is not None
 
+    def test_zero_boxes_at_ten_parties_is_fast(self):
+        # 2^20 non-owner tables: each constraint's parity sets are XORs of
+        # column bitsets, not a pass over every table (over 20 s before)
+        terms = tuple((p, 0) for p in range(10))
+        contradictory = ConstraintSet((ParityConstraint(terms, 0), ParityConstraint(terms, 1)), 10)
+        mixed = tuple((p, p % 2) for p in range(10))
+        satisfiable = ConstraintSet((ParityConstraint(terms, 0), ParityConstraint(mixed, 1)), 10)
+        start = time.monotonic()
+        refuted = simulation_search(0, constraints=contradictory)
+        found = simulation_search(0, constraints=satisfiable)
+        assert time.monotonic() - start < 5
+        assert not refuted.success and refuted.strategies_tested == 2 ** 20
+        assert found.success
+        assert found.counterexample["outputs"] == {p: (int(p < 2), 0) for p in range(10)}
+
     def test_one_box_single_pair_fails(self):
         report = simulation_search(1, pair_assignments=[((0, 1),)])
         assert not report.success

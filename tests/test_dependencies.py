@@ -7,8 +7,8 @@ submodule on first use.  A `python -m boxworld` process pays for `cli`,
 `boxes`; `compile`, `simulate`, `verify` and `cc` add `boxes`, `circuits`,
 `wiring` and `compiler`; `box local` adds `boxes`, `locality` and `exactlp`;
 `polytope` adds `boxes`, `polytope` and `exactlp`; `cluster` adds `boxes`,
-`wiring` and `cluster`.  A third-party import would be both a declared
-dependency and a start-up cost.
+`circuits`, `wiring` and `cluster`.  A third-party import would be both a
+declared dependency and a start-up cost.
 """
 
 import ast

@@ -328,7 +328,7 @@ def test_census_four_party_box_reduces_to_ten_orbits(monkeypatch):
     ((A, b, result),) = _recorded_lps(monkeypatch, locality, lambda: locality.is_local(_census_four_party_box()))
     assert result.feasible
     assert len(A) - 1 <= 10  # cell orbits, then the normalization row
-    assert len(A[0]) <= 10  # strategy orbits
+    assert len(A[0]) <= 10  # distinct strategy columns
 
 
 def test_cluster_box_reduces_to_few_orbits(monkeypatch):

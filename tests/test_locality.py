@@ -79,7 +79,7 @@ def _census_four_party_box():
 
 def test_four_party_majority_parity_box_with_noise_local():
     # the largest box the census decides: 256 strategies and 256 cells,
-    # 10 strategy orbits and 10 cell orbits under its symmetry group
+    # 10 distinct strategy columns over 10 cell orbits of its symmetry group
     box = _census_four_party_box()
     verdict = is_local(box)
     assert verdict.local

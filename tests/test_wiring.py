@@ -388,8 +388,8 @@ try:
     bw.execute_exact(proto, (0, 0))
 except bw.VerificationFailed as err:
     print(sys.flags.optimize, err)
-# all weight on the first strategy orbit, the 8 strategies at CHSH 2: not a
-# decomposition of a box at CHSH 1 (the uniform box is one orbit, whose
+# all weight on the first LP column, the 8 strategies at CHSH 2: not a
+# decomposition of a box at CHSH 1 (the uniform box is one column, whose
 # average it is)
 locality.solve_equality_feasibility = lambda A, b: FeasibilityResult(True, [1] + [0] * (len(A[0]) - 1))
 try:
