@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -389,36 +390,25 @@ def _signaling_witness(box: Box, i: int, others, x_others, x_i: int) -> NoSignal
     )
 
 
+def _picker(positions) -> Callable[[tuple], tuple]:
+    """A function taking a tuple to its entries at `positions`, as a tuple."""
+    return operator.itemgetter(*positions) if len(positions) > 1 else lambda t: tuple(t[p] for p in positions)
+
+
 def marginal(box: Box, party_subset: Sequence[int], complement_inputs: Optional[Sequence[int]] = None) -> PartyMarginal:
     """Exact marginal of `party_subset`.
 
+    One pass over the table's nonzero entries sums, for every joint input
+    of the complementary parties, the subset's table at that completion.
     Without `complement_inputs` the marginal must be independent of the
-    complementary parties' inputs; this is checked by direct summation over
-    every completion and a SignalingAmbiguity is raised otherwise.  With
+    complementary parties' inputs: every completion's table must be equal,
+    and a SignalingAmbiguity names the first one that differs.  With
     `complement_inputs` the marginal is taken at that specific completion.
     """
     subset = tuple(party_subset)
     if len(set(subset)) != len(subset) or any(not (0 <= p < box.n_parties) for p in subset):
         raise DimensionMismatch(f"bad party subset {subset}")
     complement = tuple(p for p in range(box.n_parties) if p not in subset)
-
-    def marg_at(x_comp):
-        table = {}
-        for x_sub in itertools.product(*(range(box.input_sizes[p]) for p in subset)):
-            x = [0] * box.n_parties
-            for p, v in zip(subset, x_sub):
-                x[p] = v
-            for p, v in zip(complement, x_comp):
-                x[p] = v
-            x = tuple(x)
-            for a in box.outputs():
-                p_val = box.prob(x, a)
-                if p_val != 0:
-                    a_sub = tuple(a[p] for p in subset)
-                    key = (x_sub, a_sub)
-                    table[key] = table.get(key, ZERO) + p_val
-        return table
-
     if complement_inputs is not None:
         if len(complement_inputs) != len(complement):
             raise DimensionMismatch(
@@ -427,16 +417,25 @@ def marginal(box: Box, party_subset: Sequence[int], complement_inputs: Optional[
         for p, v in zip(complement, complement_inputs):
             if not 0 <= v < box.input_sizes[p]:
                 raise DimensionMismatch(f"complement input {v} of party {p} outside 0..{box.input_sizes[p] - 1}")
-        table = marg_at(tuple(complement_inputs))
+
+    # complement's inputs -> {(x_S, a_S): probability}
+    groups: dict = {}
+    of_subset, of_complement = _picker(subset), _picker(complement)
+    for (x, a), p_val in box.table.items():
+        group = groups.setdefault(of_complement(x), {})
+        key = (of_subset(x), of_subset(a))
+        group[key] = group.get(key, ZERO) + p_val
+    if complement_inputs is not None:
+        table = groups.get(tuple(complement_inputs), {})
     else:
-        completions = list(itertools.product(*(range(box.input_sizes[p]) for p in complement)))
-        table = marg_at(completions[0]) if completions else marg_at(())
-        for x_comp in completions[1:]:
-            other = marg_at(x_comp)
-            if other != table:
+        completions = itertools.product(*(range(box.input_sizes[p]) for p in complement))
+        first = next(completions)
+        table = groups.get(first, {})
+        for x_comp in completions:
+            if groups.get(x_comp, {}) != table:
                 raise SignalingAmbiguity(
                     f"marginal of parties {subset} depends on complement inputs "
-                    f"({completions[0]} vs {x_comp}); pass complement_inputs explicitly"
+                    f"({first} vs {x_comp}); pass complement_inputs explicitly"
                 )
 
     return PartyMarginal(
@@ -484,33 +483,26 @@ def cell_expressions(input_sizes: Sequence[int], output_sizes: Sequence[int], co
     its value as an affine form (const, ((coord_index, coef), ...)) in
     `coords`.
 
-    With F the parties whose output is not their last symbol and L the
-    rest, inclusion-exclusion over L gives
-        P(a_F, last_L | x) = sum_{T <= L} (-1)^|T| sum_{b_T} P_{F+T}(a_F, b_T | x)
-    where b_T ranges over the non-last outputs of T, and the term of the
-    empty party set is the constant 1.
+    The cell is a product over the parties, P(a | x) = prod_p f_p, where
+    f_p = t(p; x_p, a_p) when a_p < d_p - 1 and
+    f_p = 1 - sum_{b < d_p - 1} t(p; x_p, b) at party p's last output.
+    Expanded, the term over a party set S is the coordinate (S, x_S, a_S)
+    with coefficient (-1)^(number of -t factors); the term of the empty
+    party set is the constant.
     """
     index = {c: i for i, c in enumerate(coords)}
-    n = len(input_sizes)
     cells = []
     for x in itertools.product(*(range(s) for s in input_sizes)):
         for a in itertools.product(*(range(s) for s in output_sizes)):
-            free = [p for p in range(n) if a[p] < output_sizes[p] - 1]
-            last = [p for p in range(n) if a[p] == output_sizes[p] - 1]
-            terms = []
-            for r in range(len(last) + 1):
-                for t_set in itertools.combinations(last, r):
-                    subset = tuple(sorted(free + list(t_set)))
-                    if not subset:
-                        continue
-                    x_s = tuple(x[p] for p in subset)
-                    for b_t in itertools.product(*(range(output_sizes[p] - 1) for p in t_set)):
-                        a_t = list(a)
-                        for p, b in zip(t_set, b_t):
-                            a_t[p] = b
-                        a_s = tuple(a_t[p] for p in subset)
-                        terms.append((index[(subset, x_s, a_s)], (-1) ** r))
-            cells.append(((x, a), (0 if free else 1, tuple(sorted(terms)))))
+            terms = [((), (), (), 1)]  # the product expanded party by party: (S, x_S, a_S, coefficient)
+            for p, (x_p, a_p, d) in enumerate(zip(x, a, output_sizes)):
+                if a_p < d - 1:
+                    terms = [(s + (p,), xs + (x_p,), bs + (a_p,), c) for s, xs, bs, c in terms]
+                else:
+                    terms += [(s + (p,), xs + (x_p,), bs + (b,), -c) for s, xs, bs, c in terms for b in range(d - 1)]
+            const = sum(c for s, _, _, c in terms if not s)
+            body = sorted((index[(s, xs, bs)], c) for s, xs, bs, c in terms if s)
+            cells.append(((x, a), (const, tuple(body))))
     return cells
 
 
@@ -518,14 +510,7 @@ def chsh_value(box: Box) -> Fraction:
     """CHSH expression sum_{x1,x2} (-1)^(x1*x2) E(x1,x2) with outputs encoded b -> (-1)^b."""
     if box.n_parties != 2 or box.input_sizes != (2, 2) or box.output_sizes != (2, 2):
         raise WrongShape("CHSH is defined for 2-party, 2-input, 2-output boxes")
-    total = ZERO
-    for x1, x2 in itertools.product((0, 1), repeat=2):
-        corr = ZERO
-        for a1, a2 in itertools.product((0, 1), repeat=2):
-            sign = -1 if (a1 ^ a2) else 1
-            corr += sign * box.prob((x1, x2), (a1, a2))
-        total += (-1 if (x1 & x2) else 1) * corr
-    return total
+    return sum(((-1) ** ((x1 & x2) ^ a1 ^ a2) * p for ((x1, x2), (a1, a2)), p in box.table.items()), ZERO)
 
 
 def relabel(box: Box, rel: Relabeling) -> Box:

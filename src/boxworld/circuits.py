@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 from .errors import DimensionMismatch, MissingAssignment, ShapeMismatch, TooLarge, VerificationFailed
 
 TRUTH_TABLE_CAP = 2 ** 20
-VERIFY_CAP_VARS = 20
 
 
 @dataclass(frozen=True)
@@ -381,11 +380,9 @@ def synthesize_nand(table: TruthTable, input_names: Optional[Sequence[str]] = No
     else:
         out = build(table.as_int(), n)
     circuit = builder.finish(out)
-
-    if n <= VERIFY_CAP_VARS:
-        check = truth_table(circuit)
-        if check != table:
-            raise VerificationFailed("synthesized circuit does not match its truth table")
+    # the table already holds all 2^n rows, so its size caps the round trip
+    if truth_table(circuit, _cap=len(table.bits)) != table:
+        raise VerificationFailed("synthesized circuit does not match its truth table")
     return circuit
 
 

@@ -84,12 +84,36 @@ def _cap(args, keyword="cap"):
     return {} if args.cap is None else {keyword: args.cap}
 
 
+def _read_text(path):
+    if path in (None, "-"):
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
+def _not_an_integer(text):
+    raise ValueError(f"number {text} is not an integer")
+
+
+def _object(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
+def _decode(text):
+    """JSON whose numbers are integers: a float, NaN or Infinity is a
+    ValueError, since reading it with int() would truncate it, and so is a
+    key named twice in one object, where json.loads keeps the last value."""
+    return json.loads(text, parse_float=_not_an_integer, parse_constant=_not_an_integer, object_pairs_hook=_object)
+
+
 @_loading("JSON input")
 def _read_json(path):
-    if path in (None, "-"):
-        return json.loads(sys.stdin.read())
-    with open(path) as fh:
-        return json.loads(fh.read())
+    return _decode(_read_text(path))
 
 
 @_loading("box")
@@ -97,13 +121,6 @@ def _read_box(path) -> Box:
     from .boxes import Box
 
     return Box.from_json_dict(_read_json(path))
-
-
-def _read_text(path):
-    if path in (None, "-"):
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
 
 
 def _emit(payload) -> None:
@@ -118,7 +135,7 @@ def _load_circuit(path) -> NandCircuit:
     text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return NandCircuit.from_json_dict(json.loads(text))
+        return NandCircuit.from_json_dict(_decode(text))
     return parse_netlist(text)
 
 

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -270,11 +270,8 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
     if any(not issubclass(t, int) for t in types):
         scaled = []
         for row in mat:
-            den = 1
-            for v in row:
-                f = Fraction(v)
-                den = den * f.denominator // gcd(den, f.denominator)
-            scaled.append([int(Fraction(v) * den) for v in row])
+            den = lcm(*(v.denominator for v in row))
+            scaled.append([int(v * den) for v in row])
         mat = scaled
     m = len(mat)
     n = len(mat[0])

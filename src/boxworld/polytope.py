@@ -195,14 +195,8 @@ def _inequality_rows(h_rep: HRepresentation) -> list[tuple[int, ...]]:
 
 
 def _gcd_reduce(vec: list[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        vec = [v // g for v in vec]
-    return tuple(vec)
+    g = gcd(*vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
 def _initial_basis(rows: list[tuple[int, ...]], dim: int):
@@ -225,9 +219,7 @@ def _initial_basis(rows: list[tuple[int, ...]], dim: int):
         sol = solve_linear_system(mat, e)
         if sol is None:
             raise VerificationFailed("chosen basis matrix is singular")
-        den = 1
-        for v in sol:
-            den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in sol))
         rays.append(_gcd_reduce([int(v * den) for v in sol]))
     return chosen, rays
 

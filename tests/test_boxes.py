@@ -212,6 +212,15 @@ def test_full_correlation_box_is_pr_for_and():
     assert box == bw.pr_box()
 
 
+def test_full_correlation_box_from_a_circuit():
+    and_table = bw.TruthTable(2, (0, 0, 0, 1))
+    circuit = bw.synthesize_nand(and_table, ["u", "v"])
+    assert bw.full_correlation_box(2, 1, circuit) == bw.full_correlation_box(2, 1, and_table) == bw.pr_box()
+    three_inputs = bw.synthesize_nand(bw.TruthTable(3, (0, 0, 0, 1, 0, 0, 0, 1)), ["u", "v", "w"])
+    with pytest.raises(ShapeMismatch, match="3 inputs, expected 2"):
+        bw.full_correlation_box(2, 1, three_inputs)
+
+
 def test_full_correlation_three_party_constant_zero():
     box = bw.full_correlation_box(3, 1, lambda bits: 0)
     quarter = Fraction(1, 4)

@@ -6,6 +6,7 @@ import re
 import pytest
 
 import boxworld as bw
+from boxworld import circuits
 from boxworld.circuits import (
     Constant,
     InputBit,
@@ -20,7 +21,7 @@ from boxworld.circuits import (
     synthesize_nand,
     truth_table,
 )
-from boxworld.errors import DimensionMismatch, MissingAssignment, TooLarge
+from boxworld.errors import DimensionMismatch, MissingAssignment, TooLarge, VerificationFailed
 
 
 def single_nand():
@@ -144,6 +145,16 @@ class TestSynthesis:
         tt = TruthTable.from_function(3, lambda b: b[0] ^ b[1] ^ b[2])
         circuit = synthesize_nand(tt)
         assert truth_table(circuit) == tt
+
+    def test_every_synthesis_is_verified(self, monkeypatch):
+        # above 20 variables too: a builder that hands back a circuit for
+        # another function is caught by the round trip
+        table = TruthTable.from_int(21, 0)
+        assert truth_table(synthesize_nand(table), _cap=2 ** 21) == table
+        finish = circuits._Builder.finish
+        monkeypatch.setattr(circuits._Builder, "finish", lambda self, output: finish(self, self.const(1)))
+        with pytest.raises(VerificationFailed, match="does not match its truth table"):
+            synthesize_nand(table)
 
     @pytest.mark.parametrize("n_vars", [1, 2, 3])
     def test_round_trip_exhaustive(self, n_vars):

@@ -358,6 +358,17 @@ def test_classify_multipartite_parity_boxes():
     assert payload["f"] == [[x0, x1, x2, x0 & x1 & x2] for x0 in (0, 1) for x1 in (0, 1) for x2 in (0, 1)]
 
 
+def test_classify_an_other_vertex():
+    # the mod-3 PR box: 1/3 on each (a, b) with b - a = xy (mod 3)
+    cells = [((x, y), (a, (a + x * y) % 3)) for x, y in itertools.product((0, 1), repeat=2) for a in range(3)]
+    box = bw.make_box(2, (2, 2), (3, 3), dict.fromkeys(cells, Fraction(1, 3)), sparse=True)
+    proc = run_cli(["polytope", "classify"], stdin=json.dumps(box.to_json_dict()))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    validate(payload, "polytope_classify")
+    assert payload == {"class": "other"}
+
+
 def test_classify_refuses_six_parties_at_once():
     # 3^6 - 1 = 728 dimensions exceed the rank-check cap: refused before any rank is taken
     six = bw.full_correlation_box(6, 1, lambda b: b[0] & b[5])
@@ -705,6 +716,54 @@ def test_strategy_keys_naming_one_entry_exit_two(alias):
     proc = run_cli(["simulate", "--exact", "--x", "0,0"], stdin=json.dumps(data))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and alias in proc.stderr
+
+
+def _one_party_box(inputs, xs):
+    table = [{"x": [x], "a": [0], "p": "1/1"} for x in xs]
+    return json.dumps({"parties": 1, "inputs": inputs, "outputs": [1], "table": table})
+
+
+_PR_TEXT = json.dumps(bw.pr_box().to_json_dict())
+_AND_CIRCUIT = bw.synthesize_nand(bw.TruthTable(2, (0, 0, 0, 1)), ["a", "b"]).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        # a non-integer number would be truncated where it is read
+        (["box", "check"], _one_party_box([2], [0.9, 1])),
+        (["box", "check"], _one_party_box([2.7], [0, 1])),
+        (["simulate", "--exact", "--x", "1,1"], _table_protocol().replace('["use", 0, 1]', '["use", 0.9, 1.2]', 1)),
+        (["circuit", "synth"], json.dumps({"n_vars": 2, "bits": [0, 0, 0, 1.7]})),
+        (["box", "check"], _PR_TEXT.replace('"inputs": [2, 2]', '"inputs": [2, NaN]')),
+        (["circuit", "eval", "--assignment", "11"], json.dumps({**_AND_CIRCUIT, "constants": {"k": 1.4}})),
+        # a repeated key would keep its last value
+        (["box", "check"], _PR_TEXT.replace('{"parties": 2,', '{"parties": 3, "parties": 2,')),
+        (["simulate", "--exact", "--x", "0,0"], _table_protocol().replace('"moves": {', '"moves": {"0,0,": ["stop"], ', 1)),
+    ],
+    ids=[
+        "fraction input", "fraction size", "fraction move", "fraction bit", "NaN", "fraction constant",
+        "parties twice", "move twice",
+    ],
+)
+def test_json_input_is_integers_without_repeated_keys(args, stdin):
+    code, out, err = _main_in_process(args, stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed") and ("integer" in err or "twice" in err)
+
+
+def test_booleans_in_json_input_stay_accepted(tmp_path):
+    # compile --verify-target's envelope says "verified": true and feeds the
+    # exact commands unchanged
+    netlist = "input a\ninput b\ng0 = NAND(a, b)\noutput g0\n"
+    envelope = run_cli(["compile", "--parties", "2", "--map", "a;b", "--verify-target"], stdin=netlist)
+    assert envelope.returncode == 0 and json.loads(envelope.stdout)["verified"] is True
+    target = tmp_path / "nand.json"
+    nand = bw.full_correlation_box(2, 1, lambda bits: 1 - (bits[0] & bits[1]))
+    target.write_text(json.dumps(nand.to_json_dict()))
+    for args in (["simulate", "--exact", "--x", "1,1"], ["verify", "--target", str(target)], ["cc", "--x", "1,1"]):
+        code, out, err = _main_in_process(args, envelope.stdout)
+        assert code == 0, err
 
 
 def test_closed_stdout_exits_two_without_a_traceback():

@@ -156,6 +156,13 @@ PARAMETRIZED_SHAPES = [
 ]
 
 
+def mod_three_pr_box():
+    table = {
+        ((x, y), (a, (a + x * y) % 3)): Fraction(1, 3) for x, y in itertools.product((0, 1), repeat=2) for a in range(3)
+    }
+    return bw.make_box(2, (2, 2), (3, 3), table, sparse=True)
+
+
 @pytest.mark.parametrize(
     "input_sizes, output_sizes",
     PARAMETRIZED_SHAPES,
@@ -502,6 +509,14 @@ class TestClassification:
             )
             assert induced_box(protocol) == vertex
         assert sorted(kinds) == ["local-deterministic"] * 16 + ["pr-equivalent"] * 8
+
+    def test_mod_three_pr_box_is_an_other_vertex(self):
+        # 1/3 on each (a, b) with b - a = xy (mod 3): extremal, but neither
+        # deterministic, reducible nor of two-output parity form
+        box = mod_three_pr_box()
+        assert bw.check_no_signaling(box).ok
+        assert is_vertex(box)
+        assert classify_vertex(box).classification == "other"
 
     def test_interior_point_is_not_a_vertex(self):
         with pytest.raises(NotAVertex):
