@@ -7,7 +7,6 @@ Run:  python demos/04_cluster_no_go.py
 
 import boxworld as bw
 from boxworld.cluster import (
-    box_source,
     cluster_box,
     cluster_constraints,
     ghz_local_search,
@@ -31,8 +30,7 @@ print("maximum simultaneously satisfiable:", report.max_simultaneous)
 # a nonsignaling box that does satisfy all six
 cb = cluster_box()
 print("\ncluster box nonsignaling:", bw.check_no_signaling(cb).ok)
-src = box_source(cb)
-box_value = sum(satisfies(src, c) for c in cs.constraints)
+box_value = sum(satisfies(cb, c) for c in cs.constraints)
 print("cluster box satisfies all six:", box_value == len(cs.constraints))
 # the sum of the six events' probabilities is a Bell functional: the box
 # scores 6, every local assignment at most max_simultaneous, so no local

@@ -57,12 +57,10 @@ _EXPORTS = (
         (
             "ConstraintSet",
             "ParityConstraint",
-            "box_source",
             "cluster_box",
             "cluster_constraints",
             "ghz_local_search",
             "inverted_cluster_constraints",
-            "protocol_source",
             "satisfies",
             "simulation_search",
         ),

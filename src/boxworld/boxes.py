@@ -32,7 +32,7 @@ from .errors import (
     TooLarge,
     WrongShape,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -103,14 +103,14 @@ class Box:
     def from_json_dict(data: dict) -> "Box":
         table = {}
         for entry in data["table"]:
-            key = (tuple(int(v) for v in entry["x"]), tuple(int(v) for v in entry["a"]))
+            key = (tuple(map(parse_int, entry["x"])), tuple(map(parse_int, entry["a"])))
             if key in table:
                 raise DimensionMismatch(f"the table lists x={list(key[0])}, a={list(key[1])} twice")
             table[key] = parse_rational(entry["p"])
         return make_box(
-            data["parties"],
-            data["inputs"],
-            data["outputs"],
+            parse_int(data["parties"]),
+            tuple(map(parse_int, data["inputs"])),
+            tuple(map(parse_int, data["outputs"])),
             table,
             sparse=True,
         )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import DimensionMismatch, MissingAssignment, ShapeMismatch, TooLarge, VerificationFailed
+from .rational import parse_int
 
 TRUTH_TABLE_CAP = 2 ** 20
 
@@ -128,7 +129,7 @@ class NandCircuit:
             inputs=tuple(InputBit(d["name"], d.get("party")) for d in data["inputs"]),
             gates=tuple((g["l"], g["r"]) for g in data["gates"]),
             output=data["output"],
-            constants=tuple(Constant(k, int(v)) for k, v in data.get("constants", {}).items()),
+            constants=tuple(Constant(k, parse_int(v)) for k, v in data.get("constants", {}).items()),
         )
 
 

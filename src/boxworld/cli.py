@@ -19,8 +19,8 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import BoxworldError, TooLarge
-from .rational import format_rational
+from .errors import BoxworldError, DimensionMismatch, TooLarge
+from .rational import format_rational, parse_int
 
 # Each handler and loader imports the library modules it runs, so a call
 # compiles only those: `box check` never loads the compiler or the solvers.
@@ -145,7 +145,7 @@ def _load_truth_table(data) -> TruthTable:
 
     if isinstance(data, dict) and "truth_table" in data:
         data = data["truth_table"]
-    return TruthTable(int(data["n_vars"]), tuple(int(b) for b in data["bits"]))
+    return TruthTable(parse_int(data["n_vars"]), tuple(map(parse_int, data["bits"])))
 
 
 def _load_protocol(data) -> WiringProtocol:
@@ -158,8 +158,10 @@ def _load_protocol(data) -> WiringProtocol:
         if data.get("type") != "compiled":
             return WiringProtocol.from_json_dict(data)
         circuit = NandCircuit.from_json_dict(data["circuit"])
-        parties = int(data["parties"])
-        bit_map = [[str(name) for name in group] for group in data["party_bit_map"]]
+        parties = parse_int(data["parties"])
+        bit_map = data["party_bit_map"]
+        if not all(type(group) is list and all(type(name) is str for name in group) for group in bit_map):
+            raise DimensionMismatch(f"party_bit_map must list strings for each party, got {bit_map!r}")
     return compile_circuit(circuit, parties, bit_map).protocol
 
 

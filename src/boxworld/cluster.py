@@ -16,9 +16,10 @@ group of the 5-ring graph state measured in Z (setting 0) or X (setting
 1).  `stabilizer_box` builds the exact box of Pauli measurements on any
 stabilizer state by the Gottesman-Knill rule, `graph_state` gives a
 graph's generators, and `cluster_box` is the ring's box.  That box meets
-all six constraints with probability 1, while no local assignment meets
-more than five (`max_simultaneous`): the six events' probability sum is a
-nonlocality certificate that needs no locality LP.
+all six constraints with probability 1 (`satisfies` reads each one off a
+box's table), while no local assignment meets more than five
+(`max_simultaneous`): the six events' probability sum is a nonlocality
+certificate that needs no locality LP.
 
 The module verifies the paradox exhaustively (ghz_local_search) and exhausts
 the deterministic adaptive wiring protocols over k shared PR boxes
@@ -35,12 +36,14 @@ in its support does.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .boxes import BOX_CELL_CAP, Box, check_no_signaling, make_box
 from .circuits import run_window
@@ -49,14 +52,12 @@ from .wiring import (
     DEFAULT_STRATEGY_CAP,
     STOP,
     BoxBank,
-    OutcomeDistribution,
     SharedRandomness,
     TableStrategy,
     WiringProtocol,
     _party_trees,
     _walk,
     count_strategies,
-    execute_exact,
     induced_box,
     pr_instance,
 )
@@ -92,18 +93,6 @@ class ConstraintSet:
                     " with settings and target 0 or 1"
                 )
 
-    def cyclically_shifted(self, shift: int) -> "ConstraintSet":
-        moved = []
-        for c in self.constraints:
-            terms = tuple(sorted(((p + shift) % self.n_parties, s) for p, s in c.terms))
-            moved.append(ParityConstraint(terms, c.target))
-        return ConstraintSet(tuple(moved), self.n_parties)
-
-    def canonical_key(self):
-        return frozenset(
-            (tuple(sorted(c.terms)), c.target) for c in self.constraints
-        )
-
 
 def cluster_constraints() -> ConstraintSet:
     """The six ring-cluster constraints (parties 0..4, settings 0/1)."""
@@ -131,62 +120,22 @@ def inverted_cluster_constraints() -> ConstraintSet:
     return ConstraintSet(flipped, base.n_parties)
 
 
-def box_source(box: Box) -> Callable[[tuple[int, ...]], OutcomeDistribution]:
-    """x -> the box's outcome distribution at x (its nonzero entries).  The
-    table is grouped by input once, not read per joint output per call.
-    An input the box does not have (wrong arity, or a setting out of
-    range) raises DimensionMismatch."""
-    by_input = {}
-    for (x, a), p in box.table.items():
-        by_input.setdefault(x, {})[a] = p
-
-    def source(x):
-        x = tuple(x)
-        if len(x) != box.n_parties or not all(0 <= v < s for v, s in zip(x, box.input_sizes)):
-            raise DimensionMismatch(f"input {x} is not one of the box's inputs {box.input_sizes}")
-        return OutcomeDistribution(x=x, outcomes=dict(by_input.get(x, ())))
-
-    return source
-
-
-def protocol_source(protocol: WiringProtocol) -> Callable[[tuple[int, ...]], OutcomeDistribution]:
-    """x -> `execute_exact(protocol, x)`; each call validates the whole
-    protocol, so a caller asking for many inputs should read them off
-    `box_source(induced_box(protocol))` instead."""
-    return lambda x: execute_exact(protocol, x)
-
-
-def satisfies(
-    source: Callable[[tuple[int, ...]], OutcomeDistribution],
-    constraint: ParityConstraint,
-    n_parties: int = N_PARTIES,
-    input_sizes: Optional[Sequence[int]] = None,
-) -> bool:
-    """True iff the parity event holds with probability exactly 1 under
-    every completion of the unconstrained parties' settings."""
-    if input_sizes is None:
-        input_sizes = (2,) * n_parties
+def satisfies(box: Box, constraint: ParityConstraint) -> bool:
+    """True iff the parity event has probability exactly 1 at every input
+    pinning the constraint's settings: summed over the box's nonzero entries
+    there, it equals the number of those inputs.  A term naming a party or
+    setting the box does not have raises DimensionMismatch."""
     pinned = dict(constraint.terms)
-    free = [p for p in range(n_parties) if p not in pinned]
-    for completion in itertools.product(*(range(input_sizes[p]) for p in free)):
-        x = [0] * n_parties
-        for p, s in pinned.items():
-            x[p] = s
-        for p, v in zip(free, completion):
-            x[p] = v
-        dist = source(tuple(x))
-        good = Fraction(0)
-        total = Fraction(0)
-        for a, prob in dist.outcomes.items():
-            total += prob
-            parity = 0
-            for p, _ in constraint.terms:
-                parity ^= a[p]
-            if parity == constraint.target:
-                good += prob
-        if good != total or total != 1:
-            return False
-    return True
+    if not all(0 <= p < box.n_parties and 0 <= s < box.input_sizes[p] for p, s in pinned.items()):
+        raise DimensionMismatch(f"constraint {constraint.terms} is not over the box's inputs {box.input_sizes}")
+    ranges = [(pinned[p],) if p in pinned else range(size) for p, size in enumerate(box.input_sizes)]
+    inputs = set(itertools.product(*ranges))
+    held = sum(
+        prob
+        for (x, a), prob in box.table.items()
+        if x in inputs and functools.reduce(operator.xor, map(a.__getitem__, pinned), 0) == constraint.target
+    )
+    return held == len(inputs)
 
 
 @dataclass(frozen=True)
@@ -325,8 +274,7 @@ def cluster_box() -> Box:
     with probability 1, which is checked before it is returned."""
     ring = [(i, (i + 1) % N_PARTIES) for i in range(N_PARTIES)]
     box = stabilizer_box(graph_state(N_PARTIES, ring), ["ZX"] * N_PARTIES)
-    source = box_source(box)
-    if not all(satisfies(source, c) for c in cluster_constraints().constraints):
+    if not all(satisfies(box, c) for c in cluster_constraints().constraints):
         raise VerificationFailed("the ring graph state's box misses a published constraint")
     return box
 
@@ -536,8 +484,8 @@ def _counterexample(bank: BoxBank, cs: ConstraintSet, owners, trees, outputs) ->
     protocol = WiringProtocol(
         n, SharedRandomness.singleton(0), bank, tuple(strategies), (2,) * n, (2,) * n
     )
-    source = box_source(induced_box(protocol))
-    if not all(satisfies(source, c, n) for c in cs.constraints):
+    box = induced_box(protocol)
+    if not all(satisfies(box, c) for c in cs.constraints):
         raise VerificationFailed("a counterexample of the factorized search violates a constraint")
     found = {}
     if len(bank.instances) == 1:

@@ -606,14 +606,11 @@ def verify_simulation(protocol, target: Box) -> SimulationVerdict:
     if shape != (target.input_sizes, target.output_sizes):
         raise ShapeMismatch(f"shapes differ: {shape[0]}/{shape[1]} vs {target.input_sizes}/{target.output_sizes}")
     box = induced_box(protocol)
-    for x in box.inputs():
-        for a in box.outputs():
-            got = box.prob(x, a)
-            want = target.prob(x, a)
-            if got != want:
-                return SimulationVerdict(
-                    False, {"x": x, "a": a, "simulated": got, "target": want}
-                )
+    # sorted (x, a) order is inputs() x outputs() order: the same first difference
+    for x, a in sorted(box.table.keys() | target.table.keys()):
+        got, want = box.prob(x, a), target.prob(x, a)
+        if got != want:
+            return SimulationVerdict(False, {"x": x, "a": a, "simulated": got, "target": want})
     return SimulationVerdict(True)
 
 

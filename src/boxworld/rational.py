@@ -28,3 +28,11 @@ def parse_rational(text) -> Fraction:
             raise DimensionMismatch(f"zero denominator in rational {text!r}")
         return Fraction(int(num), den_i)
     return Fraction(int(s))
+
+
+def parse_int(value) -> int:
+    """A JSON number field's value: only an int is one, so a string, a bool
+    or a float raises DimensionMismatch rather than being coerced."""
+    if type(value) is not int:
+        raise DimensionMismatch(f"expected an integer, got {value!r}")
+    return value

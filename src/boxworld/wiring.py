@@ -41,7 +41,7 @@ from typing import Mapping, Optional, Sequence
 
 from .boxes import Box, check_no_signaling, make_box, pr_box
 from .errors import BoxworldError, DimensionMismatch, ShapeMismatch, TooLarge, Unvalidated, VerificationFailed
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational
 
 STOP = ("stop",)
 
@@ -151,8 +151,8 @@ class TableStrategy:
                 table[key] = value(v)
             return table
 
-        moves = parse(data["moves"], lambda mv: STOP if mv[0] == "stop" else ("use", int(mv[1]), int(mv[2])))
-        return TableStrategy(data["party"], moves, parse(data["outputs"], int))
+        moves = parse(data["moves"], lambda mv: STOP if mv[0] == "stop" else ("use", parse_int(mv[1]), parse_int(mv[2])))
+        return TableStrategy(parse_int(data["party"]), moves, parse(data["outputs"], parse_int))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,18 +196,18 @@ class WiringProtocol:
         for inst in data["bank"]:
             if inst.get("template", "PR") != "PR":
                 raise BoxworldError(f"unknown bank template {inst.get('template')!r}")
-            instances.append(pr_instance(inst["owners"]))
+            instances.append(pr_instance(tuple(map(parse_int, inst["owners"]))))
         randomness = data.get("randomness", {"support": [0], "weights": ["1/1"]})
         return WiringProtocol(
-            n_parties=int(data["parties"]),
+            n_parties=parse_int(data["parties"]),
             randomness=SharedRandomness(
-                tuple(int(lam) for lam in randomness["support"]),
+                tuple(map(parse_int, randomness["support"])),
                 tuple(parse_rational(w) for w in randomness["weights"]),
             ),
             bank=BoxBank(tuple(instances)),
             strategies=tuple(TableStrategy.from_json_dict(s) for s in data["strategies"]),
-            input_sizes=tuple(int(size) for size in data["input_sizes"]),
-            output_sizes=tuple(int(size) for size in data["output_sizes"]),
+            input_sizes=tuple(map(parse_int, data["input_sizes"])),
+            output_sizes=tuple(map(parse_int, data["output_sizes"])),
         )
 
 

@@ -416,9 +416,9 @@ def test_cluster_search_cli():
     exact = run_cli(["simulate", "--exact", "--x", "0,1,0,0,0"], stdin=json.dumps(protocol_json))
     assert exact.returncode == 0, exact.stderr
     assert json.loads(exact.stdout)["distribution"]["x"] == [0, 1, 0, 0, 0]
-    protocol = bw.WiringProtocol.from_json_dict(protocol_json)
+    box = bw.induced_box(bw.WiringProtocol.from_json_dict(protocol_json))
     for constraint in bw.inverted_cluster_constraints().constraints:
-        assert bw.satisfies(bw.protocol_source(protocol), constraint)
+        assert bw.satisfies(box, constraint)
 
 
 def test_cluster_search_at_zero_and_two_boxes():
@@ -750,6 +750,52 @@ def test_json_input_is_integers_without_repeated_keys(args, stdin):
     code, out, err = _main_in_process(args, stdin)
     assert (code, out) == (2, "")
     assert err.startswith("error: malformed") and ("integer" in err or "twice" in err)
+
+
+def _strategy_entry(table, key, value):
+    data = json.loads(_table_protocol())
+    data["strategies"][0][table][key] = value
+    return json.dumps(data)
+
+
+_ONE_TWO_CIRCUIT = bw.synthesize_nand(bw.TruthTable(2, (0, 0, 0, 1)), ["1", "2"]).to_json_dict()
+_ENVELOPE = {"type": "compiled", "circuit": _ONE_TWO_CIRCUIT, "parties": 2, "party_bit_map": [["1"], ["2"]]}
+
+
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (["box", "check"], _PR_TEXT.replace('"parties": 2', '"parties": "2"')),
+        (["box", "check"], _one_party_box(["2"], [0, 1])),
+        (["box", "check"], _one_party_box([2], ["0", 1])),
+        (["box", "check"], _one_party_box([2], [0, True])),
+        (["box", "check"], _one_party_box([2], [0, 1]).replace('"a": [0]', '"a": [false]', 1)),
+        (["circuit", "synth"], json.dumps({"n_vars": "2", "bits": [0, 0, 0, 1]})),
+        (["circuit", "synth"], json.dumps({"n_vars": 2, "bits": [0, 0, 0, True]})),
+        (["circuit", "synth"], json.dumps({"n_vars": 2, "bits": [0, 0, 0, " 1 "]})),
+        (["circuit", "eval", "--assignment", "11"], json.dumps({**_AND_CIRCUIT, "constants": {"k": True}})),
+        (["simulate", "--exact", "--x", "0,0"], _table_protocol(parties="2")),
+        (["simulate", "--exact", "--x", "0,0"], _table_protocol(input_sizes=["2", 2])),
+        (["simulate", "--exact", "--x", "0,0"], _table_protocol(randomness={"support": ["0"], "weights": ["1/1"]})),
+        (["simulate", "--exact", "--x", "0,0"], _table_protocol(bank=[{"template": "PR", "owners": [0, True]}])),
+        (["simulate", "--exact", "--x", "0,0"], _table_protocol().replace('"party": 0', '"party": "0"', 1)),
+        (["simulate", "--exact", "--x", "0,0"], _strategy_entry("moves", "0,0,", ["use", "0", "0"])),
+        (["simulate", "--exact", "--x", "0,0"], _strategy_entry("outputs", "0,0,0", True)),
+        (["simulate", "--exact", "--x", "1,1"], json.dumps({**_ENVELOPE, "parties": "2"})),
+        (["simulate", "--exact", "--x", "1,1"], json.dumps({**_ENVELOPE, "party_bit_map": [[1], [2]]})),
+        (["simulate", "--exact", "--x", "1,1"], json.dumps({**_ENVELOPE, "party_bit_map": ["1", ["2"]]})),
+    ],
+    ids=[
+        "box parties", "box size", "box x string", "box x bool", "box a bool", "n_vars", "bit bool", "bit string",
+        "constant bool", "protocol parties", "protocol size", "support", "owner bool", "strategy party",
+        "move strings", "output bool", "envelope parties", "bit-map ints", "bit-map group string",
+    ],
+)
+def test_json_number_fields_refuse_strings_and_booleans(args, stdin):
+    # each was coerced with int() or str(), or iterated, and run
+    code, out, err = _main_in_process(args, stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and ("integer" in err or "strings" in err)
 
 
 def test_booleans_in_json_input_stay_accepted(tmp_path):

@@ -14,13 +14,11 @@ from boxworld.cluster import (
     _one_box_option,
     _parse_pauli,
     _stabilizer_group,
-    box_source,
     cluster_box,
     cluster_constraints,
     ghz_local_search,
     graph_state,
     inverted_cluster_constraints,
-    protocol_source,
     satisfies,
     simulation_search,
     stabilizer_box,
@@ -30,13 +28,14 @@ from boxworld.wiring import (
     DEFAULT_STRATEGY_CAP,
     STOP,
     BoxBank,
-    OutcomeDistribution,
     SharedRandomness,
     TableStrategy,
     WiringProtocol,
     _party_trees,
     count_strategies,
     enumerate_strategies,
+    execute_exact,
+    induced_box,
     pr_instance,
 )
 
@@ -94,13 +93,40 @@ def _chsh(p, q):
     return [ParityConstraint(((p, x), (q, y)), x & y) for x in (0, 1) for y in (0, 1)]
 
 
+def _holds_at_every_input(outcomes_at, constraint, input_sizes):
+    """Reference for `satisfies`, its per-input definition: at every
+    completion of the free parties' settings, the target parity has
+    probability exactly 1.  outcomes_at(x) maps the joint outputs of
+    nonzero probability at input x to their probabilities."""
+    pinned = dict(constraint.terms)
+    for x in itertools.product(*(range(size) for size in input_sizes)):
+        if any(x[p] != s for p, s in pinned.items()):
+            continue
+        outcomes = outcomes_at(x)
+        good = sum(prob for a, prob in outcomes.items() if sum(a[p] for p in pinned) % 2 == constraint.target)
+        if good != sum(outcomes.values()) or good != 1:
+            return False
+    return True
+
+
+def _rotated(cs, shift):
+    """The constraint set with every party p moved to p + shift (mod n)."""
+    n = cs.n_parties
+    moved = (ParityConstraint(tuple(((p + shift) % n, s) for p, s in c.terms), c.target) for c in cs.constraints)
+    return ConstraintSet(tuple(moved), n)
+
+
 def _first_by_enumeration(cs, assignment):
     """Reference search: the first protocol of `enumerate_strategies` that
-    meets every constraint, checked by the generic executor, or None."""
+    meets every constraint, checked input by input on the generic
+    executor, or None."""
     n = cs.n_parties
     bank = BoxBank(tuple(pr_instance(pair) for pair in assignment))
     for protocol in enumerate_strategies(n, bank, (2,) * n, (2,) * n):
-        if all(satisfies(protocol_source(protocol), c, n) for c in cs.constraints):
+        def outcomes_at(x):
+            return execute_exact(protocol, x).outcomes
+
+        if all(_holds_at_every_input(outcomes_at, c, (2,) * n) for c in cs.constraints):
             return protocol
     return None
 
@@ -122,9 +148,12 @@ class TestConstraints:
         assert c.target == 1
 
     def test_cyclic_invariance(self):
+        def events(cs):
+            return {(frozenset(c.terms), c.target) for c in cs.constraints}
+
         cs = cluster_constraints()
         for shift in range(1, 5):
-            assert cs.cyclically_shifted(shift).canonical_key() == cs.canonical_key()
+            assert events(_rotated(cs, shift)) == events(cs)
 
     def test_duplicate_terms_rejected(self):
         with pytest.raises(Exception):
@@ -146,7 +175,7 @@ class TestConstraints:
 
     def test_built_in_sets_construct(self):
         cs = cluster_constraints()
-        built = [cs, inverted_cluster_constraints()] + [cs.cyclically_shifted(k) for k in range(1, 5)]
+        built = [cs, inverted_cluster_constraints()] + [_rotated(cs, k) for k in range(1, 5)]
         assert all(len(b.constraints) == 6 and b.n_parties == 5 for b in built)
 
 
@@ -155,8 +184,8 @@ class TestSatisfies:
         cs = cluster_constraints()
         proto = next(enumerate_strategies(5, BoxBank(()), (2,) * 5, (2,) * 5))
         assert all(s.outputs == {(0, 0, ()): 0, (0, 1, ()): 0} for s in proto.strategies)
-        src = protocol_source(proto)
-        results = [satisfies(src, c) for c in cs.constraints]
+        box = induced_box(proto)
+        results = [satisfies(box, c) for c in cs.constraints]
         assert results[:5] == [True] * 5
         assert results[5] is False
 
@@ -189,8 +218,8 @@ class TestSatisfies:
             input_sizes=(2,) * 5,
             output_sizes=(2,) * 5,
         )
-        src = protocol_source(proto)
-        assert all(not satisfies(src, c) for c in cluster_constraints().constraints)
+        box = induced_box(proto)
+        assert all(not satisfies(box, c) for c in cluster_constraints().constraints)
 
     def test_every_local_assignment_violates_some_constraint(self):
         cs = cluster_constraints()
@@ -209,21 +238,42 @@ class TestSatisfies:
             assert not ok
 
     def test_cluster_box_satisfies_all(self):
-        src = box_source(cluster_box())
-        assert all(satisfies(src, c) for c in cluster_constraints().constraints)
+        box = cluster_box()
+        assert all(satisfies(box, c) for c in cluster_constraints().constraints)
 
-    def test_box_source_matches_per_output_reads(self):
-        # box_source groups the table once; the definition reads box.prob
-        # for every joint output of every input
-        pr_side = (OWNER_OPTIONS[3], OWNER_OPTIONS[7])  # output the box bit, box input x
-        owners = {0: pr_side, 1: pr_side}
-        outputs = {k: (k & 1, 1) for k in range(2, 5)}
-        wired = bw.induced_box(_one_box_protocol((0, 1), owners, outputs))
-        for box in (cluster_box(), wired):
-            src = box_source(box)
-            for x in box.inputs():
-                expected = {a: box.prob(x, a) for a in box.outputs() if box.prob(x, a) != 0}
-                assert src(x) == OutcomeDistribution(x=x, outcomes=expected)
+    @pytest.mark.parametrize(
+        "box",
+        [
+            pytest.param(cluster_box, id="cluster"),
+            pytest.param(lambda: stabilizer_box(["XXX", "ZZI", "IZZ"], ["XY"] * 3), id="ghz-3"),
+            *(pytest.param(lambda n=n: stabilizer_box(graph_state(n, _ring(n)), ["ZX"] * n), id=f"ring-{n}")
+              for n in (3, 4, 6)),
+        ],
+    )
+    def test_agrees_with_the_per_input_definition(self, box):
+        # every nonempty party subset, every setting of it, both targets
+        box = box()
+        outcomes = {x: {a: box.prob(x, a) for a in box.outputs() if box.prob(x, a) != 0} for x in box.inputs()}
+        held = 0
+        for k in range(1, box.n_parties + 1):
+            for parties in itertools.combinations(range(box.n_parties), k):
+                for settings in itertools.product(*(range(box.input_sizes[p]) for p in parties)):
+                    for target in (0, 1):
+                        c = ParityConstraint(tuple(zip(parties, settings)), target)
+                        verdict = satisfies(box, c)
+                        assert verdict == _holds_at_every_input(outcomes.get, c, box.input_sizes)
+                        held += verdict
+        assert held > 0
+
+    @pytest.mark.parametrize(
+        "terms",
+        [((3, 0),), ((0, 2), (1, 0)), ((-1, 0), (1, 0))],
+        ids=["party-3", "setting-2", "party-minus-1"],
+    )
+    def test_terms_outside_the_box_rejected(self, terms):
+        box = stabilizer_box(["XXX", "ZZI", "IZZ"], ["XY"] * 3)
+        with pytest.raises(DimensionMismatch):
+            satisfies(box, ParityConstraint(terms, 0))
 
 
 class TestGhz:
@@ -272,11 +322,11 @@ class TestClusterBox:
     def test_nonlocal(self):
         # the box meets all six constraints with probability 1 (value 6),
         # a local assignment at most 5 of them, so no mixture reaches 6
-        src = box_source(cluster_box())
-        value = sum(satisfies(src, c) for c in cluster_constraints().constraints)
+        box = cluster_box()
+        value = sum(satisfies(box, c) for c in cluster_constraints().constraints)
         assert value == 6 > ghz_local_search().max_simultaneous
         # the locality LP decides it too, on the box's symmetry orbits
-        verdict = bw.is_local(cluster_box())
+        verdict = bw.is_local(box)
         assert not verdict.local
         assert verdict.witness["kind"] == "linear"
         assert verdict.witness["box_value"] == 1 > 0 >= verdict.witness["local_max"]
@@ -302,22 +352,9 @@ class TestStabilizerBox:
         box = stabilizer_box(["XXX", "ZZI", "IZZ"], ["XY"] * 3)
         assert bw.check_no_signaling(box).ok
         assert not bw.is_local(box).local
-        src = box_source(box)
         for x, target in [((0, 0, 0), 0), ((0, 1, 1), 1), ((1, 0, 1), 1), ((1, 1, 0), 1)]:
             terms = tuple(enumerate(x))
-            assert satisfies(src, ParityConstraint(terms, target), 3)
-
-    def test_box_source_refuses_an_input_the_box_does_not_have(self):
-        # read at satisfies' default of five parties, the 3-party GHZ box
-        # used to give an empty distribution, so "not satisfied"
-        src = box_source(stabilizer_box(["XXX", "ZZI", "IZZ"], ["XY"] * 3))
-        constraint = ParityConstraint(((0, 0), (1, 0), (2, 0)), 0)
-        with pytest.raises(DimensionMismatch):
-            satisfies(src, constraint)
-        for x in ((0, 2, 0), (0, -1, 0), (0, 0)):
-            with pytest.raises(DimensionMismatch):
-                src(x)
-        assert satisfies(src, constraint, 3)
+            assert satisfies(box, ParityConstraint(terms, target))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_ring_boxes_are_nonsignaling(self, n):
@@ -430,7 +467,8 @@ class TestSearch:
                 if k not in pair
             }
             proto = _one_box_protocol(pair, {pair[0]: s_p, pair[1]: s_q}, outputs)
-            generic = all(satisfies(protocol_source(proto), c) for c in cs.constraints)
+            box = induced_box(proto)
+            generic = all(satisfies(box, c) for c in cs.constraints)
             # factorized evaluation of the same profile
             factorized = True
             for c in cs.constraints:

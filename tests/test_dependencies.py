@@ -159,8 +159,8 @@ EXPORTS = {
         " synthesize_nand truth_table"
     ),
     "cluster": (
-        "ConstraintSet ParityConstraint box_source cluster_box cluster_constraints ghz_local_search"
-        " inverted_cluster_constraints protocol_source satisfies simulation_search"
+        "ConstraintSet ParityConstraint cluster_box cluster_constraints ghz_local_search"
+        " inverted_cluster_constraints satisfies simulation_search"
     ),
     "compiler": (
         "CCResult CompiledProtocol SimulationVerdict compile_circuit induced_box_fast nand_block nand_block_branches"
@@ -183,8 +183,8 @@ EXPORTS = {
 
 def test_public_api_is_unchanged_by_lazy_loading():
     exported = {name: module for module, names in EXPORTS.items() for name in names.split()}
-    assert len(exported) == 84
-    assert isinstance(bw.__all__, tuple) and len(bw.__all__) == 84
+    assert len(exported) == 82
+    assert isinstance(bw.__all__, tuple) and len(bw.__all__) == 82
     assert set(bw.__all__) == set(exported)
     assert set(exported) <= set(dir(bw))
     for name, module in exported.items():

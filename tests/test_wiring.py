@@ -625,6 +625,38 @@ def test_shared_randomness_weights_must_be_exact():
     assert execute_exact(exact, (0, 0)).outcomes == {(1, 1): 1}
 
 
+def _identity_missing(table, key):
+    """The PR identity wiring without one of party 0's "moves" or "outputs" entries."""
+    proto = identity_wiring(bw.pr_box())
+    del getattr(proto.strategies[0], table)[key]
+    return proto
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda: SharedRandomness((0, 1), (1,)), "support and weights differ in length"),
+        (lambda: SharedRandomness((0, 1), (HALF, Fraction(1, 3))), "shared-randomness weights must sum to 1"),
+        (lambda: SharedRandomness((0, 1), (Fraction(3, 2), -HALF)), "shared-randomness weights must be nonnegative"),
+        (lambda: _identity_missing("moves", (0, 1, ())), "party 0 has no move defined at lam=0, x=1, history=()"),
+        (lambda: _identity_missing("outputs", (0, 0, (1,))), "party 0 has no output defined at lam=0, x=0, history=(1,)"),
+        (
+            lambda: dataclasses.replace(identity_wiring(bw.pr_box()), strategies=(stop_strategy(0, {0: 0, 1: 0}),)),
+            "one strategy per party required",
+        ),
+    ],
+    ids=["lengths", "sum", "negative", "no move", "no output", "strategy count"],
+)
+def test_refusals_name_their_reason(make, reason):
+    # the randomness refuses at construction, a protocol in its verdict
+    try:
+        verdict = validate_protocol(make())
+    except bw.DimensionMismatch as err:
+        assert str(err) == reason
+    else:
+        assert verdict.violation["reason"] == reason
+
+
 @pytest.mark.parametrize(
     "first_call",
     [
