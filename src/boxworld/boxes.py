@@ -228,13 +228,7 @@ def make_box(n, input_sizes, output_sizes, table, sparse=False) -> Box:
 
 def pr_box() -> Box:
     """The 2-party, binary box with P = 1/2 whenever a1 XOR a2 = x1 AND x2."""
-    half = Fraction(1, 2)
-    table = {}
-    for x1, x2 in itertools.product((0, 1), repeat=2):
-        for a1, a2 in itertools.product((0, 1), repeat=2):
-            if (a1 ^ a2) == (x1 & x2):
-                table[((x1, x2), (a1, a2))] = half
-    return make_box(2, (2, 2), (2, 2), table, sparse=True)
+    return parity_box((2, 2), lambda x: x[0] & x[1])
 
 
 def parity_box(input_sizes: Sequence[int], parity_of: Callable[[tuple[int, ...]], int]) -> Box:

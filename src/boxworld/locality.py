@@ -46,13 +46,15 @@ many parties and few party symmetries costs up to (n-1)! completions for
 one image.  Every generator is kept only if, as a permutation of the table's
 cells, it fixes the table.
 
-Verdicts are self-verifying, on the full problem, so a wrong group can
-only raise VerificationFailed.  Local: each column's weight is spread
-evenly over its strategies, and the mixture is re-expanded and compared
-with the table exactly.  Nonlocal: the Farkas vector, constant on cell
-orbits, is a functional on cells; `boxes.cell_expressions` maps it onto
-the marginal coordinates, it is scaled to value 1 on the box, and its
-value is checked exactly against every deterministic strategy.  The
+Verdicts are self-verifying, on the full problem's cells and in integers
+over a common denominator, so a wrong group can only raise
+VerificationFailed.  Local: each column's weight is spread evenly over
+its strategies, and their cells are summed and compared with the table
+exactly.  Nonlocal: the Farkas vector, constant on cell orbits, is a
+functional on cells; its value is checked exactly on the box and on the
+cells of every deterministic strategy, recomputed from its responses.
+Only the returned witness is mapped onto the marginal coordinates, by
+`boxes.cell_expressions`, and scaled to value 1 on the box.  The
 witness kind is "signaling" or "linear".
 """
 
@@ -71,9 +73,7 @@ from .boxes import (
     cell_expressions,
     check_no_signaling,
     deterministic_box,
-    make_box,
     marginal_coordinates,
-    marginal_point,
 )
 from .errors import TooLarge, VerificationFailed
 from .exactlp import solve_equality_feasibility
@@ -105,27 +105,6 @@ class LocalityVerdict:
         return self.local
 
 
-def expand_weights(box_shape: Box, weights: dict) -> Box:
-    """Re-expand strategy weights into a box of the same shape.  The sums
-    are taken in integers over the weights' common denominator."""
-    weights = {responses: Fraction(w) for responses, w in weights.items() if w != 0}
-    den = lcm(*(w.denominator for w in weights.values()))
-    inputs = list(box_shape.inputs())
-    table: dict = {}
-    for responses, w in weights.items():
-        count = w.numerator * (den // w.denominator)
-        for x in inputs:
-            key = (x, tuple(r[v] for r, v in zip(responses, x)))
-            table[key] = table.get(key, 0) + count
-    return make_box(
-        box_shape.n_parties,
-        box_shape.input_sizes,
-        box_shape.output_sizes,
-        {key: Fraction(count, den) for key, count in table.items()},
-        sparse=True,
-    )
-
-
 # Cells are numbered in mixed radix over the parties, party 0 most
 # significant, by their local cells x_p * d_p + a_p.
 
@@ -143,6 +122,15 @@ def _cell_strides(box: Box) -> list[int]:
 
 def _cell_index(x, a, output_sizes, strides) -> int:
     return sum((xq * d + aq) * s for xq, aq, d, s in zip(x, a, output_sizes, strides))
+
+
+def _strategy_cells(strategy, output_sizes, strides) -> list[int]:
+    """The cells at which a deterministic strategy's table is 1, one per
+    joint input."""
+    cells = [0]
+    for response, d, stride in zip(strategy, output_sizes, strides):
+        cells = [c + stride * (x * d + a) for c in cells for x, a in enumerate(response)]
+    return cells
 
 
 def _cell_values(box: Box) -> list:
@@ -394,11 +382,8 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP) -> LocalityVerdict:
     classes: dict = {}  # column -> its index
     label = []  # each strategy's column index
     for strategy in deterministic_responses(input_sizes, output_sizes):
-        cells = [0]
-        for response, d, stride in zip(strategy, output_sizes, cell_strides):
-            cells = [c + stride * (x * d + a) for c in cells for x, a in enumerate(response)]
         column = [0] * n_rows + [1]
-        for c in cells:
+        for c in _strategy_cells(strategy, output_sizes, cell_strides):
             if cell_row[c] >= 0:
                 column[cell_row[c]] += 1
         label.append(classes.setdefault(tuple(column), len(classes)))
@@ -415,46 +400,41 @@ def is_local(box: Box, cap: int = DEFAULT_STRATEGY_CAP) -> LocalityVerdict:
         for strategy, k in zip(deterministic_responses(input_sizes, output_sizes), label):
             if result.solution[k]:
                 weights[strategy] = Fraction(result.solution[k], sizes[k])
-        rebuilt = expand_weights(box, weights)
-        if rebuilt != box:
+        # the mixture's cells, in integers over the weights' common denominator
+        den = lcm(*(w.denominator for w in weights.values()))
+        mixture = [0] * len(values)
+        for strategy, w in weights.items():
+            for c in _strategy_cells(strategy, output_sizes, cell_strides):
+                mixture[c] += w.numerator * (den // w.denominator)
+        if mixture != [p * den for p in values]:
             raise VerificationFailed("local decomposition failed exact re-expansion")
         return LocalityVerdict(local=True, weights=weights)
 
-    # the Farkas vector as a functional on cells (constant term y[-1]),
-    # mapped onto the marginal coordinates
+    # the Farkas vector as a functional on cells, in integers over its
+    # common denominator: y[row] on each cell of a kept orbit, y[-1] the constant
     y = result.farkas
+    den = lcm(*(v.denominator for v in y))
+    y = [v.numerator * (den // v.denominator) for v in y]
+    cell_weight = [y[r] if r >= 0 else 0 for r in cell_row]
+    box_value = sum((w * p for w, p in zip(cell_weight, values) if w), Fraction(y[-1]))
+    best = y[-1] + max(
+        sum(cell_weight[c] for c in _strategy_cells(strategy, output_sizes, cell_strides))
+        for strategy in deterministic_responses(input_sizes, output_sizes)
+    )
+    if not box_value > 0 >= best:
+        raise VerificationFailed("separating witness failed exact verification")
+
+    # the witness in marginal coordinates, which agree with the cells on
+    # every nonsignaling box
     coords = marginal_coordinates(input_sizes, output_sizes)
-    coefficients = [Fraction(0)] * len(coords)
+    coefficients = [0] * len(coords)
     constant = y[-1]
     for (x, a), (offset, terms) in cell_expressions(input_sizes, output_sizes, coords):
-        r = cell_row[_cell_index(x, a, output_sizes, cell_strides)]
-        weight = y[r] if r >= 0 else 0
+        weight = cell_weight[_cell_index(x, a, output_sizes, cell_strides)]
         if weight:
             constant += weight * offset
             for k, coef in terms:
                 coefficients[k] += weight * coef
-
-    box_value = sum(coef * v for coef, v in zip(coefficients, marginal_point(box, coords))) + constant
-    # a strategy's value: the constant plus the coefficients of the
-    # coordinates it meets, summed in integers over their common denominator
-    den = lcm(constant.denominator, *(coef.denominator for coef in coefficients))
-    groups: dict = {}  # (subset, subset inputs) -> {subset outputs: den * coefficient}
-    for coef, (subset, x_s, a_s) in zip(coefficients, coords):
-        if coef:
-            groups.setdefault((subset, x_s), {})[a_s] = coef.numerator * (den // coef.denominator)
-    best = Fraction(
-        max(
-            sum(
-                table.get(tuple(strategy[p][x] for p, x in zip(subset, x_s)), 0)
-                for (subset, x_s), table in groups.items()
-            )
-            for strategy in deterministic_responses(input_sizes, output_sizes)
-        )
-        + constant.numerator * (den // constant.denominator),
-        den,
-    )
-    if not box_value > 0 >= best:
-        raise VerificationFailed("separating witness failed exact verification")
     return LocalityVerdict(
         local=False,
         witness={

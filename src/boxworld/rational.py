@@ -17,7 +17,10 @@ def format_rational(q) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "num/den" (or a bare integer string) into a Fraction."""
+    """Parse "num/den" (or a bare integer string, or an int) into a
+    Fraction; a bool raises DimensionMismatch rather than reading as 0 or 1."""
+    if type(text) is bool:
+        raise DimensionMismatch(f"expected an integer or a \"num/den\" string, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     s = str(text).strip()

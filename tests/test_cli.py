@@ -784,11 +784,14 @@ _ENVELOPE = {"type": "compiled", "circuit": _ONE_TWO_CIRCUIT, "parties": 2, "par
         (["simulate", "--exact", "--x", "1,1"], json.dumps({**_ENVELOPE, "parties": "2"})),
         (["simulate", "--exact", "--x", "1,1"], json.dumps({**_ENVELOPE, "party_bit_map": [[1], [2]]})),
         (["simulate", "--exact", "--x", "1,1"], json.dumps({**_ENVELOPE, "party_bit_map": ["1", ["2"]]})),
+        (["box", "check"], _one_party_box([1], [0]).replace('"p": "1/1"', '"p": true')),
+        (["simulate", "--exact", "--x", "0,0"], _table_protocol(randomness={"support": [0], "weights": [True]})),
     ],
     ids=[
         "box parties", "box size", "box x string", "box x bool", "box a bool", "n_vars", "bit bool", "bit string",
         "constant bool", "protocol parties", "protocol size", "support", "owner bool", "strategy party",
-        "move strings", "output bool", "envelope parties", "bit-map ints", "bit-map group string",
+        "move strings", "output bool", "envelope parties", "bit-map ints", "bit-map group string", "p bool",
+        "weight bool",
     ],
 )
 def test_json_number_fields_refuse_strings_and_booleans(args, stdin):

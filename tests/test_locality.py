@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,21 +9,28 @@ from boxworld import locality
 from boxworld.boxes import marginal_point
 from boxworld.cluster import cluster_box
 from boxworld.errors import TooLarge
-from boxworld.locality import all_deterministic_boxes, expand_weights, is_local
+from boxworld.locality import all_deterministic_boxes, is_local
+
+
+def _mixture(box, weights):
+    """The mixture of the weighted strategies' deterministic boxes."""
+    return bw.mix_boxes(
+        [(w, bw.deterministic_box(box.input_sizes, box.output_sizes, responses)) for responses, w in weights.items()]
+    )
 
 
 def test_uniform_noise_local_with_exact_reexpansion():
     box = bw.uniform_box((2, 2), (2, 2))
     verdict = is_local(box)
     assert verdict.local
-    assert expand_weights(box, verdict.weights) == box
+    assert _mixture(box, verdict.weights) == box
 
 
 def test_every_deterministic_box_local():
     for box in all_deterministic_boxes((2, 2), (2, 2)):
         verdict = is_local(box)
         assert verdict.local
-        assert expand_weights(box, verdict.weights) == box
+        assert _mixture(box, verdict.weights) == box
 
 
 def test_pr_nonlocal_with_verified_witness():
@@ -53,7 +61,7 @@ def test_three_party_affine_parity_box_local():
     box = bw.full_correlation_box(3, 1, lambda b: b[0] ^ b[1] ^ b[2])
     verdict = is_local(box)
     assert verdict.local
-    assert expand_weights(box, verdict.weights) == box
+    assert _mixture(box, verdict.weights) == box
 
 
 def test_signaling_box_nonlocal_with_signaling_witness():
@@ -83,7 +91,7 @@ def test_four_party_majority_parity_box_with_noise_local():
     box = _census_four_party_box()
     verdict = is_local(box)
     assert verdict.local
-    assert expand_weights(box, verdict.weights) == box
+    assert _mixture(box, verdict.weights) == box
 
 
 def _cell_action(box, rel):
@@ -154,8 +162,12 @@ def test_cluster_box_group():
     assert len(_group([_cell_action(box, rel) for rel, _ in generators])) >= 320
 
 
-def test_witness_is_scaled_to_value_one_and_checked_on_every_strategy():
-    box = bw.full_correlation_box(3, 1, lambda b: (b[0] & b[1]) ^ b[2])
+@pytest.mark.parametrize(
+    "box", [bw.full_correlation_box(3, 1, lambda b: (b[0] & b[1]) ^ b[2]), cluster_box()], ids=["3-party", "cluster"]
+)
+def test_witness_is_scaled_to_value_one_and_checked_on_every_strategy(box):
+    # is_local checks its witness on cells; this checks the returned
+    # marginal-coordinate form on the box and on every deterministic box
     w = is_local(box).witness
     assert w["kind"] == "linear" and w["box_value"] == 1
     coords = w["coordinates"]
@@ -164,7 +176,21 @@ def test_witness_is_scaled_to_value_one_and_checked_on_every_strategy():
         return sum(c * v for c, v in zip(w["coefficients"], marginal_point(b, coords))) + w["constant"]
 
     assert value(box) == 1
-    assert max(value(d) for d in all_deterministic_boxes((2, 2, 2), (2, 2, 2))) == w["local_max"] <= 0
+    assert max(value(d) for d in all_deterministic_boxes(box.input_sizes, box.output_sizes)) == w["local_max"] <= 0
+
+
+def test_cluster_box_mixed_with_three_deterministic_boxes_has_the_trivial_group_and_is_nonlocal():
+    rng = random.Random(1)
+    shape = ((2,) * 5, (2,) * 5)
+    dets = [
+        bw.deterministic_box(*shape, [tuple(rng.randrange(2) for _ in range(2)) for _ in range(5)]) for _ in range(3)
+    ]
+    weights = [Fraction(7, 10), Fraction(1, 10), Fraction(3, 20), Fraction(1, 20)]
+    box = bw.mix_boxes(list(zip(weights, [cluster_box()] + dets)))
+    assert locality._symmetries(box) == []
+    verdict = is_local(box)
+    assert not verdict.local
+    assert verdict.witness["kind"] == "linear"
 
 
 def test_boxes_with_more_than_two_outputs_get_the_trivial_group():
@@ -172,4 +198,4 @@ def test_boxes_with_more_than_two_outputs_get_the_trivial_group():
     assert locality._symmetries(box) == []
     verdict = is_local(box)
     assert verdict.local
-    assert expand_weights(box, verdict.weights) == box
+    assert _mixture(box, verdict.weights) == box

@@ -374,7 +374,7 @@ def test_shared_pr_template_is_read_only():
 
 def test_checks_survive_python_O():
     # the exact checks raise VerificationFailed, which -O cannot strip: one
-    # in the executor, one in the locality LP's re-expansion
+    # in the executor, one in each of the locality LP's two certificate checks
     script = """
 import dataclasses, sys
 from fractions import Fraction
@@ -396,6 +396,12 @@ try:
     bw.is_local(bw.mix_boxes([(Fraction(1, 4), bw.pr_box()), (Fraction(3, 4), bw.uniform_box((2, 2), (2, 2)))]))
 except bw.VerificationFailed as err:
     print(sys.flags.optimize, err)
+# a Farkas vector that is only the constant 1: value 1 on every strategy
+locality.solve_equality_feasibility = lambda A, b: FeasibilityResult(False, farkas=[0] * (len(A) - 1) + [1])
+try:
+    bw.is_local(bw.pr_box())
+except bw.VerificationFailed as err:
+    print(sys.flags.optimize, err)
 """
     src = os.path.dirname(os.path.dirname(bw.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -406,6 +412,7 @@ except bw.VerificationFailed as err:
     assert proc.stdout == (
         "1 branch weights sum to 1/2, not 1\n"
         "1 local decomposition failed exact re-expansion\n"
+        "1 separating witness failed exact verification\n"
     )
 
 
