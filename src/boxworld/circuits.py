@@ -167,14 +167,33 @@ def circuit_function(circuit: NandCircuit, n_vars: Optional[int] = None) -> Call
     return func
 
 
+def _live_gates(circuit: NandCircuit) -> tuple[list[bool], set[str]]:
+    """One backward pass from the output: (flags, leaves), where flags[i]
+    tells whether gate g<i> is reachable and `leaves` names the reachable
+    input and constant leaves.  A gate's operands always come before it,
+    and leaf names are never gate ids, so every other operand is "g<k>"."""
+    leaf_names = {b.name for b in circuit.inputs} | {c.name for c in circuit.constants}
+    gates = circuit.gates
+    flags = [False] * len(gates)
+    leaves = set()
+    if circuit.output in leaf_names:
+        leaves.add(circuit.output)
+    else:
+        flags[int(circuit.output[1:])] = True
+    for i in range(len(gates) - 1, -1, -1):
+        if flags[i]:
+            for name in gates[i]:
+                if name in leaf_names:
+                    leaves.add(name)
+                else:
+                    flags[int(name[1:])] = True
+    return flags, leaves
+
+
 def live_nodes(circuit: NandCircuit) -> set[str]:
-    """Names of all nodes reachable from the output, in one backward pass:
-    a gate's operands always come before it."""
-    live = {circuit.output}
-    for i in range(len(circuit.gates) - 1, -1, -1):
-        if f"g{i}" in live:
-            live.update(circuit.gates[i])
-    return live
+    """Names of all nodes reachable from the output, in one backward pass."""
+    flags, leaves = _live_gates(circuit)
+    return leaves | {f"g{i}" for i, live in enumerate(flags) if live}
 
 
 def prune(circuit: NandCircuit) -> NandCircuit:
@@ -184,16 +203,15 @@ def prune(circuit: NandCircuit) -> NandCircuit:
     gates and dead constants are removed and gates are renumbered.  A
     circuit with nothing dead is returned as it is.
     """
-    live = live_nodes(circuit)
-    constants = tuple(c for c in circuit.constants if c.name in live)
-    if len(constants) == len(circuit.constants) and all(f"g{i}" in live for i in range(len(circuit.gates))):
+    flags, leaves = _live_gates(circuit)
+    constants = tuple(c for c in circuit.constants if c.name in leaves)
+    if len(constants) == len(circuit.constants) and all(flags):
         return circuit
     rename = {}
     new_gates = []
     for i, (left, right) in enumerate(circuit.gates):
-        name = f"g{i}"
-        if name in live:
-            rename[name] = f"g{len(new_gates)}"
+        if flags[i]:
+            rename[f"g{i}"] = f"g{len(new_gates)}"
             new_gates.append((rename.get(left, left), rename.get(right, right)))
     return NandCircuit(
         inputs=circuit.inputs,
@@ -205,7 +223,7 @@ def prune(circuit: NandCircuit) -> NandCircuit:
 
 def gate_count(circuit: NandCircuit) -> int:
     """Number of NAND gates reachable from the output."""
-    return sum(1 for name in live_nodes(circuit) if _is_gate_id(name))
+    return sum(_live_gates(circuit)[0])
 
 
 def run_window(run: int, lo: int, length: int) -> int:

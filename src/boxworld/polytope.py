@@ -45,7 +45,7 @@ from .exactlp import exact_rank, solve_equality_feasibility, solve_linear_system
 
 DEFAULT_DIMENSION_CAP = 15  # covers 3 inputs x 2 outputs per party
 # is_vertex and classify_vertex take exact ranks and never enumerate, so the
-# H-representation they build may reach five binary parties (about 2 s)
+# H-representation they build may reach five binary parties (about 0.1 s)
 RANK_CHECK_DIMENSION_CAP = 3 ** 5 - 1
 
 
@@ -109,7 +109,8 @@ class HRepresentation:
           party's outputs at every input of the party, else
           VerificationFailed.
 
-        Only then is the box built, one Fraction(v, s) per nonzero cell.
+        Only then is the box built, with one Fraction(v, s) for each
+        distinct nonzero value, shared by the cells that hold it.
         """
         if min(values) < 0 or max(values) > s:
             cell, v = next((cell, v) for cell, v in zip(self.cells, values) if not 0 <= v <= s)
@@ -128,7 +129,8 @@ class HRepresentation:
                         f"box signals: party {i}'s input 0 vs {x_i} moves the others'"
                         f" outputs {a[:i] + a[i + 1:]} at their inputs {x[:i] + x[i + 1:]}"
                     )
-        table = {cell: Fraction(v, s) for cell, v in zip(self.cells, values) if v}
+        fraction = {v: Fraction(v, s) for v in set(values) if v}
+        table = {cell: fraction[v] for cell, v in zip(self.cells, values) if v}
         return Box(len(self.input_sizes), self.input_sizes, self.output_sizes, table)
 
     def box_from_point(self, t: Sequence[Fraction]) -> Box:
@@ -253,7 +255,7 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
     the integers, that every value is at most s (NegativeProbability),
     that each joint input's values sum to s (NotNormalized) and that
     every no-signaling sum agrees (VerificationFailed, "signals"); only
-    then is the box built, one Fraction per nonzero cell.
+    then is the box built, one Fraction per distinct nonzero value.
     """
     rows = _inequality_rows(h_rep)
     dim = h_rep.dimension + 1  # homogenized
@@ -394,24 +396,28 @@ def _impossible_output(box: Box):
     """The first (party, input, output) that never occurs, or None.
 
     Each party's marginal is read with the other parties at input 0; one
-    completion suffices because the box is nonsignaling."""
+    completion suffices because the box is nonsignaling.  The table is
+    read once; all triples are scanned, in order, only when fewer were
+    seen than there are."""
+    n = box.n_parties
     seen = set()
-    others_at_zero = box.n_parties - 1
     for x, a in box.table:
         # all inputs at 0 complete every party's marginal; one nonzero
         # input completes only its own party's
-        if x.count(0) >= others_at_zero:
-            parties = [p for p, x_p in enumerate(x) if x_p] or range(box.n_parties)
-            seen.update((p, x[p], a[p]) for p in parties)
+        zeros = x.count(0)
+        if zeros == n:
+            seen.update(zip(range(n), x, a))
+        elif zeros == n - 1:
+            p = x.index(max(x))
+            seen.add((p, x[p], a[p]))
+    if len(seen) == sum(map(mul, box.input_sizes, box.output_sizes)):
+        return None
     return next(
-        (
-            (p, x_p, a_p)
-            for p in range(box.n_parties)
-            for x_p in range(box.input_sizes[p])
-            for a_p in range(box.output_sizes[p])
-            if (p, x_p, a_p) not in seen
-        ),
-        None,
+        (p, x_p, a_p)
+        for p in range(n)
+        for x_p in range(box.input_sizes[p])
+        for a_p in range(box.output_sizes[p])
+        if (p, x_p, a_p) not in seen
     )
 
 
@@ -420,25 +426,24 @@ def parity_form_of(box: Box):
     weight 1/2^(n-1) on exactly the output tuples of one total parity per
     input - return {x: parity}; otherwise None.
 
-    Works for any party count.
+    Works for any party count.  The table is read once: every entry must
+    be 1/2^(n-1), compared as numerator and denominator, with the parity
+    of its input's first entry.  An input has at most 2^(n-1) output
+    tuples of one parity, so 2^(n-1) entries for each input leave none
+    missing.
     """
     n = box.n_parties
     if box.output_sizes != (2,) * n:
         return None
-    weight = Fraction(1, 2 ** (n - 1))
-    support = {}  # x -> [(a, p), ...] over the nonzero cells, in one pass
-    for (x, a), p in box.table.items():
-        support.setdefault(x, []).append((a, p))
+    half = 2 ** (n - 1)
     g = {}
-    for x in box.inputs():
-        row = support.get(x, ())
-        if len(row) != 2 ** (n - 1):
+    for (x, a), p in box.table.items():
+        parity = sum(a) % 2
+        if p.numerator != 1 or p.denominator != half or g.setdefault(x, parity) != parity:
             return None
-        parity = sum(row[0][0]) % 2
-        if any(p != weight or sum(a) % 2 != parity for a, p in row):
-            return None
-        g[x] = parity
-    return g
+    if len(g) != prod(box.input_sizes) or len(box.table) != len(g) * half:
+        return None
+    return {x: g[x] for x in box.inputs()}
 
 
 def classify_vertex(box: Box, h_rep: Optional[HRepresentation] = None, check: bool = True) -> VertexReport:

@@ -20,6 +20,7 @@ from boxworld.errors import (
     TooLarge,
     WrongShape,
 )
+from boxworld.rational import format_rational, parse_rational
 
 HALF = Fraction(1, 2)
 
@@ -466,6 +467,12 @@ try:
         assert back == box
         assert back.to_json_dict() == document
         assert all(back.prob(x, a) == p for (x, a), p in table.items())
+
+    @given(st.integers(-(2 ** 70), 2 ** 70), st.integers(1, 2 ** 70))
+    @settings(max_examples=200, deadline=None)
+    def test_every_formatted_rational_parses(num, den):
+        q = Fraction(num, den)
+        assert parse_rational(format_rational(q)) == q
 
 except ImportError:  # pragma: no cover
     pass

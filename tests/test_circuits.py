@@ -16,6 +16,7 @@ from boxworld.circuits import (
     eval_circuit,
     format_netlist,
     gate_count,
+    live_nodes,
     parse_netlist,
     prune,
     synthesize_nand,
@@ -105,6 +106,40 @@ def test_truth_table_equals_per_assignment_eval():
         rows = [tuple((idx >> v) & 1 for v in range(n)) for idx in range(2 ** n)]
         assert truth_table(circuit).bits == tuple(eval_circuit(circuit, bits) for bits in rows)
         assert truth_table(prune(circuit)) == truth_table(circuit)
+
+
+def _live_names(circuit):
+    """Reference: the names reachable from the output, walked by name."""
+    live = {circuit.output}
+    for i in range(len(circuit.gates) - 1, -1, -1):
+        if f"g{i}" in live:
+            live.update(circuit.gates[i])
+    return live
+
+
+def test_live_gates_marked_by_index_match_the_walk_by_name():
+    # leaves named "g" and "gate" look like gates to a prefix test only
+    rng = random.Random(29)
+    for _ in range(300):
+        inputs = tuple(InputBit(name) for name in rng.sample(("x", "g", "gate", "y1"), rng.randint(1, 4)))
+        constants = tuple(Constant(f"k{i}", rng.randrange(2)) for i in range(rng.randrange(3)))
+        nodes = [b.name for b in inputs] + [c.name for c in constants]
+        gates = []
+        for g in range(rng.randrange(0, 12)):
+            gates.append((rng.choice(nodes), rng.choice(nodes)))
+            nodes.append(f"g{g}")
+        circuit = NandCircuit(inputs, tuple(gates), rng.choice(nodes), constants)
+        live = _live_names(circuit)
+        assert live_nodes(circuit) == live
+        live_gates = [i for i in range(len(gates)) if f"g{i}" in live]
+        assert gate_count(circuit) == len(live_gates)
+        pruned = prune(circuit)
+        if len(live_gates) == len(gates) and all(c.name in live for c in constants):
+            assert pruned is circuit
+        else:
+            assert len(pruned.gates) == len(live_gates)
+            assert pruned.constants == tuple(c for c in constants if c.name in live)
+            assert truth_table(pruned) == truth_table(circuit)
 
 
 def test_prune_keeps_a_circuit_with_nothing_dead():

@@ -801,6 +801,16 @@ def test_json_number_fields_refuse_strings_and_booleans(args, stdin):
     assert err.startswith("error: ") and ("integer" in err or "strings" in err)
 
 
+@pytest.mark.parametrize("p", ["1_0/10", " 1/1 ", "1/ 1", "+1", "\uff11", "1/1\n"])
+def test_probability_strings_are_plain_num_den(p):
+    # int() takes blanks, a sign, digit underscores and non-ASCII digits;
+    # a probability string takes none of them
+    stdin = _one_party_box([1], [0]).replace('"p": "1/1"', f'"p": {json.dumps(p)}')
+    code, out, err = _main_in_process(["box", "check"], stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "num/den" in err
+
+
 def test_booleans_in_json_input_stay_accepted(tmp_path):
     # compile --verify-target's envelope says "verified": true and feeds the
     # exact commands unchanged

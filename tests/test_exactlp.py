@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -13,6 +14,7 @@ from boxworld.cluster import cluster_box
 from boxworld.exactlp import (
     FeasibilityResult,
     _integerize,
+    _rank_mod3,
     exact_rank,
     solve_equality_feasibility,
     solve_linear_system,
@@ -181,6 +183,66 @@ def test_exact_rank_mixed_entry_types_match_numpy():
 
 def test_exact_rank_fractions():
     assert exact_rank([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]]) == 1
+
+
+def _rank_by_gauss_jordan(rows) -> int:
+    """Reference: Gauss-Jordan elimination over Fraction, counting pivots."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = [v / mat[rank][col] for v in mat[rank]]
+        mat[rank] = prow
+        for i, row in enumerate(mat):
+            if i != rank and row[col]:
+                mat[i] = [a - row[col] * b for a, b in zip(row, prow)]
+        rank += 1
+    return rank
+
+
+def _rank_mod3_by_definition(rows) -> int:
+    """Reference: Gauss-Jordan elimination over GF(3) on integer rows."""
+    mat = [[v % 3 for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = [v * mat[rank][col] % 3 for v in mat[rank]]  # 1/c = c mod 3
+        mat[rank] = prow
+        for i, row in enumerate(mat):
+            if i != rank and row[col]:
+                mat[i] = [(a - row[col] * b) % 3 for a, b in zip(row, prow)]
+        rank += 1
+    return rank
+
+
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators, as exact_rank scales it."""
+    return [[int(v * lcm(*(Fraction(u).denominator for u in row))) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [([[3]], 1), ([[1, 1], [1, -2]], 2), ([[3, 0], [0, 1]], 2), ([[Fraction(1, 3), 0], [0, 3]], 2)],
+)
+def test_exact_rank_of_matrices_singular_mod_three(rows, rank):
+    # a minor divisible by 3 vanishes mod 3 but not over Q: the GF(3) pass
+    # cannot certify these, and the exact elimination decides
+    assert exact_rank(rows) == rank == _rank_by_gauss_jordan(rows)
+    assert _rank_mod3(_integer_rows(rows), rank) < rank
+
+
+def test_rank_mod_three_on_every_small_matrix():
+    # every pair of residues meets in some column, so every case of the
+    # masks' addition rule is taken
+    for m in (2, 3):
+        for rows in itertools.product(itertools.product((-1, 0, 1), repeat=2), repeat=m):
+            assert _rank_mod3(rows, 2) == _rank_mod3_by_definition(rows), rows
 
 
 def test_solve_linear_system():
@@ -514,3 +576,43 @@ def test_no_column_means_no_pivot():
     assert solve_equality_feasibility([[], []], [0, 0]) == FeasibilityResult(True, solution=[])
     result = solve_equality_feasibility([[], []], [0, Fraction(-1, 2)])
     assert result == FeasibilityResult(False, farkas=[1, -2]) == _full_tableau_feasibility([[], []], [0, Fraction(-1, 2)])[0]
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    _ENTRIES = st.sampled_from((-1, 0, 1, 3)) | st.integers(-9, 9)
+
+    @st.composite
+    def _matrices(draw):
+        """Int or Fraction matrices with entries biased to {-1, 0, 1, 3}:
+        empty, zero, wide and tall ones, and rows that are combinations of
+        fewer rows, with coefficients that are often multiples of 3."""
+        m = draw(st.integers(0, 7))
+        n = draw(st.integers(0, 7))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, max(m - 1, 0)))
+            base = [[draw(_ENTRIES) for _ in range(n)] for _ in range(k)]
+            rows = []
+            for _ in range(m):
+                coefs = [draw(_ENTRIES) for _ in base]
+                rows.append([sum(c * row[j] for c, row in zip(coefs, base)) for j in range(n)])
+        else:
+            rows = [[draw(_ENTRIES) for _ in range(n)] for _ in range(m)]
+        if draw(st.booleans()):
+            dens = st.sampled_from((1, 2, 3, 6, 9))
+            rows = [[Fraction(v, draw(dens)) for v in row] for row in rows]
+        return rows
+
+    @given(_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_exact_rank_matches_gauss_jordan(rows):
+        rank = _rank_by_gauss_jordan(rows)
+        assert exact_rank(rows) == rank
+        full = min(len(rows), len(rows[0])) if rows else 0
+        ints = _integer_rows(rows)
+        assert _rank_mod3(ints, full) == min(full, _rank_mod3_by_definition(ints))
+
+except ImportError:  # pragma: no cover
+    pass

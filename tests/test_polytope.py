@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -20,6 +22,7 @@ from boxworld.exactlp import exact_rank, solve_linear_system
 from boxworld.locality import all_deterministic_boxes
 from boxworld.polytope import (
     _gcd_reduce,
+    _impossible_output,
     _inequality_rows,
     _initial_basis,
     _verified_vertex,
@@ -28,6 +31,7 @@ from boxworld.polytope import (
     decompose,
     enumerate_vertices,
     is_vertex,
+    parity_form_of,
 )
 from boxworld.wiring import (
     STOP,
@@ -589,6 +593,166 @@ class TestDecompose:
         with pytest.raises(Infeasible) as err:
             decompose(box, vertices)
         assert err.value.certificate is not None
+
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _report_key(report):
+    reduction = None if report.reduction is None else sorted(report.reduction.items())
+    return (report.classification, report.f_table, report.relabeling, reduction)
+
+
+# (inputs, outputs, dimension cap, vertex count, SHA-256 of the vertices'
+# tables in order, SHA-256 of their classification reports in order)
+CENSUS_PINS = [
+    ((2, 2), (2, 2), 15, 24,
+     "57da48f541d9dd0eecbde9a5448456057898f1564c3737f5421da56e6a9ee995",
+     "40a975d8ec0383ff7d3b8e355cb2a8abfea6628f997b92c677c4d9fe7dd83c9a"),
+    ((3, 3), (2, 2), 15, 1408,
+     "b6eb933c8add55153dcda72d6f6278a199e0122e9259011d9157bd96b5f655c0",
+     "a2bf5dbd0cef96838fc71a179aecbd02b1a75cd13ccf23d427b0b4c0810cac63"),
+    ((2, 2), (3, 3), 30, 1161,
+     "24a2bfc7c06224b2a3b7abb611c49fa475842a6d9473aad5ea916a2717030f35",
+     "2096915ccd604c6fccb3d2b6b386481cbfb27d9b91d80a4a50dc5b337f38bcca"),
+]
+
+
+@pytest.mark.parametrize(
+    "input_sizes, output_sizes, cap, count, vertices_digest, reports_digest",
+    CENSUS_PINS,
+    ids=[f"{pin[0]}-{pin[1]}".replace(" ", "") for pin in CENSUS_PINS],
+)
+def test_census_and_its_classification_are_pinned(input_sizes, output_sizes, cap, count, vertices_digest, reports_digest):
+    h = build_h_rep(input_sizes, output_sizes, dimension_cap=cap)
+    vertices = enumerate_vertices(h)
+    assert len(vertices) == count
+    assert _digest([tuple(v.table.items()) for v in vertices]) == vertices_digest
+    assert _digest([_report_key(classify_vertex(v, h, check=False)) for v in vertices]) == reports_digest
+
+
+PARITY_BOX_PINS = {
+    (3, "and"): "7f327975f4ee22ce784a33c70a4c6942fc3b68de985e3ccb651b5ef6d75e0605",
+    (3, "majority"): "a2f7612399d176ab50ab55d2fd626a8f1df7715f0c2ca3c4ed59f98f6089d9b4",
+    (4, "and"): "aaff823119653ae9d67a681d146a8e78defb79143ce236ce41c20cc565c68fcf",
+    (4, "majority"): "81f732eedb262e5ad552c5a76849d40a274b671adde0ceb9605a3deeced8ec36",
+    (5, "and"): "b4b7ded8a63cecbd365a73c4cb95560a9b3f0d6b53911a070e84974a8c5e623c",
+    (5, "majority"): "de82f306ded26e1fffe06652a4ac739737f45af3c6d4beab29e37c073c366bf1",
+}
+PARITY_FUNCTIONS = {"and": lambda x: int(all(x)), "majority": lambda x: int(2 * sum(x) > len(x))}
+
+
+@pytest.mark.parametrize("n, name", list(PARITY_BOX_PINS), ids=[f"{n}-{name}" for n, name in PARITY_BOX_PINS])
+def test_parity_box_classification_is_pinned(n, name):
+    # checked as a vertex first, on the polytope classify_vertex builds
+    report = classify_vertex(bw.parity_box((2,) * n, PARITY_FUNCTIONS[name]))
+    assert report.classification == "full-correlation"
+    assert _digest(_report_key(report)) == PARITY_BOX_PINS[(n, name)]
+
+
+def _impossible_output_by_definition(box):
+    """Reference: the first (party, input, output), in that order, that has
+    probability 0 with the other parties at input 0."""
+    n = box.n_parties
+    for p in range(n):
+        for x_p in range(box.input_sizes[p]):
+            x = tuple(x_p if q == p else 0 for q in range(n))
+            for a_p in range(box.output_sizes[p]):
+                if all(box.prob(x, a) == 0 for a in box.outputs() if a[p] == a_p):
+                    return (p, x_p, a_p)
+    return None
+
+
+def _parity_form_by_definition(box):
+    """Reference: {x: parity} when every input's row is 1/2^(n-1) on the
+    output tuples of one parity and 0 on the others, in input order."""
+    n = box.n_parties
+    if box.output_sizes != (2,) * n:
+        return None
+    weight = Fraction(1, 2 ** (n - 1))
+    g = {}
+    for x in box.inputs():
+        for parity in (0, 1):
+            if all(box.prob(x, a) == (weight if sum(a) % 2 == parity else 0) for a in box.outputs()):
+                g[x] = parity
+                break
+        else:
+            return None
+    return g
+
+
+def _seeded_boxes(seed):
+    """Boxes of 1-4 parties, signaling or not: random rows with zeros,
+    parity rows, and parity rows with one entry of the other parity, all
+    with binary outputs or with some of size 3; plus parity and
+    deterministic boxes, their mixtures, parity boxes with their table in
+    reverse order, and unnormalized parity tables."""
+    rng = random.Random(seed)
+    boxes = []
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        input_sizes = tuple(rng.randint(1, 3) for _ in range(n))
+        output_sizes = (2,) * n if rng.random() < 0.7 else tuple(rng.randint(1, 3) for _ in range(n))
+        outputs = list(itertools.product(*(range(d) for d in output_sizes)))
+        table = {}
+        for x in itertools.product(*(range(m) for m in input_sizes)):
+            kind = rng.choice(("random", "parity", "parity", "mixed parity"))
+            if kind == "random" or output_sizes != (2,) * n:
+                weights = [rng.choice((0, 0, 0, 1, 2)) for _ in outputs]
+                weights[rng.randrange(len(outputs))] += 1
+            else:
+                parity = rng.randrange(2)
+                weights = [int(sum(a) % 2 == parity) for a in outputs]
+                if kind == "mixed parity" and n > 1:
+                    # as many entries, but one of them of the other parity
+                    i = weights.index(1)
+                    j = next(k for k, a in enumerate(outputs) if weights[k] == 0 and a[0] != outputs[i][0])
+                    weights[i], weights[j] = 0, 1
+            total = sum(weights)
+            table.update({(x, a): Fraction(w, total) for a, w in zip(outputs, weights) if w})
+        boxes.append(bw.make_box(n, input_sizes, output_sizes, table, sparse=True))
+    for _ in range(40):
+        n = rng.randint(2, 3)
+        sizes = tuple(rng.randint(1, 3) for _ in range(n))
+        bits = {x: rng.randrange(2) for x in itertools.product(*(range(m) for m in sizes))}
+        parity = bw.parity_box(sizes, bits.__getitem__)
+        responses = [[rng.randrange(2) for _ in range(m)] for m in sizes]
+        deterministic = bw.deterministic_box(sizes, (2,) * n, responses)
+        w = Fraction(rng.randint(1, 3), 4)
+        boxes += [parity, deterministic, bw.mix_boxes([(w, parity), (1 - w, deterministic)])]
+        entries = list(parity.table.items())
+        boxes.append(bw.make_box(n, sizes, (2,) * n, dict(entries[::-1]), sparse=True))
+        # a Box built directly need not be normalized: one parity entry
+        # short, one input without entries, one entry three times too large
+        first_x = entries[0][0][0]
+        tripled = dict(entries)
+        tripled[entries[0][0]] *= 3
+        for table in (dict(entries[1:]), {k: p for k, p in entries if k[0] != first_x}, tripled):
+            boxes.append(bw.Box(n, sizes, (2,) * n, table))
+    return boxes
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_pass_table_reads_match_their_definitions(seed):
+    boxes = _seeded_boxes(seed)
+    parity_forms = 0
+    for box in boxes:
+        assert _impossible_output(box) == _impossible_output_by_definition(box), box
+        g = parity_form_of(box)
+        reference = _parity_form_by_definition(box)
+        assert g == reference, box
+        if g is not None:
+            assert list(g.items()) == list(reference.items())
+            parity_forms += 1
+    # both answers occur often enough to mean something
+    assert 40 <= parity_forms <= len(boxes) - 40
+    assert sum(_impossible_output(box) is None for box in boxes) >= 40
+    h = build_h_rep((3, 3), (2, 2))
+    for vertex in enumerate_vertices(h)[::7]:
+        assert _impossible_output(vertex) == _impossible_output_by_definition(vertex)
+        assert parity_form_of(vertex) == _parity_form_by_definition(vertex)
 
 
 @pytest.mark.slow
