@@ -190,12 +190,6 @@ def _live_gates(circuit: NandCircuit) -> tuple[list[bool], set[str]]:
     return flags, leaves
 
 
-def live_nodes(circuit: NandCircuit) -> set[str]:
-    """Names of all nodes reachable from the output, in one backward pass."""
-    flags, leaves = _live_gates(circuit)
-    return leaves | {f"g{i}" for i, live in enumerate(flags) if live}
-
-
 def prune(circuit: NandCircuit) -> NandCircuit:
     """Drop the gates and constants not reachable from the output; keep all inputs.
 

@@ -1,5 +1,6 @@
 """Exact rational linear feasibility via a revised phase-1 simplex, and
-exact ranks.
+exact ranks.  No general linear solver is kept: the one module that needed
+an inverse, `polytope`, reads it off in closed form.
 
 Solves: does z >= 0 with A z = b exist?  Returns either a rational
 solution or a Farkas certificate y with y.A <= 0 (componentwise) and
@@ -357,35 +358,3 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
             break
     return rank
 
-
-def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
-    """One exact solution of A z = b (no sign constraint), or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    mat = [[Fraction(v) for v in A[i]] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(rank, m):
-            if mat[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for i in range(m):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [mat[i][j] - f * mat[rank][j] for j in range(n + 1)]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, m):
-        if mat[i][n] != 0:
-            return None
-    solution = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        solution[col] = mat[r][n]
-    return solution

@@ -9,13 +9,15 @@ each party's last output dropped, `boxes.marginal_coordinates`), in
 which the only remaining constraints are the nonnegativity of every
 table cell.  Vertex enumeration runs the classical double description
 method on the homogenization of that parametrized polytope, with exact
-integer ray arithmetic throughout.
+integer ray arithmetic throughout; no linear system is solved, and the
+only elimination is one exact rank per vertex, for extremality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
@@ -28,8 +30,6 @@ from .boxes import (
     check_no_signaling,
     marginal_coordinates,
     marginal_point,
-    pr_box,
-    relabel,
 )
 from .errors import (
     DimensionMismatch,
@@ -41,7 +41,7 @@ from .errors import (
     TooLarge,
     VerificationFailed,
 )
-from .exactlp import exact_rank, solve_equality_feasibility, solve_linear_system
+from .exactlp import exact_rank, solve_equality_feasibility
 
 DEFAULT_DIMENSION_CAP = 15  # covers 3 inputs x 2 outputs per party
 # is_vertex and classify_vertex take exact ranks and never enumerate, so the
@@ -201,42 +201,58 @@ def _gcd_reduce(vec: list[int]) -> tuple[int, ...]:
     return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
-def _initial_basis(rows: list[tuple[int, ...]], dim: int):
-    """Pick dim independent rows; return (indices, inverse columns as rays)."""
-    chosen = []
-    mat: list[tuple[int, ...]] = []
-    for idx, row in enumerate(rows):
-        candidate = mat + [row]
-        if exact_rank(candidate) == len(candidate):
-            mat = candidate
-            chosen.append(idx)
-            if len(chosen) == dim:
-                break
-    if len(chosen) < dim:
-        raise VerificationFailed("inequality system is rank-deficient")
-    # invert the basis matrix exactly: solve B X = I column by column
+def _initial_cone(h_rep: HRepresentation):
+    """The spanning cells' row indices, in order, and the columns of
+    their rows' inverse as rays.
+
+    A spanning cell (x, a) has every party p at a_p < d_p - 1 or at
+    x_p = 0 (as in `locality._spanning_cells`); there are dimension + 1
+    of them.  Each cell's homogenized row is the Kronecker product of
+    per-party rows over (s, t(p; x_p, b)): t(p; x_p, a_p) below the last
+    output, s - sum_b t(p; 0, b) at (0, d_p - 1).  So the inverse is the
+    product of each party's local 0/1 inverse, whose columns are s at
+    (0, d_p - 1), s + t(p; 0, a_p) at (0, a_p) and t(p; x_p, a_p)
+    elsewhere.  The ray of spanning cell (x, a) thus has a 1 at s when
+    x = 0, and at the coordinate (S, x_S, a_S) when every party outside
+    S has x_p = 0; every other entry is 0."""
+    last = [d - 1 for d in h_rep.output_sizes]
+    index = {coord: i for i, coord in enumerate(h_rep.coords, 1)}
+    index[(), (), ()] = 0
+    order = []
     rays = []
-    for col in range(dim):
-        e = [Fraction(1) if r == col else Fraction(0) for r in range(dim)]
-        sol = solve_linear_system(mat, e)
-        if sol is None:
-            raise VerificationFailed("chosen basis matrix is singular")
-        den = lcm(*(v.denominator for v in sol))
-        rays.append(_gcd_reduce([int(v * den) for v in sol]))
-    return chosen, rays
+    for c, (x, a) in enumerate(h_rep.cells):
+        if any(x_p and a_p == top for x_p, a_p, top in zip(x, a, last)):
+            continue
+        free = [p for p, (a_p, top) in enumerate(zip(a, last)) if a_p < top]
+        moved = {p for p, x_p in enumerate(x) if x_p}  # parties every S must hold
+        ray = [0] * (h_rep.dimension + 1)
+        for r in range(len(free) + 1):
+            for subset in combinations(free, r):
+                if moved.issubset(subset):
+                    ray[index[subset, tuple(x[p] for p in subset), tuple(a[p] for p in subset)]] = 1
+        order.append(c)
+        rays.append(tuple(ray))
+    return order, rays
 
 
 def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
     """All vertices of the polytope, by exact double description.
 
+    The initial cone is cut out by the rows of the spanning cells
+    (`_initial_cone`); its rays are the columns of those rows' inverse,
+    which in marginal coordinates is a 0/1 matrix in closed form.  One
+    product certifies it before the first row is added: every spanning
+    row times every ray, summed as the double description sums them,
+    must give exactly the identity, else VerificationFailed.
+
     Each ray carries the bitmask of the processed rows it is tight on,
-    and no mask is ever recomputed.  Initial ray j, column j of the basis
-    inverse, is tight on every basis row but row j.  Adding row r keeps
-    the rays with row . ray >= 0 (those at 0 gain bit r) and joins each
-    adjacent pair (p, n) with values vp > 0 > vn into vp*n - vn*p, a
-    positive combination of rays that are >= 0 on every earlier row: it
-    is tight on an earlier row exactly when both parents are, and on r
-    by construction, so its mask is mask_p & mask_n | 1 << r (Fukuda &
+    and no mask is ever recomputed.  Initial ray j is tight on every
+    spanning row but row j.  Adding row r keeps the rays with
+    row . ray >= 0 (those at 0 gain bit r) and joins each adjacent pair
+    (p, n) with values vp > 0 > vn into vp*n - vn*p, a positive
+    combination of rays that are >= 0 on every earlier row: it is tight
+    on an earlier row exactly when both parents are, and on r by
+    construction, so its mask is mask_p & mask_n | 1 << r (Fukuda &
     Prodon, "Double description method revisited", 1996).
 
     The pair is adjacent when its common tight set has at least dim - 2
@@ -251,7 +267,8 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
     raises its own error.  VerificationFailed: s > 0, every cell's
     integer value const*s + sum(coef*t) is >= 0, the cells at 0 are
     exactly the carried mask, and their linear parts have full rank
-    (extremality).  Then `HRepresentation._box_on_ray` checks, still on
+    (extremality, the one exact rank taken per vertex and the only one
+    taken here).  Then `HRepresentation._box_on_ray` checks, still on
     the integers, that every value is at most s (NegativeProbability),
     that each joint input's values sum to s (NotNormalized) and that
     every no-signaling sum agrees (VerificationFailed, "signals"); only
@@ -259,7 +276,10 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
     """
     rows = _inequality_rows(h_rep)
     dim = h_rep.dimension + 1  # homogenized
-    order, initial_rays = _initial_basis(rows, dim)
+    order, initial_rays = _initial_cone(h_rep)
+    identity = [[int(j == k) for j in range(dim)] for k in range(dim)]
+    if [[sum(map(mul, rows[row_idx], ray)) for ray in initial_rays] for row_idx in order] != identity:
+        raise VerificationFailed("initial rays do not invert the spanning cells' rows")
     basis = sum(1 << row_idx for row_idx in order)
     rays = [(ray, basis & ~(1 << row_idx)) for row_idx, ray in zip(order, initial_rays)]
     width = len(rows)
@@ -481,9 +501,16 @@ def classify_vertex(box: Box, h_rep: Optional[HRepresentation] = None, check: bo
     if g is not None:
         f_table = tuple(sorted((*x, v) for x, v in g.items()))
         if box.input_sizes == (2, 2) and box.output_sizes == (2, 2):
-            target = pr_box()
+            # relabeled, the box is the parity box of g(x) xor each party's
+            # output flip at its input, placed at input y; it is the PR box
+            # when that parity is y_0 y_1 on all four inputs (the product
+            # does not depend on the party order)
             for rel in all_relabelings(box.input_sizes, box.output_sizes):
-                if relabel(box, rel) == target:
+                ins, outs = rel.input_perms, rel.output_perms
+                if all(
+                    parity ^ outs[0][x[0]][0] ^ outs[1][x[1]][0] == ins[0][x[0]] & ins[1][x[1]]
+                    for x, parity in g.items()
+                ):
                     return VertexReport(
                         box=box,
                         classification="pr-equivalent",

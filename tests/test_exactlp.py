@@ -17,7 +17,6 @@ from boxworld.exactlp import (
     _rank_mod3,
     exact_rank,
     solve_equality_feasibility,
-    solve_linear_system,
 )
 
 
@@ -243,12 +242,6 @@ def test_rank_mod_three_on_every_small_matrix():
     for m in (2, 3):
         for rows in itertools.product(itertools.product((-1, 0, 1), repeat=2), repeat=m):
             assert _rank_mod3(rows, 2) == _rank_mod3_by_definition(rows), rows
-
-
-def test_solve_linear_system():
-    sol = solve_linear_system([[2, 0], [0, 4]], [1, 1])
-    assert sol == [Fraction(1, 2), Fraction(1, 4)]
-    assert solve_linear_system([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_big_degenerate_instance():

@@ -18,13 +18,13 @@ from boxworld.errors import (
     TooLarge,
     VerificationFailed,
 )
-from boxworld.exactlp import exact_rank, solve_linear_system
+from boxworld.exactlp import exact_rank
 from boxworld.locality import all_deterministic_boxes
 from boxworld.polytope import (
     _gcd_reduce,
     _impossible_output,
     _inequality_rows,
-    _initial_basis,
+    _initial_cone,
     _verified_vertex,
     build_h_rep,
     classify_vertex,
@@ -42,6 +42,68 @@ from boxworld.wiring import (
     induced_box,
     pr_instance,
 )
+
+
+def solve_linear_system(A, b):
+    """One exact solution of A z = b (no sign constraint), or None, by
+    Fraction Gauss-Jordan elimination."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    mat = [[Fraction(v) for v in A[i]] + [Fraction(b[i])] for i in range(m)]
+    pivots = []
+    rank = 0
+    for col in range(n):
+        pivot_row = None
+        for i in range(rank, m):
+            if mat[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        pv = mat[rank][col]
+        mat[rank] = [v / pv for v in mat[rank]]
+        for i in range(m):
+            if i != rank and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [mat[i][j] - f * mat[rank][j] for j in range(n + 1)]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, m):
+        if mat[i][n] != 0:
+            return None
+    solution = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        solution[col] = mat[r][n]
+    return solution
+
+
+def test_solve_linear_system():
+    sol = solve_linear_system([[2, 0], [0, 4]], [1, 1])
+    assert sol == [Fraction(1, 2), Fraction(1, 4)]
+    assert solve_linear_system([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def greedy_initial_basis(rows, dim):
+    """Reference for `_initial_cone`: the first dim independent rows, each
+    kept when it raises the exact rank, and their inverse's columns, solved
+    one by one, as primitive integer rays.  Returns (indices, rays)."""
+    chosen = []
+    mat = []
+    for idx, row in enumerate(rows):
+        candidate = mat + [row]
+        if exact_rank(candidate) == len(candidate):
+            mat = candidate
+            chosen.append(idx)
+            if len(chosen) == dim:
+                break
+    assert len(chosen) == dim, "inequality system is rank-deficient"
+    rays = []
+    for col in range(dim):
+        sol = solve_linear_system(mat, [int(r == col) for r in range(dim)])
+        den = lcm(*(v.denominator for v in sol))
+        rays.append(_gcd_reduce([int(v * den) for v in sol]))
+    return chosen, rays
 
 
 def brute_force_vertices(h_rep):
@@ -82,7 +144,7 @@ def reference_double_description(h_rep):
     tight on the pair's whole common set.  Returns the vertices in order."""
     rows = _inequality_rows(h_rep)
     dim = h_rep.dimension + 1
-    order, initial_rays = _initial_basis(rows, dim)
+    order, initial_rays = _initial_cone(h_rep)
     basis = sum(1 << row_idx for row_idx in order)
     rays = [(ray, basis & ~(1 << row_idx)) for row_idx, ray in zip(order, initial_rays)]
     for row_idx, row in enumerate(rows):
@@ -315,16 +377,79 @@ def test_enumeration_verifies_the_h_representation():
     # the double description runs on whatever cell expressions it is given;
     # a wrong one must raise, not return boxes
     h = build_h_rep((2, 2), (2, 2))
-    exprs = list(h.cell_exprs)
-    const, terms = exprs[1]
-    exprs[1] = (const + 1, terms)
+
+    def enumerate_with(changed):
+        exprs = dict(enumerate(h.cell_exprs)) | changed
+        return enumerate_vertices(dataclasses.replace(h, cell_exprs=tuple(exprs.values())))
+
+    def shifted(c):
+        const, terms = h.cell_exprs[c]
+        return {c: (const + 1, terms)}
+
+    def swapped(c, d):
+        return {c: h.cell_exprs[d], d: h.cell_exprs[c]}
+
+    # a spanning cell's row is wrong: the initial cone's certificate refuses
+    # it before the double description starts
+    assert h.cells[1] == ((0, 0), (0, 1))
+    for changed in (shifted(1), swapped(0, 1)):
+        with pytest.raises(VerificationFailed, match="do not invert the spanning cells"):
+            enumerate_with(changed)
+    # a non-spanning cell's row is wrong: each per-vertex check still fires
+    assert h.cells[7] == ((0, 1), (1, 1))
     with pytest.raises(NotNormalized):
-        enumerate_vertices(dataclasses.replace(h, cell_exprs=tuple(exprs)))
+        enumerate_with(shifted(7))
     # two cells of one input swapped: still normalized, but it signals
-    exprs = list(h.cell_exprs)
-    exprs[0], exprs[1] = exprs[1], exprs[0]
+    assert [h.cells[13], h.cells[14]] == [((1, 1), (0, 1)), ((1, 1), (1, 0))]
     with pytest.raises(VerificationFailed, match="signals"):
-        enumerate_vertices(dataclasses.replace(h, cell_exprs=tuple(exprs)))
+        enumerate_with(swapped(13, 14))
+
+
+def test_a_wrong_initial_ray_is_refused(monkeypatch):
+    h = build_h_rep((2, 2), (2, 2))
+    order, rays = _initial_cone(h)
+    for wrong in ((0,) + rays[0][1:], rays[0][:-1] + (1 - rays[0][-1],), tuple(2 * v for v in rays[0])):
+        monkeypatch.setattr(bw.polytope, "_initial_cone", lambda h_rep, wrong=wrong: (order, [wrong] + rays[1:]))
+        with pytest.raises(VerificationFailed, match="do not invert the spanning cells"):
+            enumerate_vertices(h)
+    # one ray too few
+    monkeypatch.setattr(bw.polytope, "_initial_cone", lambda h_rep: (order[:-1], rays[:-1]))
+    with pytest.raises(VerificationFailed, match="do not invert the spanning cells"):
+        enumerate_vertices(h)
+
+
+CLOSED_FORM_SHAPES = [
+    (input_sizes, output_sizes)
+    for n in (1, 2)
+    for input_sizes in itertools.product((1, 2, 3), repeat=n)
+    for output_sizes in itertools.product((1, 2, 3), repeat=n)
+    if (input_sizes, output_sizes) != ((3, 3), (3, 3))  # 48 dimensions
+] + [((1, 1, 1), (2, 2, 2)), ((2, 1, 1), (2, 2, 2)), ((2, 2, 2), (2, 2, 2))]
+
+
+def test_the_initial_cone_is_the_greedy_basis_and_its_inverse():
+    # the spanning cells are the first independent rows, and their 0/1
+    # inverse is the primitive integer form of the solved one, in the same
+    # order: the double description starts from the same rays
+    assert len(CLOSED_FORM_SHAPES) == 92
+    for input_sizes, output_sizes in CLOSED_FORM_SHAPES:
+        h = build_h_rep(input_sizes, output_sizes, dimension_cap=40)
+        order, rays = _initial_cone(h)
+        assert (order, rays) == greedy_initial_basis(_inequality_rows(h), h.dimension + 1), (input_sizes, output_sizes)
+
+
+@pytest.mark.parametrize("input_sizes", [(2, 2), (3, 3)])
+def test_enumeration_takes_one_exact_rank_per_vertex(monkeypatch, input_sizes):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return exact_rank(rows)
+
+    h = build_h_rep(input_sizes, (2, 2))
+    monkeypatch.setattr(bw.polytope, "exact_rank", counted)
+    vertices = enumerate_vertices(h)
+    assert len(calls) == len(vertices) == {(2, 2): 24, (3, 3): 1408}[input_sizes]
 
 
 def integer_ray(h_rep, box):
@@ -468,12 +593,18 @@ class TestClassification:
         assert rep.classification == "local-deterministic"
 
     def test_all_nonlocal_2222_vertices_pr_equivalent(self):
+        # the witness read off the parity table is the one the boxes give:
+        # the first relabeling, in `all_relabelings` order, whose relabeled
+        # box equals the PR box
         h = build_h_rep((2, 2), (2, 2))
         target = bw.pr_box()
-        for v in enumerate_vertices(h):
-            rep = classify_vertex(v, h, check=False)
-            if rep.classification == "pr-equivalent":
-                assert bw.relabel(v, rep.relabeling) == target
+        reports = [classify_vertex(v, h, check=False) for v in enumerate_vertices(h)]
+        reports = [rep for rep in reports if rep.classification == "pr-equivalent"]
+        assert len(reports) == 8
+        for rep in reports:
+            assert bw.relabel(rep.box, rep.relabeling) == target
+            first = next(rel for rel in bw.all_relabelings((2, 2), (2, 2)) if bw.relabel(rep.box, rel) == target)
+            assert rep.relabeling == first
 
     def test_every_2222_vertex_is_induced_with_at_most_one_pr_box(self):
         # local vertices need no box; a PR-equivalent vertex is the identity
