@@ -17,10 +17,13 @@ the parity-correlated box of the circuit's function.
 Compiled protocols execute through one affine core: every party's output
 share is an affine form over the blocks' uniform branch bits, built once
 for all the input rows a call reads: whole input tables in a sweep, one
-row for a single input (`_output_forms`).  Exact counts
-(`affine_outcome_counts`, `induced_box_fast`, `compiled_distribution`)
-follow from GF(2) span arithmetic on those forms, and a sampled branch
-(`cc_values`, `solve_cc`, `sample_compiled`) is one random bit vector.
+row for a single input (`_output_forms`).  A row's masks are those of its
+depth along the output's chain, so they are built once per depth.  Exact
+counts (`affine_outcome_counts`, `induced_box_fast`,
+`compiled_distribution`) follow from GF(2) span arithmetic, one span per
+depth; a sampled branch (`solve_cc`, `sample_compiled`) is one random bit
+vector; and `cc_values` reads the joint constants, after checking that
+the parties' masks XOR to 0 at every depth.
 `wiring`'s executors (`execute_exact`, `induced_box`, `execute_sample`)
 run a compiled protocol's own protocol (`compiled_owner`) through this
 core, so callers never choose.  The independent references are the
@@ -40,11 +43,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import and_, xor
+from operator import xor
 from typing import Optional, Sequence
 
 from .boxes import Box, make_box, parity_box
-from .circuits import NandCircuit, eval_circuit, gate_count, prune, row_bits, run_window, wire_bitsets
+from .circuits import NandCircuit, _is_gate_id, eval_circuit, gate_count, prune, row_bits, run_window, wire_bitsets
 from .errors import ShapeMismatch, UnownedInputBit, VerificationFailed
 from .wiring import (
     STOP,
@@ -344,50 +347,43 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, blocks):
     a single-input call).  Blocks stack in list order, so a block's first
     row is the sum of the counts before it.
 
-    Returns (width, masks, consts): the joint branch vector has `width`
-    uniform bits, masks[i] is a list of Python-int masks over them, one
-    per row, and consts[i] a row bitset; party i outputs bit r of
-    consts[i] XOR parity(masks[i][r] & branch vector) on row r.
-    `circuit` must be pruned.
+    Returns (width, levels, level, consts): the joint branch vector has
+    `width` uniform bits; levels[d] holds the n parties' masks over them
+    at chain depth d (the blocks of chain[0..d]), level[r] is row r's
+    depth and consts[i] a row bitset.  Party i outputs bit r of consts[i]
+    XOR parity(levels[level[r]][i] & branch vector) on row r.  `circuit`
+    must be pruned.
     """
     gates = circuit.gates
     width = (n - 1) * max(len(gates), 1)
     firsts = list(itertools.accumulate([count for _, _, count in blocks], initial=0))
     n_rows = firsts.pop()
     full = (1 << n_rows) - 1
-    # owner and position of every bit of each map: bit `slot` of x[p]
-    # follows the bits of parties 0..p-1 in the flattened map, so its run
-    # is 2^position
-    places = []
-    for bit_map in bit_maps:
-        owned = [(party, name) for party, names in enumerate(bit_map) for name in names]
-        places.append({name: (party, position) for position, (party, name) in enumerate(owned)})
-    windows: dict[tuple[int, int, int], int] = {}
-    leaves: dict[str, int] = {}
-    for b in circuit.inputs:
-        column = 0
-        for (map_idx, lo, count), first in zip(blocks, firsts):
-            position = places[map_idx][b.name][1]
-            key = (position, lo, count)
-            if key not in windows:
-                windows[key] = run_window(1 << position, lo, count)
-            column |= windows[key] << first
-        leaves[b.name] = column
-    values = wire_bitsets(circuit, leaves, n_rows)
-
     chain = []
     leaf = circuit.output
-    gate_index = {f"g{i}": i for i in range(len(gates))}
-    while leaf in gate_index:
-        chain.append(gate_index[leaf])
-        leaf = gates[gate_index[leaf]][1]
+    while _is_gate_id(leaf):
+        chain.append(int(leaf[1:]))
+        leaf = gates[chain[-1]][1]
+
+    # bit `slot` of x[p] follows the bits of parties 0..p-1 in the
+    # flattened map, so its run is 2^position
+    windows: dict[tuple[int, int, int], list[int]] = {}
+    leaves: dict[str, int] = {}
+    held = [0] * n
+    for (map_idx, lo, count), first in zip(blocks, firsts):
+        owned = [name for names in bit_maps[map_idx] for name in names]
+        key = (len(owned), lo, count)
+        if key not in windows:
+            windows[key] = [run_window(1 << position, lo, count) for position in range(len(owned))]
+        for name, window in zip(owned, windows[key]):
+            leaves[name] = leaves.get(name, 0) | window << first
+        if leaf in leaves:
+            held[[leaf in names for names in bit_maps[map_idx]].index(True)] |= ((1 << count) - 1) << first
+    values = wire_bitsets(circuit, leaves, n_rows)
 
     # leaf shares: the owner of an input bit holds it, everyone else 0;
     # constants are public parity carried by party 0
-    if leaf in circuit.input_names:
-        held = [0] * n
-        for (map_idx, _, count), first in zip(blocks, firsts):
-            held[places[map_idx][leaf][0]] |= ((1 << count) - 1) << first
+    if leaf in leaves:
         consts = [values[leaf] & rows_held for rows_held in held]
     else:
         consts = [values[leaf] if party == 0 else 0 for party in range(n)]
@@ -396,14 +392,14 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, blocks):
         consts = [const & vu for const in consts]
         consts[0] ^= full
 
-    # levels[d]: the masks holding the blocks of chain[0..d]; row r gets
-    # levels[level[r]].  `lows` has bit g*(n-1) set for each block g held:
-    # party i < n-1 holds variable i of each block, party n-1 all n-1.
+    # `lows` has bit g*(n-1) set for each block g held: party i < n-1
+    # holds variable i of each block, party n-1 all n-1
     levels = []
     lows = 0
     for g_idx in chain or [0]:
         lows |= 1 << (g_idx * (n - 1))
         levels.append([lows << i for i in range(n - 1)] + [lows * ((1 << (n - 1)) - 1)])
+    # a row stops at the first chain gate whose first operand is 0 on it
     level = [len(levels) - 1] * n_rows
     remaining = full
     for depth, g_idx in enumerate(chain[:-1]):
@@ -414,41 +410,42 @@ def _output_forms(circuit: NandCircuit, n: int, bit_maps, blocks):
             low = stop & -stop
             level[low.bit_length() - 1] = depth
             stop ^= low
-    masks = [list(map(per_level.__getitem__, level)) for per_level in zip(*levels)]
-    return width, masks, consts
+    return width, levels, level, consts
 
 
-def _span_counts(n: int, width: int, masks, consts) -> list[list[int]]:
+def _span_counts(n: int, width: int, levels, level, consts) -> list[list[int]]:
     """Exact outcome counts per row, out of 2^width branches.
 
     The joint output is c XOR M t for uniform t, so it is uniform over the
     coset c + span of M's distinct column patterns (the n-bit patterns p
     for which some branch variable appears in exactly the masks p names).
-    Rows with the same masks share one span, and one outcome table per
-    span holds the counts for each of the 2^n joint constants c, filled
-    as rows ask for them; each row copies its entry.  The rows' constants
-    are scattered from the `consts` bitsets at once (`_row_codes`).
+    Row r's masks are levels[level[r]], so one span serves every row of a
+    depth, and one outcome table per (depth, joint constant c) holds the
+    counts, filled as rows ask for them; each row copies its entry.  The
+    rows' constants are scattered from the `consts` bitsets at once
+    (`_row_codes`).
     """
     n_out = 1 << n
     full = (1 << width) - 1
-    tables: dict[tuple[int, ...], tuple[list[int], list]] = {}
+    cosets: dict[int, list[int]] = {}
+    tables: dict[int, list[int]] = {}
     out = []
-    for row_masks, c in zip(zip(*masks), _row_codes(consts, len(masks[0]))):
-        table = tables.get(row_masks)
-        if table is None:
-            span = [True] + [False] * (n_out - 1)
-            for p in range(1, n_out):
-                sel = full
-                for i, mask in enumerate(row_masks):
-                    sel &= mask if (p >> i) & 1 else full ^ mask
-                if sel:
-                    span = [s or span[a ^ p] for a, s in enumerate(span)]
-            weight = (1 << width) // sum(span)
-            table = tables[row_masks] = ([weight if s else 0 for s in span], [None] * n_out)
-        coset, by_const = table
-        counts = by_const[c]
+    for depth, c in zip(level, _row_codes(consts, len(level))):
+        key = depth << n | c
+        counts = tables.get(key)
         if counts is None:
-            counts = by_const[c] = [coset[a ^ c] for a in range(n_out)]
+            coset = cosets.get(depth)
+            if coset is None:
+                span = [True] + [False] * (n_out - 1)
+                for p in range(1, n_out):
+                    sel = full
+                    for i, mask in enumerate(levels[depth]):
+                        sel &= mask if (p >> i) & 1 else full ^ mask
+                    if sel:
+                        span = [s or span[a ^ p] for a, s in enumerate(span)]
+                weight = (1 << width) // sum(span)
+                coset = cosets[depth] = [weight if s else 0 for s in span]
+            counts = tables[key] = [coset[a ^ c] for a in range(n_out)]
         out.append(counts.copy())
     return out
 
@@ -489,8 +486,8 @@ def affine_outcome_counts(circuit: NandCircuit, n_parties: int, bit_maps):
     Returns (counts, denominator): counts[map_idx][x_idx][a_idx] integers,
     denominator = 2^((n-1)*k), or 2^(n-1) when no gate is live.
     """
-    width, masks, consts = _sweep_forms(circuit, n_parties, bit_maps)
-    flat = _span_counts(n_parties, width, masks, consts)
+    width, levels, level, consts = _sweep_forms(circuit, n_parties, bit_maps)
+    flat = _span_counts(n_parties, width, levels, level, consts)
     counts_by_map = []
     pos = 0
     for bit_map in bit_maps:
@@ -501,22 +498,20 @@ def affine_outcome_counts(circuit: NandCircuit, n_parties: int, bit_maps):
 
 
 def cc_values(circuit: NandCircuit, n_parties: int, bit_maps, seed: int = 0) -> list:
-    """Batched communication-complexity values: one sampled protocol branch
-    per (ownership map, joint input); value = XOR of the parties' outputs.
+    """Batched communication-complexity values: the XOR of the parties'
+    outputs per (ownership map, joint input), the value solve_cc computes.
 
-    Mirrors solve_cc over many cases at once (the parity identity makes the
-    value branch-independent, which the acceptance suite checks against
-    exhaustive circuit evaluation).  Parity is linear, so the XOR of the
-    outputs const_i XOR parity(mask_i & t) on row r is bit r of the XOR
-    of the consts XOR parity((XOR of the row's masks) & t).
+    Parity is linear, so the XOR of the outputs const_i XOR parity(mask_i
+    & t) on row r is bit r of the XOR of the consts XOR parity(J & t),
+    with J the XOR of the row's masks.  J is checked to be 0 at every
+    chain depth (a nonzero one raises VerificationFailed), which proves
+    that every branch gives the joint constant; so no branch is drawn and
+    `seed` does not change the values.
     """
-    width, masks, consts = _sweep_forms(circuit, n_parties, bit_maps)
-    rng = random.Random(seed)
-    branches = [rng.getrandbits(width) for _ in masks[0]]
-    joint_masks = functools.reduce(lambda acc, party_masks: list(map(xor, acc, party_masks)), masks)
-    parities = map(int.bit_count, map(and_, joint_masks, branches))
-    joint_consts = row_bits(functools.reduce(xor, consts), len(branches))
-    return [const ^ (parity & 1) for const, parity in zip(joint_consts, parities)]
+    _, levels, level, consts = _sweep_forms(circuit, n_parties, bit_maps)
+    if any(functools.reduce(xor, masks) for masks in levels):
+        raise VerificationFailed("the outputs' parity depends on the branch: a joint branch mask is nonzero")
+    return row_bits(functools.reduce(xor, consts), len(level))
 
 
 def compiled_owner(protocol: WiringProtocol) -> Optional[CompiledProtocol]:
@@ -553,8 +548,8 @@ def sample_compiled(compiled: CompiledProtocol, x, seed: int, n_runs: int) -> di
     operations per run, whatever the gate count.
     """
     x = checked_inputs(compiled.input_sizes, x)
-    width, masks, consts = _compiled_forms(compiled, x)
-    forms = [(mask[0], const & 1) for mask, const in zip(masks, consts)]
+    width, levels, level, consts = _compiled_forms(compiled, x)
+    forms = [(mask, const & 1) for mask, const in zip(levels[level[0]], consts)]
     draw = random.Random(seed).getrandbits
     counts: dict[tuple[int, ...], int] = {}
     for _ in range(n_runs):
@@ -567,8 +562,8 @@ def sample_compiled(compiled: CompiledProtocol, x, seed: int, n_runs: int) -> di
 def compiled_distribution(compiled: CompiledProtocol, x) -> OutcomeDistribution:
     """Exact outcome distribution of a compiled protocol on one input tuple."""
     x = checked_inputs(compiled.input_sizes, x)
-    width, masks, consts = _compiled_forms(compiled, x)
-    (counts,) = _span_counts(compiled.n_parties, width, masks, consts)
+    width, levels, level, consts = _compiled_forms(compiled, x)
+    (counts,) = _span_counts(compiled.n_parties, width, levels, level, consts)
     return OutcomeDistribution(x=x, outcomes=_probabilities(compiled.n_parties, width, counts))
 
 
@@ -576,10 +571,10 @@ def induced_box_fast(compiled: CompiledProtocol) -> Box:
     """Exact induced box of a compiled protocol from the affine share forms."""
     n = compiled.n_parties
     xs = _x_tuples(compiled.input_sizes)
-    width, masks, consts = _compiled_forms(compiled)
+    width, levels, level, consts = _compiled_forms(compiled)
     table = {
         (x, a): p
-        for x, counts in zip(xs, _span_counts(n, width, masks, consts))
+        for x, counts in zip(xs, _span_counts(n, width, levels, level, consts))
         for a, p in _probabilities(n, width, counts).items()
     }
     return make_box(n, compiled.input_sizes, (2,) * n, table, sparse=True)

@@ -62,9 +62,9 @@ same rationals.  So the pivots, the solution and the Farkas vector are
 those of the full-tableau form, which the tests keep as the reference.
 
 `exact_rank`, which the polytope module runs on every vertex's tight
-constraints, first eliminates over GF(3) with two bitmasks per row.  Full
-rank mod 3 proves full rank over the rationals; only a shortfall mod 3
-runs fraction-free elimination.
+constraints, first eliminates over GF(3) with two bitmasks per row, then
+over GF(2) with one.  Full rank modulo a prime proves full rank over the
+rationals; only a shortfall modulo both runs fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -299,16 +299,37 @@ def _rank_mod3(mat: list[list[int]], full: int) -> int:
     return rank
 
 
+def _rank_mod2(mat: list[list[int]], full: int) -> int:
+    """Rank over GF(2) of integer rows, counted up to `full`: each row is
+    the bitmask of its odd entries, and a row whose leading (highest) bit
+    has a pivot loses it by XOR with that pivot."""
+    pivots = {}
+    for row in mat:
+        bits = sum(1 << j for j, v in enumerate(row) if v & 1)
+        while bits:
+            lead = bits.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = bits
+                break
+            bits ^= pivots[lead]
+        if len(pivots) == full:
+            break
+    return len(pivots)
+
+
 def exact_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals.
 
     Each row is scaled to integers by the lcm of its denominators, which
     keeps the rank.  The integer rows are first eliminated over GF(3)
-    (`_rank_mod3`).  When that rank is min(m, n) it is returned: an r x r
-    minor that is nonzero mod 3 is a nonzero integer, so the rank over the
-    rationals is at least r, and it is at most min(m, n).  This certifies
-    most of the tight sets of polytope vertices.  Otherwise the rank is
-    found by fraction-free elimination with exact division."""
+    (`_rank_mod3`), then, when that falls short, over GF(2) (`_rank_mod2`).
+    When either rank is min(m, n) it is returned: an r x r minor that is
+    nonzero mod p is a nonzero integer, so the rank over the rationals is
+    at least r, and it is at most min(m, n).  Mod 3 certifies most of the
+    tight sets of polytope vertices; mod 2 certifies most of the rest
+    (tight minors that are multiples of 3, as at vertices with entries
+    1/3).  Otherwise the rank is found by fraction-free elimination with
+    exact division."""
     if not rows:
         return 0
     types = set()
@@ -329,7 +350,7 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
     m = len(mat)
     n = len(mat[0])
     full = min(m, n)
-    if _rank_mod3(mat, full) == full:
+    if _rank_mod3(mat, full) == full or _rank_mod2(mat, full) == full:
         return full
     mat = [list(row) for row in mat]  # eliminated in place
     rank = 0

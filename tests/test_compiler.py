@@ -31,7 +31,7 @@ from boxworld.compiler import (
     solve_cc,
     verify_simulation,
 )
-from boxworld.errors import DimensionMismatch, ShapeMismatch, UnownedInputBit
+from boxworld.errors import DimensionMismatch, ShapeMismatch, UnownedInputBit, VerificationFailed
 from boxworld.wiring import STOP, WiringProtocol, induced_box
 
 
@@ -433,14 +433,37 @@ class TestAffineCoreAgainstParity:
         splits = ownership_splits(3, 1)
         blocks = whole_tables(splits)
         rows = table_rows(splits, blocks)
-        width, masks, consts = compiler._output_forms(circuit, 3, splits, blocks)
-        assert len(masks[0]) == len(rows)
-        assert 1 < len(set(zip(*masks))) < len(rows)
+        width, levels, level, consts = compiler._output_forms(circuit, 3, splits, blocks)
+        masks = row_masks(levels, level)
+        assert len(masks) == len(rows)
+        assert 1 < len(set(masks)) < len(rows)
         one_at_a_time = [
-            compiler._span_counts(3, width, [[mask[r]] for mask in masks], [(c >> r) & 1 for c in consts])[0]
+            compiler._span_counts(3, width, [masks[r]], [0], [(c >> r) & 1 for c in consts])[0]
             for r in range(len(rows))
         ]
-        assert compiler._span_counts(3, width, masks, consts) == one_at_a_time
+        assert compiler._span_counts(3, width, levels, level, consts) == one_at_a_time
+
+    def test_cc_values_refuses_a_nonzero_joint_mask(self, monkeypatch):
+        # a branch variable held by party 0 alone at one depth would make
+        # the outputs' parity depend on the branch
+        circuit = synthesize_nand(TruthTable.from_int(3, 0b11101000), ["b0", "b1", "b2"])
+        splits = ownership_splits(3, 1)
+        real = compiler._output_forms
+
+        def corrupted(*args):
+            width, levels, level, consts = real(*args)
+            levels = [list(masks) for masks in levels]
+            levels[-1][0] ^= 1
+            return width, levels, level, consts
+
+        monkeypatch.setattr(compiler, "_output_forms", corrupted)
+        with pytest.raises(VerificationFailed, match="joint branch mask is nonzero"):
+            cc_values(circuit, 3, splits)
+
+
+def row_masks(levels, level):
+    """Each row's n masks, expanded from the per-depth masks and row depths."""
+    return [tuple(levels[depth]) for depth in level]
 
 
 def whole_tables(bit_maps):
@@ -505,13 +528,14 @@ class TestRunPatternForms:
         """`_output_forms` on every row of `blocks` against `per_row_forms`;
         returns the rows and the forms."""
         rows = table_rows(splits, blocks)
-        width, masks, consts = compiler._output_forms(circuit, n, splits, blocks)
+        width, levels, level, consts = compiler._output_forms(circuit, n, splits, blocks)
+        masks = row_masks(levels, level)
         assert width == (n - 1) * max(len(circuit.gates), 1)
-        assert len(masks[0]) == len(rows)
+        assert len(masks) == len(rows)
         for r, (map_idx, x) in enumerate(rows):
             want_consts, want_masks = per_row_forms(circuit, n, splits[map_idx], x)
             assert [(c >> r) & 1 for c in consts] == want_consts, (r, x)
-            assert [mask[r] for mask in masks] == want_masks, (r, x)
+            assert list(masks[r]) == want_masks, (r, x)
         return rows, masks, consts
 
     def check_sweep(self, circuit, n, splits):
@@ -542,9 +566,10 @@ class TestRunPatternForms:
         circuits += [prune(circuit) for circuit, _ in random_circuits(rng, 3, 2, 6, 7)]
         for circuit in circuits:
             _, part_masks, part_consts = self.check_forms(circuit, 3, bit_maps, blocks)
-            _, masks, consts = compiler._output_forms(circuit, 3, bit_maps, whole)
+            _, levels, level, consts = compiler._output_forms(circuit, 3, bit_maps, whole)
+            masks = row_masks(levels, level)
             for r, row in enumerate(picked):
-                assert [mask[r] for mask in part_masks] == [mask[row] for mask in masks], r
+                assert part_masks[r] == masks[row], r
                 assert [(c >> r) & 1 for c in part_consts] == [(c >> row) & 1 for c in consts], r
             assert all(c >> len(picked) == 0 for c in part_consts)
 
@@ -564,6 +589,25 @@ class TestRunPatternForms:
         rng = random.Random(31)
         for _ in range(3):
             self.check_sweep(synthesize_nand(TruthTable.from_int(6, rng.getrandbits(64)), names), 3, splits)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_depth_masks_xor_to_zero(self, n):
+        # the joint mask cc_values checks: each block's n-1 variables sit
+        # in party i's mask and in party n-1's, so the XOR cancels them
+        bit_map = [[f"b{p}"] for p in range(n)]
+        circuits = [prune(circuit) for circuit, _ in random_circuits(random.Random(53 + n), n, 1, 6, 21)]
+        inputs = tuple(InputBit(f"b{p}") for p in range(n))
+        circuits += [
+            NandCircuit(inputs=inputs, gates=(), output="b0"),
+            NandCircuit(inputs=inputs, gates=(), output="one", constants=(Constant("one", 1),)),
+        ]
+        assert sum(not circuit.gates for circuit in circuits) == 5
+        for circuit in circuits:
+            _, levels, level, _ = compiler._output_forms(circuit, n, [bit_map], whole_tables([bit_map]))
+            assert max(level) < len(levels)
+            for masks in levels:
+                assert len(masks) == n and all(masks)
+                assert xor_all(masks) == 0, (n, circuit)
 
     def test_long_chain(self):
         # 300 chained gates: masks over 300 blocks, row levels past 255

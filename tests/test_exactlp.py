@@ -14,6 +14,7 @@ from boxworld.cluster import cluster_box
 from boxworld.exactlp import (
     FeasibilityResult,
     _integerize,
+    _rank_mod2,
     _rank_mod3,
     exact_rank,
     solve_equality_feasibility,
@@ -202,20 +203,21 @@ def _rank_by_gauss_jordan(rows) -> int:
     return rank
 
 
-def _rank_mod3_by_definition(rows) -> int:
-    """Reference: Gauss-Jordan elimination over GF(3) on integer rows."""
-    mat = [[v % 3 for v in row] for row in rows]
+def _rank_mod_by_definition(rows, p: int) -> int:
+    """Reference: Gauss-Jordan elimination over GF(p) on integer rows."""
+    mat = [[v % p for v in row] for row in rows]
     rank = 0
     for col in range(len(mat[0]) if mat else 0):
         pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = [v * mat[rank][col] % 3 for v in mat[rank]]  # 1/c = c mod 3
+        inverse = pow(mat[rank][col], -1, p)
+        prow = [v * inverse % p for v in mat[rank]]
         mat[rank] = prow
         for i, row in enumerate(mat):
             if i != rank and row[col]:
-                mat[i] = [(a - row[col] * b) % 3 for a, b in zip(row, prow)]
+                mat[i] = [(a - row[col] * b) % p for a, b in zip(row, prow)]
         rank += 1
     return rank
 
@@ -231,9 +233,26 @@ def _integer_rows(rows):
 )
 def test_exact_rank_of_matrices_singular_mod_three(rows, rank):
     # a minor divisible by 3 vanishes mod 3 but not over Q: the GF(3) pass
-    # cannot certify these, and the exact elimination decides
+    # cannot certify these; the GF(2) pass or the exact elimination decides
     assert exact_rank(rows) == rank == _rank_by_gauss_jordan(rows)
     assert _rank_mod3(_integer_rows(rows), rank) < rank
+
+
+def test_exact_rank_certified_mod_two():
+    # det 3: singular mod 3, odd, so the GF(2) pass certifies full rank
+    rows = [[3, 0], [0, 1]]
+    assert _rank_mod3(rows, 2) == 1
+    assert _rank_mod2(rows, 2) == 2
+    assert exact_rank(rows) == 2
+
+
+def test_exact_rank_singular_mod_two_and_three():
+    # det -6: singular mod 2 and mod 3 but not over Q, so only the exact
+    # elimination finds the full rank
+    rows = [[2, 3], [4, 3]]
+    assert _rank_mod3(rows, 2) == 1
+    assert _rank_mod2(rows, 2) == 1
+    assert exact_rank(rows) == 2 == _rank_by_gauss_jordan(rows)
 
 
 def test_rank_mod_three_on_every_small_matrix():
@@ -241,7 +260,13 @@ def test_rank_mod_three_on_every_small_matrix():
     # masks' addition rule is taken
     for m in (2, 3):
         for rows in itertools.product(itertools.product((-1, 0, 1), repeat=2), repeat=m):
-            assert _rank_mod3(rows, 2) == _rank_mod3_by_definition(rows), rows
+            assert _rank_mod3(rows, 2) == _rank_mod_by_definition(rows, 3), rows
+
+
+def test_rank_mod_two_on_every_small_matrix():
+    for m in (2, 3):
+        for rows in itertools.product(itertools.product((0, 1, 2), repeat=2), repeat=m):
+            assert _rank_mod2(rows, 2) == _rank_mod_by_definition(rows, 2), rows
 
 
 def test_big_degenerate_instance():
@@ -605,7 +630,8 @@ try:
         assert exact_rank(rows) == rank
         full = min(len(rows), len(rows[0])) if rows else 0
         ints = _integer_rows(rows)
-        assert _rank_mod3(ints, full) == min(full, _rank_mod3_by_definition(ints))
+        assert _rank_mod3(ints, full) == min(full, _rank_mod_by_definition(ints, 3))
+        assert _rank_mod2(ints, full) == min(full, _rank_mod_by_definition(ints, 2))
 
 except ImportError:  # pragma: no cover
     pass
