@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -384,11 +383,6 @@ def _signaling_witness(box: Box, i: int, others, x_others, x_i: int) -> NoSignal
     )
 
 
-def _picker(positions) -> Callable[[tuple], tuple]:
-    """A function taking a tuple to its entries at `positions`, as a tuple."""
-    return operator.itemgetter(*positions) if len(positions) > 1 else lambda t: tuple(t[p] for p in positions)
-
-
 def marginal(box: Box, party_subset: Sequence[int], complement_inputs: Optional[Sequence[int]] = None) -> PartyMarginal:
     """Exact marginal of `party_subset`.
 
@@ -414,10 +408,9 @@ def marginal(box: Box, party_subset: Sequence[int], complement_inputs: Optional[
 
     # complement's inputs -> {(x_S, a_S): probability}
     groups: dict = {}
-    of_subset, of_complement = _picker(subset), _picker(complement)
     for (x, a), p_val in box.table.items():
-        group = groups.setdefault(of_complement(x), {})
-        key = (of_subset(x), of_subset(a))
+        group = groups.setdefault(tuple(x[p] for p in complement), {})
+        key = (tuple(x[p] for p in subset), tuple(a[p] for p in subset))
         group[key] = group.get(key, ZERO) + p_val
     if complement_inputs is not None:
         table = groups.get(tuple(complement_inputs), {})

@@ -452,14 +452,9 @@ def _owner_support(bank: BoxBank, n: int, owners, used, trees) -> set:
     protocol = WiringProtocol(
         n, SharedRandomness.singleton(0), bank, tuple(strategies), (2,) * n, (2,) * n
     )
-    support = set()
-
-    def on_leaf(outputs, w):
-        if w != 0:
-            support.add(tuple(outputs[p] for p in owners))
-
-    _walk(protocol, 0, tuple(x), on_leaf)
-    return support
+    outcomes: dict = {}
+    _walk(protocol, 0, tuple(x), outcomes)
+    return {tuple(outputs[p] for p in owners) for outputs in outcomes}
 
 
 def _counterexample(bank: BoxBank, cs: ConstraintSet, owners, trees, outputs) -> dict:

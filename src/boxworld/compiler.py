@@ -223,6 +223,24 @@ class CompiledProtocol:
         return parity_box(self.input_sizes, parity_of)
 
 
+def _check_bit_maps(circuit: NandCircuit, n_parties: int, bit_maps) -> None:
+    """Check that there are at least 2 parties and that each ownership map
+    has one group per party (ShapeMismatch) and owns each of the circuit's
+    input bits exactly once (UnownedInputBit)."""
+    if n_parties < 2:
+        raise ShapeMismatch("compilation needs at least 2 parties")
+    declared = sorted(circuit.input_names)  # distinct: NandCircuit refuses repeats
+    for bit_map in bit_maps:
+        if len(bit_map) != n_parties:
+            raise ShapeMismatch(f"expected {n_parties} ownership groups, got {len(bit_map)}")
+        owned = sorted(itertools.chain.from_iterable(bit_map))
+        if owned != declared:
+            missing = sorted(set(declared) - set(owned))
+            extra = sorted(set(owned) - set(declared))
+            twice = sorted({name for name in owned if owned.count(name) > 1})
+            raise UnownedInputBit(f"ownership map mismatch: missing {missing}, unknown {extra}, owned twice {twice}")
+
+
 def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequence[Sequence[str]]) -> CompiledProtocol:
     """Build the wiring protocol that simulates the circuit's parity box.
 
@@ -237,20 +255,9 @@ def compile_circuit(circuit: NandCircuit, n_parties: int, party_bit_map: Sequenc
     every protocol `compiled_owner` recognizes), and a failure raises
     VerificationFailed.
     """
-    if n_parties < 2:
-        raise ShapeMismatch("compilation needs at least 2 parties")
-    circuit = prune(circuit)
     party_bit_map = tuple(tuple(names) for names in party_bit_map)
-    if len(party_bit_map) != n_parties:
-        raise ShapeMismatch(f"expected {n_parties} ownership groups, got {len(party_bit_map)}")
-    owned = [name for names in party_bit_map for name in names]
-    declared = set(circuit.input_names)
-    if sorted(owned) != sorted(declared):
-        missing = sorted(declared - set(owned))
-        extra = sorted(set(owned) - declared)
-        twice = sorted({name for name in owned if owned.count(name) > 1})
-        raise UnownedInputBit(f"ownership map mismatch: missing {missing}, unknown {extra}, owned twice {twice}")
-
+    _check_bit_maps(circuit, n_parties, [party_bit_map])
+    circuit = prune(circuit)
     parties = range(n_parties)
     instances = tuple(pr_instance((i, j)) for _ in circuit.gates for i in parties for j in parties if i != j)
     if circuit.gates:
@@ -474,7 +481,9 @@ def _probabilities(n: int, width: int, counts) -> dict[tuple[int, ...], Fraction
 
 def _sweep_forms(circuit: NandCircuit, n_parties: int, bit_maps):
     """The affine forms of a sweep: the pruned circuit on every row of
-    each ownership map's `_x_tuples` table, one whole-table block per map."""
+    each ownership map's `_x_tuples` table, one whole-table block per map.
+    Each map is checked as `compile_circuit` checks it."""
+    _check_bit_maps(circuit, n_parties, bit_maps)
     blocks = [(map_idx, 0, 1 << sum(map(len, bit_map))) for map_idx, bit_map in enumerate(bit_maps)]
     return _output_forms(prune(circuit), n_parties, bit_maps, blocks)
 

@@ -63,8 +63,9 @@ those of the full-tableau form, which the tests keep as the reference.
 
 `exact_rank`, which the polytope module runs on every vertex's tight
 constraints, first eliminates over GF(3) with two bitmasks per row, then
-over GF(2) with one.  Full rank modulo a prime proves full rank over the
-rationals; only a shortfall modulo both runs fraction-free elimination.
+over GF(2) with one (`_gf2_echelon`, which also solves `locality`'s flip
+systems).  Full rank modulo a prime proves full rank over the rationals;
+only a shortfall modulo both runs fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -299,22 +300,25 @@ def _rank_mod3(mat: list[list[int]], full: int) -> int:
     return rank
 
 
-def _rank_mod2(mat: list[list[int]], full: int) -> int:
-    """Rank over GF(2) of integer rows, counted up to `full`: each row is
-    the bitmask of its odd entries, and a row whose leading (highest) bit
-    has a pivot loses it by XOR with that pivot."""
+def _gf2_echelon(rows, full: Optional[int] = None) -> Optional[dict]:
+    """Pivots {lead: (mask, bit)} of the GF(2) rows parity(mask & f) = bit,
+    each keyed by its leading bit, which a later row loses by XOR with it;
+    None when a row reduces to 0 = 1.  Stops at `full` pivots."""
     pivots = {}
-    for row in mat:
-        bits = sum(1 << j for j, v in enumerate(row) if v & 1)
-        while bits:
-            lead = bits.bit_length() - 1
+    for mask, bit in rows:
+        while mask:
+            lead = mask.bit_length() - 1
             if lead not in pivots:
-                pivots[lead] = bits
+                pivots[lead] = (mask, bit)
+                if len(pivots) == full:
+                    return pivots
                 break
-            bits ^= pivots[lead]
-        if len(pivots) == full:
-            break
-    return len(pivots)
+            pivot_mask, pivot_bit = pivots[lead]
+            mask ^= pivot_mask
+            bit ^= pivot_bit
+        if bit and not mask:
+            return None
+    return pivots
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
@@ -322,7 +326,7 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
 
     Each row is scaled to integers by the lcm of its denominators, which
     keeps the rank.  The integer rows are first eliminated over GF(3)
-    (`_rank_mod3`), then, when that falls short, over GF(2) (`_rank_mod2`).
+    (`_rank_mod3`), then, when that falls short, over GF(2) (`_gf2_echelon`).
     When either rank is min(m, n) it is returned: an r x r minor that is
     nonzero mod p is a nonzero integer, so the rank over the rationals is
     at least r, and it is at most min(m, n).  Mod 3 certifies most of the
@@ -350,7 +354,8 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
     m = len(mat)
     n = len(mat[0])
     full = min(m, n)
-    if _rank_mod3(mat, full) == full or _rank_mod2(mat, full) == full:
+    odd = ((sum(1 << j for j, v in enumerate(row) if v & 1), 0) for row in mat)
+    if _rank_mod3(mat, full) == full or len(_gf2_echelon(odd, full)) == full:
         return full
     mat = [list(row) for row in mat]  # eliminated in place
     rank = 0

@@ -35,9 +35,10 @@ Walsh-Hadamard transform of the table's integers).  Flipping the outputs
 by t(x) multiplies P^_x(s) by (-1)^(s.t(x)), so a relabeling g followed by
 output flips f fixes the box exactly when g permutes the correlators up to
 sign and s.f(x) is that sign's bit for every x and every s in the support:
-one affine system in the sum of m_p flip bits.  Its kernel, at g = 1, is
-the group of flips that fix the box.  The other candidates are each
-party's input transpositions and the party permutations, completed with
+one affine system in the sum of m_p flip bits, which `exactlp`'s one
+GF(2) eliminator reduces.  Its kernel, at g = 1, is the group of flips
+that fix the box.  The other candidates are each party's input
+transpositions and the party permutations, completed with
 flips the same way.  Party permutations are searched depth first, level
 by level down a stabilizer chain: at level k, one permutation fixing
 parties 0..k-1 that sends k to each party its orbit has not yet reached.
@@ -76,7 +77,7 @@ from .boxes import (
     marginal_coordinates,
 )
 from .errors import TooLarge, VerificationFailed
-from .exactlp import solve_equality_feasibility
+from .exactlp import _gf2_echelon, solve_equality_feasibility
 
 DEFAULT_STRATEGY_CAP = 10 ** 6
 
@@ -225,18 +226,9 @@ def _flip_rows(correlators, input_sizes, party_perm, input_perms):
 def _gf2_solve(rows, n_vars):
     """(one solution with its free bits 0, a basis of the kernel) of the
     GF(2) rows (mask, bit), as bitmasks; None when they are inconsistent."""
-    pivots = {}
-    for mask, bit in rows:
-        while mask:
-            lead = mask.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = (mask, bit)
-                break
-            pivot_mask, pivot_bit = pivots[lead]
-            mask ^= pivot_mask
-            bit ^= pivot_bit
-        if not mask and bit:
-            return None
+    pivots = _gf2_echelon(rows)
+    if pivots is None:
+        return None
     order = sorted(pivots)
 
     def settle(f, with_bits):

@@ -14,11 +14,13 @@ compiled protocol through a copy with a fresh strategy tuple.  The walk
 computes the exact outcome distribution by branch enumeration: every
 box-side use branches over the side's possible outputs, weighted by the
 template's exact marginal (first side to act) or conditional (second
-side).  Because the templates are nonsignaling and every side is used at
-most once, any scheduling of the parties yields the same distribution;
-the engine canonically runs parties in index order.  Branch weights are
-computed per call, in a table that lives as long as one walk or one
-sampling call; nothing is cached at module level.
+side), and each complete branch adds its nonzero weight to the outcome
+table (joint outputs -> exact weight) its caller passes, or to none when
+the walk only validates.  Because the templates are nonsignaling and
+every side is used at most once, any scheduling of the parties yields the
+same distribution; the engine canonically runs parties in index order.
+Side weights are computed per call, in a table that lives as long as one
+walk or one sampling call; nothing is cached at module level.
 
 Validation happens where a protocol's parts are fixed.  A walked protocol
 is validated by every executor call, over every (lam, x) branch, since its
@@ -296,8 +298,10 @@ def _check_bank(bank: BoxBank) -> Optional[dict]:
     return None
 
 
-def _walk(protocol: WiringProtocol, lam, x, on_leaf, weight=Fraction(1)):
-    """Shared branch-tree walk: calls on_leaf(outputs, weight) per complete branch.
+def _walk(protocol: WiringProtocol, lam, x, outcomes: Optional[dict], weight=Fraction(1)):
+    """Shared branch-tree walk of (lam, x): adds each complete branch's
+    nonzero weight, `weight` times its box weights, to outcomes[outputs];
+    with `outcomes` None it only validates.
 
     Raises Unvalidated with a precise reason on any structural violation,
     so the same traversal backs both validation and execution.
@@ -309,7 +313,8 @@ def _walk(protocol: WiringProtocol, lam, x, on_leaf, weight=Fraction(1)):
 
     def run_party(i, records, w, outputs):
         if i == n:
-            on_leaf(outputs, w)
+            if outcomes is not None and w != 0:
+                outcomes[outputs] = outcomes.get(outputs, Fraction(0)) + w
             return
         strat = protocol.strategies[i]
         used: frozenset = frozenset()
@@ -410,26 +415,11 @@ def _validate(protocol: WiringProtocol, leaves: Optional[dict] = None) -> Protoc
     if _compiled_of(protocol) is None:
         for lam, w_lam in zip(protocol.randomness.support, protocol.randomness.weights):
             for x in protocol.inputs():
-                outcomes = None if leaves is None else leaves.get(x)
                 try:
-                    _walk(protocol, lam, x, _no_leaf if outcomes is None else _accumulator(outcomes), weight=w_lam)
+                    _walk(protocol, lam, x, None if leaves is None else leaves.get(x), weight=w_lam)
                 except Unvalidated as err:
                     return ProtocolVerdict(False, {"lam": lam, "x": x, "reason": str(err)})
     return ProtocolVerdict(True)
-
-
-def _no_leaf(outputs, w):
-    pass
-
-
-def _accumulator(outcomes: dict):
-    """A leaf callback adding each nonzero branch weight to outcomes[outputs]."""
-
-    def on_leaf(outputs, w):
-        if w != 0:
-            outcomes[outputs] = outcomes.get(outputs, Fraction(0)) + w
-
-    return on_leaf
 
 
 def _require_ok(verdict: ProtocolVerdict):

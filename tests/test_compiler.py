@@ -185,6 +185,34 @@ class TestCompile:
         with pytest.raises(UnownedInputBit, match=r"owned twice \['u'\]"):
             compile_circuit(circuit, 2, [["u", "v"], ["u"]])
 
+    def test_sweeps_refuse_the_maps_compile_circuit_refuses(self):
+        # one check, with one message, for compile_circuit and for every map
+        # of both sweep functions (here the second map of two)
+        names = ["b0", "b1", "b2"]
+        majority = synthesize_nand(TruthTable.from_int(3, 0b11101000), names)
+        and2 = synthesize_nand(TruthTable.from_int(2, 0b1000), names[:2])
+        cases = [
+            (majority, 3, [["b0"], ["b1"], ["b2", "b9"]], UnownedInputBit,
+             "ownership map mismatch: missing [], unknown ['b9'], owned twice []"),
+            (majority, 3, [["b0", "b0"], ["b1"], ["b2"]], UnownedInputBit,
+             "ownership map mismatch: missing [], unknown [], owned twice ['b0']"),
+            (majority, 3, [["b0"], ["b1"], ["b2"], []], ShapeMismatch, "expected 3 ownership groups, got 4"),
+            (majority, 3, [["b0"], ["b1"], []], UnownedInputBit,
+             "ownership map mismatch: missing ['b2'], unknown [], owned twice []"),
+            (and2, 1, [["b0", "b1"]], ShapeMismatch, "compilation needs at least 2 parties"),
+        ]
+        for circuit, n, bit_map, error, message in cases:
+            maps = [[[name] for name in names], bit_map] if n == 3 else [bit_map]
+            runs = [
+                lambda: compile_circuit(circuit, n, bit_map),
+                lambda: affine_outcome_counts(circuit, n, maps),
+                lambda: cc_values(circuit, n, maps),
+            ]
+            for run in runs:
+                with pytest.raises(error) as caught:
+                    run()
+                assert str(caught.value) == message, (bit_map, str(caught.value))
+
     def test_multi_bit_ownership(self):
         f = lambda b: (b[0] & b[2]) ^ b[1] ^ b[3]
         tt = TruthTable.from_function(4, f)

@@ -13,12 +13,13 @@ from boxworld.boxes import marginal_coordinates, marginal_point
 from boxworld.cluster import cluster_box
 from boxworld.exactlp import (
     FeasibilityResult,
+    _gf2_echelon,
     _integerize,
-    _rank_mod2,
     _rank_mod3,
     exact_rank,
     solve_equality_feasibility,
 )
+from boxworld.locality import _gf2_solve
 
 
 def _full_tableau_feasibility(A, b) -> tuple[FeasibilityResult, int]:
@@ -222,6 +223,12 @@ def _rank_mod_by_definition(rows, p: int) -> int:
     return rank
 
 
+def _rank_mod2(rows, full=None) -> int:
+    """The GF(2) pass of exact_rank: `_gf2_echelon`'s pivots over the rows'
+    odd-entry masks, counted up to `full`."""
+    return len(_gf2_echelon([(sum(1 << j for j, v in enumerate(row) if v & 1), 0) for row in rows], full))
+
+
 def _integer_rows(rows):
     """Each row times the lcm of its denominators, as exact_rank scales it."""
     return [[int(v * lcm(*(Fraction(u).denominator for u in row))) for v in row] for row in rows]
@@ -267,6 +274,50 @@ def test_rank_mod_two_on_every_small_matrix():
     for m in (2, 3):
         for rows in itertools.product(itertools.product((0, 1, 2), repeat=2), repeat=m):
             assert _rank_mod2(rows, 2) == _rank_mod_by_definition(rows, 2), rows
+
+
+def _check_gf2_system(rows, n: int):
+    """`_gf2_echelon` and `_gf2_solve` on the GF(2) rows (mask, bit) over n
+    variables, against brute force over all 2^n assignments."""
+    solutions = [f for f in range(1 << n) if all((mask & f).bit_count() % 2 == bit for mask, bit in rows)]
+    homogeneous = [(mask, 0) for mask, _ in rows]
+    rank = _rank_mod_by_definition([[mask >> j & 1 for j in range(n)] for mask, _ in rows], 2)
+    assert len(_gf2_echelon(homogeneous)) == rank, rows
+    for full in range(1, rank + 1):
+        assert len(_gf2_echelon(homogeneous, full)) == full, (rows, full)
+    pivots = _gf2_echelon(rows)
+    solved = _gf2_solve(rows, n)
+    assert (pivots is None) == (solved is None) == (not solutions), rows
+    if solved is None:
+        return
+    assert len(pivots) == rank, rows
+    solution, kernel = solved
+    assert solution in solutions, rows
+    assert len(kernel) == n - rank, rows
+    assert all((mask & k).bit_count() % 2 == 0 for k in kernel for mask, _ in rows), rows
+    # independent: the 2^(n - rank) combinations are distinct, so they are
+    # every solution of the homogeneous rows
+    span = {0}
+    for k in kernel:
+        span |= {v ^ k for v in span}
+    assert sorted(solution ^ v for v in span) == solutions, rows
+
+
+def test_gf2_elimination_on_every_small_system():
+    # every multiset of up to 4 rows on up to 4 variables
+    for n in range(5):
+        equations = [(mask, bit) for mask in range(1 << n) for bit in (0, 1)]
+        for m in range(5):
+            for rows in itertools.combinations_with_replacement(equations, m):
+                _check_gf2_system(list(rows), n)
+
+
+def test_gf2_elimination_on_random_systems():
+    rng = random.Random(30)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        rows = [(rng.getrandbits(n), rng.getrandbits(1)) for _ in range(rng.randint(0, 10))]
+        _check_gf2_system(rows, n)
 
 
 def test_big_degenerate_instance():

@@ -535,9 +535,9 @@ def test_first_induced_box_walks_each_branch_once(monkeypatch):
     walks = []
     real_walk = wiring._walk
 
-    def counting_walk(protocol, lam, x, on_leaf, weight=Fraction(1)):
+    def counting_walk(protocol, lam, x, outcomes, weight=Fraction(1)):
         walks.append((lam, x))
-        return real_walk(protocol, lam, x, on_leaf, weight)
+        return real_walk(protocol, lam, x, outcomes, weight)
 
     monkeypatch.setattr(wiring, "_walk", counting_walk)
     proto = _flipping_pr_protocol()
