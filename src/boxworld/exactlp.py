@@ -61,11 +61,17 @@ entries the full integer tableau would hold, since both are d times the
 same rationals.  So the pivots, the solution and the Farkas vector are
 those of the full-tableau form, which the tests keep as the reference.
 
-`exact_rank`, which the polytope module runs on every vertex's tight
-constraints, first eliminates over GF(3) with two bitmasks per row, then
-over GF(2) with one (`_gf2_echelon`, which also solves `locality`'s flip
+Ranks are taken in two steps, each kept once: slice an integer row into
+bitmasks (`_mod3_masks`, two per row, and `_odd_mask`), then eliminate
+the sliced rows over GF(3) (`_gf3_rank`) and, when that falls short,
+over GF(2) (`_gf2_echelon`, which also solves `locality`'s flip
 systems).  Full rank modulo a prime proves full rank over the rationals;
-only a shortfall modulo both runs fraction-free elimination.
+only a shortfall modulo both runs fraction-free elimination
+(`_fraction_free_rank`).  `exact_rank` slices its rows on every call.
+`polytope.enumerate_vertices` slices every cell's row once per
+enumeration and certifies each vertex's tight constraints from those
+masks (`_modular_full_rank`); no vertex of the (2,2)/(2,2), (3,3)/(2,2)
+or (2,2)/(3,3) census needs the fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import VerificationFailed
+from .errors import DimensionMismatch, VerificationFailed
 
 
 @dataclass
@@ -263,28 +269,37 @@ def solve_equality_feasibility(A: Sequence[Sequence], b: Sequence) -> Feasibilit
     return FeasibilityResult(False, farkas=y)
 
 
-def _rank_mod3(mat: list[list[int]], full: int) -> int:
-    """Rank over GF(3) of integer rows, counted up to `full`.
+def _mod3_masks(row) -> tuple[int, int]:
+    """An integer row sliced for GF(3): bit j of `one` is set when entry j
+    is 1 mod 3, and bit j of `two` when it is 2 mod 3."""
+    one = two = 0
+    for j, v in enumerate(row):
+        if v:
+            r = v % 3
+            if r == 1:
+                one |= 1 << j
+            elif r:
+                two |= 1 << j
+    return one, two
 
-    Each row is bit-sliced into two masks: bit j of `one` is set when
-    entry j is 1 mod 3, and bit j of `two` when it is 2 mod 3.  Rows
-    (a1, a2) and (b1, b2) add as t = (a1|b2) ^ (a2|b1), c1 = (a2|b2) ^ t,
-    c2 = (a1|b1) ^ t, and negating a row swaps its masks.  Pivot rows are
-    scaled to a leading 1 and keyed by their leading (highest) bit; a row
-    whose leading bit has a pivot loses that bit by adding the pivot's
-    negation where it leads with 1 and the pivot itself where it leads
-    with 2."""
+
+def _odd_mask(row) -> int:
+    """An integer row sliced for GF(2): bit j is set when entry j is odd."""
+    return sum(1 << j for j, v in enumerate(row) if v & 1)
+
+
+def _gf3_rank(rows, full: int) -> int:
+    """Rank over GF(3) of rows sliced by `_mod3_masks`, counted up to `full`.
+
+    Rows (a1, a2) and (b1, b2) add as t = (a1|b2) ^ (a2|b1),
+    c1 = (a2|b2) ^ t, c2 = (a1|b1) ^ t, and negating a row swaps its
+    masks.  Pivot rows are scaled to a leading 1 and keyed by their leading
+    (highest) bit; a row whose leading bit has a pivot loses that bit by
+    adding the pivot's negation where it leads with 1 and the pivot itself
+    where it leads with 2."""
     pivots = {}
     rank = 0
-    for row in mat:
-        one = two = 0
-        for j, v in enumerate(row):
-            if v:
-                r = v % 3
-                if r == 1:
-                    one |= 1 << j
-                elif r:
-                    two |= 1 << j
+    for one, two in rows:
         while one | two:
             lead = (one | two).bit_length() - 1
             pivot = pivots.get(lead)
@@ -321,43 +336,25 @@ def _gf2_echelon(rows, full: Optional[int] = None) -> Optional[dict]:
     return pivots
 
 
-def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals.
+def _modular_full_rank(mod3_rows, odd_masks, full: int) -> bool:
+    """Whether integer rows, sliced by `_mod3_masks` and `_odd_mask`, reach
+    rank `full` over GF(3) or, failing that, over GF(2).
 
-    Each row is scaled to integers by the lcm of its denominators, which
-    keeps the rank.  The integer rows are first eliminated over GF(3)
-    (`_rank_mod3`), then, when that falls short, over GF(2) (`_gf2_echelon`).
-    When either rank is min(m, n) it is returned: an r x r minor that is
-    nonzero mod p is a nonzero integer, so the rank over the rationals is
-    at least r, and it is at most min(m, n).  Mod 3 certifies most of the
-    tight sets of polytope vertices; mod 2 certifies most of the rest
-    (tight minors that are multiples of 3, as at vertices with entries
-    1/3).  Otherwise the rank is found by fraction-free elimination with
-    exact division."""
-    if not rows:
-        return 0
-    types = set()
-    for row in rows:
-        types.update(map(type, row))
-    if types <= {int}:
-        # all plain ints (the callers' usual case): read as given, and
-        # copied only for the exact elimination
-        mat = rows
-    else:
-        mat = [[int(v) if isinstance(v, int) else Fraction(v) for v in row] for row in rows]
-    if any(not issubclass(t, int) for t in types):
-        scaled = []
-        for row in mat:
-            den = lcm(*(v.denominator for v in row))
-            scaled.append([int(v * den) for v in row])
-        mat = scaled
+    An r x r minor that is nonzero mod p is a nonzero integer, so either
+    proves rank at least `full` over the rationals.  The GF(2) pass reads
+    its masks only when the GF(3) pass falls short, so lazy iterables
+    slice no odd mask on the usual path."""
+    if _gf3_rank(mod3_rows, full) == full:
+        return True
+    return len(_gf2_echelon(((odd, 0) for odd in odd_masks), full)) == full
+
+
+def _fraction_free_rank(mat: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows by fraction-free elimination with exact division
+    (the rows are copied, not changed)."""
+    mat = [list(row) for row in mat]
     m = len(mat)
-    n = len(mat[0])
-    full = min(m, n)
-    odd = ((sum(1 << j for j, v in enumerate(row) if v & 1), 0) for row in mat)
-    if _rank_mod3(mat, full) == full or len(_gf2_echelon(odd, full)) == full:
-        return full
-    mat = [list(row) for row in mat]  # eliminated in place
+    n = len(mat[0]) if m else 0
     rank = 0
     prev = 1
     for col in range(n):
@@ -384,3 +381,39 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
             break
     return rank
 
+
+def exact_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over the rationals of rows of ints and Fractions.
+
+    DimensionMismatch when the rows differ in length or an entry is of any
+    other type (a float would be read as its binary expansion).  Each row
+    is scaled to integers by the lcm of its denominators, which keeps the
+    rank.  The integer rows are sliced into bitmasks and eliminated over
+    GF(3), then, when that falls short, over GF(2) (`_modular_full_rank`).
+    When either rank is min(m, n) it is returned: the rank over the
+    rationals is at least that, and at most min(m, n).  Mod 3 certifies
+    most of the tight sets of polytope vertices; mod 2 certifies most of
+    the rest (tight minors that are multiples of 3, as at vertices with
+    entries 1/3).  Otherwise the rank is found by fraction-free
+    elimination (`_fraction_free_rank`)."""
+    if not rows:
+        return 0
+    n = len(rows[0])
+    types = set()
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise DimensionMismatch(f"row {i} has length {len(row)}, row 0 has length {n}")
+        types.update(map(type, row))
+    inexact = next((t for t in types if not issubclass(t, (int, Fraction))), None)
+    if inexact is not None:
+        raise DimensionMismatch(f"rank entries must be ints or Fractions, not {inexact.__name__}")
+    mat = rows  # all plain ints (the callers' usual case): read as given
+    if not all(issubclass(t, int) for t in types):
+        mat = []
+        for row in rows:
+            den = lcm(*(v.denominator for v in row))
+            mat.append([int(v * den) for v in row])
+    full = min(len(mat), n)
+    if _modular_full_rank(map(_mod3_masks, mat), map(_odd_mask, mat), full):
+        return full
+    return _fraction_free_rank(mat)

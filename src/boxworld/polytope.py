@@ -10,7 +10,7 @@ which the only remaining constraints are the nonnegativity of every
 table cell.  Vertex enumeration runs the classical double description
 method on the homogenization of that parametrized polytope, with exact
 integer ray arithmetic throughout; no linear system is solved, and the
-only elimination is one exact rank per vertex, for extremality.
+only elimination is one rank certificate per vertex, for extremality.
 """
 
 from __future__ import annotations
@@ -41,7 +41,14 @@ from .errors import (
     TooLarge,
     VerificationFailed,
 )
-from .exactlp import exact_rank, solve_equality_feasibility
+from .exactlp import (
+    _fraction_free_rank,
+    _mod3_masks,
+    _modular_full_rank,
+    _odd_mask,
+    exact_rank,
+    solve_equality_feasibility,
+)
 
 DEFAULT_DIMENSION_CAP = 15  # covers 3 inputs x 2 outputs per party
 # is_vertex and classify_vertex take exact ranks and never enumerate, so the
@@ -267,8 +274,14 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
     raises its own error.  VerificationFailed: s > 0, every cell's
     integer value const*s + sum(coef*t) is >= 0, the cells at 0 are
     exactly the carried mask, and their linear parts have full rank
-    (extremality, the one exact rank taken per vertex and the only one
-    taken here).  Then `HRepresentation._box_on_ray` checks, still on
+    (extremality, the one rank certificate taken per vertex).  Every
+    cell's linear part is sliced once per call into its GF(3) masks and
+    its GF(2) odd-entry mask (`exactlp._mod3_masks`, `_odd_mask`); a
+    vertex's certificate eliminates its zero cells' masks, mod 3 and then,
+    when that falls short, mod 2 (`exactlp._modular_full_rank`).  Only
+    when both fall short does fraction-free elimination run on the dense
+    rows, which no vertex of the (2,2)/(2,2), (3,3)/(2,2) or (2,2)/(3,3)
+    census needs (24,064 of the 53,856 (2,2,2)/(2,2,2) vertices do).  Then `HRepresentation._box_on_ray` checks, still on
     the integers, that every value is at most s (NegativeProbability),
     that each joint input's values sum to s (NotNormalized) and that
     every no-signaling sum agrees (VerificationFailed, "signals"); only
@@ -343,14 +356,17 @@ def enumerate_vertices(h_rep: HRepresentation) -> list[Box]:
 
     # the rays are distinct primitive integer vectors, so no two give one point
     linear = [row[1:] for row in rows[:-1]]  # each cell's linear part
+    mod3 = [_mod3_masks(row) for row in linear]
+    odd = [_odd_mask(row) for row in linear]
     sum_groups = h_rep._sum_groups()
-    return [_verified_vertex(h_rep, ray, mask, linear, sum_groups) for ray, mask in rays]
+    return [_verified_vertex(h_rep, ray, mask, linear, mod3, odd, sum_groups) for ray, mask in rays]
 
 
-def _verified_vertex(h_rep: HRepresentation, ray, mask: int, linear, sum_groups) -> Box:
+def _verified_vertex(h_rep: HRepresentation, ray, mask: int, linear, mod3, odd, sum_groups) -> Box:
     """The box at a final double-description ray (s, t) with its carried
     tight-set mask, through every check of `enumerate_vertices`; `linear`
-    holds each cell's dense linear part and `sum_groups` is
+    holds each cell's dense linear part, `mod3` and `odd` its GF(3) and
+    GF(2) masks (`_mod3_masks`, `_odd_mask`), and `sum_groups` is
     `h_rep._sum_groups()`."""
     s = ray[0]
     if not s > 0:
@@ -362,7 +378,9 @@ def _verified_vertex(h_rep: HRepresentation, ray, mask: int, linear, sum_groups)
     if sum(1 << c for c in zero_cells) != mask:
         raise VerificationFailed("enumerated point's zero cells differ from its carried tight set")
     # extremality: the cells at 0 alone pin the point down
-    if exact_rank([linear[c] for c in zero_cells]) != h_rep.dimension:
+    dim = h_rep.dimension
+    certified = _modular_full_rank(map(mod3.__getitem__, zero_cells), map(odd.__getitem__, zero_cells), dim)
+    if not certified and _fraction_free_rank([linear[c] for c in zero_cells]) != dim:
         raise VerificationFailed("enumerated point is not extremal")
     return h_rep._box_on_ray(s, values, sum_groups)
 

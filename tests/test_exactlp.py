@@ -14,8 +14,10 @@ from boxworld.cluster import cluster_box
 from boxworld.exactlp import (
     FeasibilityResult,
     _gf2_echelon,
+    _gf3_rank,
     _integerize,
-    _rank_mod3,
+    _mod3_masks,
+    _odd_mask,
     exact_rank,
     solve_equality_feasibility,
 )
@@ -186,6 +188,20 @@ def test_exact_rank_fractions():
     assert exact_rank([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]]) == 1
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1], [1, 2]], "row 1 has length 2, row 0 has length 1"),  # was rank 1
+        ([[1, 2], [3]], "row 1 has length 1, row 0 has length 2"),  # was an IndexError
+        ([[0.1, 1]], "not float"),  # was read as 3602879701896397/36028797018963968
+    ],
+    ids=["longer-row-after", "shorter-row-after", "float-entry"],
+)
+def test_exact_rank_refuses_malformed_matrices(rows, message):
+    with pytest.raises(bw.DimensionMismatch, match=message):
+        exact_rank(rows)
+
+
 def _rank_by_gauss_jordan(rows) -> int:
     """Reference: Gauss-Jordan elimination over Fraction, counting pivots."""
     mat = [[Fraction(v) for v in row] for row in rows]
@@ -223,10 +239,16 @@ def _rank_mod_by_definition(rows, p: int) -> int:
     return rank
 
 
+def _rank_mod3(rows, full) -> int:
+    """The GF(3) pass of exact_rank: `_gf3_rank` over the integer rows'
+    `_mod3_masks`, counted up to `full`."""
+    return _gf3_rank(map(_mod3_masks, rows), full)
+
+
 def _rank_mod2(rows, full=None) -> int:
-    """The GF(2) pass of exact_rank: `_gf2_echelon`'s pivots over the rows'
-    odd-entry masks, counted up to `full`."""
-    return len(_gf2_echelon([(sum(1 << j for j, v in enumerate(row) if v & 1), 0) for row in rows], full))
+    """The GF(2) pass of exact_rank: `_gf2_echelon`'s pivots over the
+    integer rows' `_odd_mask`s, counted up to `full`."""
+    return len(_gf2_echelon([(_odd_mask(row), 0) for row in rows], full))
 
 
 def _integer_rows(rows):

@@ -18,7 +18,7 @@ from boxworld.errors import (
     TooLarge,
     VerificationFailed,
 )
-from boxworld.exactlp import exact_rank
+from boxworld.exactlp import _fraction_free_rank, _mod3_masks, _modular_full_rank, _odd_mask, exact_rank
 from boxworld.locality import all_deterministic_boxes
 from boxworld.polytope import (
     _gcd_reduce,
@@ -438,20 +438,6 @@ def test_the_initial_cone_is_the_greedy_basis_and_its_inverse():
         assert (order, rays) == greedy_initial_basis(_inequality_rows(h), h.dimension + 1), (input_sizes, output_sizes)
 
 
-@pytest.mark.parametrize("input_sizes", [(2, 2), (3, 3)])
-def test_enumeration_takes_one_exact_rank_per_vertex(monkeypatch, input_sizes):
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
-        return exact_rank(rows)
-
-    h = build_h_rep(input_sizes, (2, 2))
-    monkeypatch.setattr(bw.polytope, "exact_rank", counted)
-    vertices = enumerate_vertices(h)
-    assert len(calls) == len(vertices) == {(2, 2): 24, (3, 3): 1408}[input_sizes]
-
-
 def integer_ray(h_rep, box):
     """The box's integer ray (s, *s*t): t its point, s the common
     denominator of t."""
@@ -521,25 +507,61 @@ class TestIntegerChecks:
             swapped.box_from_point(self.h.point_from_box(bw.pr_box()))
 
 
+def verify_on_ray(h, box, corrupt_ray=lambda ray: ray, corrupt_mask=lambda mask: mask):
+    """`_verified_vertex` on the box's integer ray and zero-cell mask, each
+    corrupted as given, with the tables `enumerate_vertices` builds."""
+    linear = [row[1:] for row in _inequality_rows(h)[:-1]]
+    mod3 = [_mod3_masks(row) for row in linear]
+    odd = [_odd_mask(row) for row in linear]
+    ray = integer_ray(h, box)
+    values = h._cell_values(ray[0], ray[1:])
+    mask = sum(1 << c for c, v in enumerate(values) if v == 0)
+    return _verified_vertex(h, corrupt_ray(ray), corrupt_mask(mask), linear, mod3, odd, h._sum_groups())
+
+
 def test_each_vertex_check_raises_on_its_own_corruption():
     h = build_h_rep((2, 2), (2, 2))
-    linear = [row[1:] for row in _inequality_rows(h)[:-1]]
-
-    def verify(box, corrupt_ray=lambda ray: ray, corrupt_mask=lambda mask: mask):
-        ray = integer_ray(h, box)
-        values = h._cell_values(ray[0], ray[1:])
-        mask = sum(1 << c for c, v in enumerate(values) if v == 0)
-        return _verified_vertex(h, corrupt_ray(ray), corrupt_mask(mask), linear, h._sum_groups())
-
-    assert verify(bw.pr_box()) == bw.pr_box()
+    assert verify_on_ray(h, bw.pr_box()) == bw.pr_box()
     with pytest.raises(VerificationFailed, match="unbounded"):
-        verify(bw.pr_box(), corrupt_ray=lambda ray: (0,) + ray[1:])
+        verify_on_ray(h, bw.pr_box(), corrupt_ray=lambda ray: (0,) + ray[1:])
     with pytest.raises(VerificationFailed, match="nonnegativity"):
-        verify(bw.pr_box(), corrupt_ray=lambda ray: ray[:1] + (ray[1] + 5,) + ray[2:])
+        verify_on_ray(h, bw.pr_box(), corrupt_ray=lambda ray: ray[:1] + (ray[1] + 5,) + ray[2:])
     with pytest.raises(VerificationFailed, match="carried tight set"):
-        verify(bw.pr_box(), corrupt_mask=lambda mask: mask ^ 1)
+        verify_on_ray(h, bw.pr_box(), corrupt_mask=lambda mask: mask ^ 1)
     with pytest.raises(VerificationFailed, match="not extremal"):
-        verify(bw.uniform_box((2, 2), (2, 2)))
+        verify_on_ray(h, bw.uniform_box((2, 2), (2, 2)))
+
+
+@pytest.mark.parametrize("modular", [True, False], ids=["masks", "fraction-free"])
+def test_a_rank_deficient_zero_cell_set_is_not_extremal(monkeypatch, modular):
+    # the midpoint of two vertices is at 0 on their common zero cells only,
+    # whose rank falls short of the dimension.  The masks refuse it, and so
+    # does the fraction-free elimination, which also accepts the vertices
+    # when the modular passes are made to fall short.
+    eliminations = []
+
+    def eliminated(rows):
+        eliminations.append(len(rows))
+        return _fraction_free_rank(rows)
+
+    monkeypatch.setattr(bw.polytope, "_fraction_free_rank", eliminated)
+    if not modular:
+        monkeypatch.setattr(bw.polytope, "_modular_full_rank", lambda *args: False)
+    for input_sizes, output_sizes in (((2, 2), (2, 2)), ((2, 2), (3, 3))):
+        h = build_h_rep(input_sizes, output_sizes, dimension_cap=30)
+        vertices = enumerate_vertices(h)
+        first, second = vertices[0], vertices[-1]
+        assert verify_on_ray(h, first) == first and verify_on_ray(h, second) == second
+        midpoint = bw.mix_boxes([(Fraction(1, 2), first), (Fraction(1, 2), second)])
+        rows = _inequality_rows(h)
+        zero = [c for c, cell in enumerate(h.cells) if midpoint.prob(*cell) == 0]
+        assert zero and exact_rank([rows[c][1:] for c in zero]) < h.dimension
+        with pytest.raises(VerificationFailed, match="not extremal"):
+            verify_on_ray(h, midpoint)
+        # the masks decide every vertex, so only the midpoint is eliminated;
+        # without them every vertex is, and the first and last once more
+        assert len(eliminations) == (1 if modular else len(vertices) + 3), (input_sizes, output_sizes)
+        eliminations.clear()
 
 
 def test_enumeration_builds_no_box_through_make_box_or_check_no_signaling(monkeypatch):
@@ -751,10 +773,15 @@ CENSUS_PINS = [
 ]
 
 
+# (inputs, outputs, dimension cap, vertex count) of each pinned census
+CENSUS_SHAPES = [pin[:4] for pin in CENSUS_PINS]
+CENSUS_IDS = [f"{pin[0]}-{pin[1]}".replace(" ", "") for pin in CENSUS_PINS]
+
+
 @pytest.mark.parametrize(
     "input_sizes, output_sizes, cap, count, vertices_digest, reports_digest",
     CENSUS_PINS,
-    ids=[f"{pin[0]}-{pin[1]}".replace(" ", "") for pin in CENSUS_PINS],
+    ids=CENSUS_IDS,
 )
 def test_census_and_its_classification_are_pinned(input_sizes, output_sizes, cap, count, vertices_digest, reports_digest):
     h = build_h_rep(input_sizes, output_sizes, dimension_cap=cap)
@@ -762,6 +789,59 @@ def test_census_and_its_classification_are_pinned(input_sizes, output_sizes, cap
     assert len(vertices) == count
     assert _digest([tuple(v.table.items()) for v in vertices]) == vertices_digest
     assert _digest([_report_key(classify_vertex(v, h, check=False)) for v in vertices]) == reports_digest
+
+
+@pytest.mark.parametrize("input_sizes, output_sizes, cap, count", CENSUS_SHAPES, ids=CENSUS_IDS)
+def test_enumeration_takes_one_modular_certificate_per_vertex(monkeypatch, input_sizes, output_sizes, cap, count):
+    # every census vertex is certified extremal mod 3 or mod 2 on the masks
+    # sliced once per enumeration: no fraction-free elimination runs, and
+    # no exact_rank slices a row again
+    certificates = []
+    eliminations = []
+    ranks = []
+
+    def certified(*args):
+        certificates.append(_modular_full_rank(*args))
+        return certificates[-1]
+
+    def eliminated(rows):
+        eliminations.append(len(rows))
+        return _fraction_free_rank(rows)
+
+    def ranked(rows):
+        ranks.append(len(rows))
+        return exact_rank(rows)
+
+    h = build_h_rep(input_sizes, output_sizes, dimension_cap=cap)
+    monkeypatch.setattr(bw.polytope, "_modular_full_rank", certified)
+    monkeypatch.setattr(bw.polytope, "_fraction_free_rank", eliminated)
+    monkeypatch.setattr(bw.polytope, "exact_rank", ranked)
+    vertices = enumerate_vertices(h)
+    assert len(certificates) == len(vertices) == count
+    assert all(certificates)
+    assert eliminations == ranks == []
+
+
+@pytest.mark.parametrize("input_sizes, output_sizes, cap, count", CENSUS_SHAPES, ids=CENSUS_IDS)
+def test_masked_certificate_is_the_exact_rank_on_every_zero_cell_set(input_sizes, output_sizes, cap, count):
+    # each vertex's zero cells, and the same cells less the first: rank-
+    # deficient unless the vertex is degenerate.  The masks reach the
+    # dimension exactly where the exact rank does.
+    h = build_h_rep(input_sizes, output_sizes, dimension_cap=cap)
+    linear = [row[1:] for row in _inequality_rows(h)[:-1]]
+    mod3 = [_mod3_masks(row) for row in linear]
+    odd = [_odd_mask(row) for row in linear]
+    vertices = enumerate_vertices(h)
+    assert len(vertices) == count
+    outcomes = {True: 0, False: 0}
+    for vertex in vertices:
+        zero = [c for c, cell in enumerate(h.cells) if vertex.prob(*cell) == 0]
+        for cells in (zero, zero[1:]):
+            full = exact_rank([linear[c] for c in cells]) == h.dimension
+            masked = _modular_full_rank([mod3[c] for c in cells], [odd[c] for c in cells], h.dimension)
+            assert masked == full, (vertex, cells)
+            outcomes[full] += 1
+    assert outcomes[True] > count and outcomes[False] > 0
 
 
 PARITY_BOX_PINS = {
